@@ -136,10 +136,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify_qreuse(args) -> int:
-    from .experiment import qreuse_failures, replay_run_dir
+    from .experiment import replay_run_dir
+    from .projection import equivalence_failures
 
     _, checks = replay_run_dir(args.run)
-    failures = qreuse_failures(checks)
+    failures = equivalence_failures(checks)
     if failures:
         for failure in failures:
             print(f"reuse-equivalence violation: {failure}", file=sys.stderr)

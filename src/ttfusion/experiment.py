@@ -16,7 +16,7 @@ import numpy as np
 from .detection import AttentionSlice
 from .frames import FrameObservation, load_frame, read_pgm, write_pgm
 from .fusion import SequenceResult, run_sequence
-from .projection import EquivalenceCheck, ProjectionSet, equivalence_failures, verify_equivalence
+from .projection import EquivalenceCheck, ProjectionSet, verify_equivalence
 from .report import build_report, load_report, write_report
 from .runconfig import ATTENTION_SOURCE_TENSOR_FILES, RunConfig, config_echo
 from .synthetic import FRAME_NAME, generate_frames
@@ -225,7 +225,3 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[EquivalenceCh
     projections = ProjectionSet.generate(config["token_dim"], config["seed"])
     checks = verify_equivalence(items, projections)
     return report, checks
-
-
-def qreuse_failures(checks: list[EquivalenceCheck]) -> list[str]:
-    return equivalence_failures(checks)

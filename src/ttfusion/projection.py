@@ -5,10 +5,13 @@ any token row reused from the previous step yields a projection row
 bit-identical to the previous step's, so the row can be copied instead of
 recomputed.  This module performs that selective reuse, counts the
 multiplications it avoids, and checks the shortcut against a full
-recomputation.  Equality is demanded bit-exact, which requires a fixed
-per-row summation order: :func:`project_full` accumulates over the input
-dimension in ascending index order, making each output row a deterministic
-function of its own token row alone.
+recomputation.  Equality is demanded bit-exact, which requires each output
+row to be a deterministic function of its own token row alone:
+:func:`project_full` computes every row as its own fixed-shape (1 x d) by
+(d x d) BLAS product.  A plain batched ``x @ W`` does not qualify, because
+BLAS may sum a row in a different order depending on how many rows share
+the call: at d = 64 a row computed alone differs in the last bits from the
+same row inside a batch of 256.
 """
 
 from __future__ import annotations
@@ -96,17 +99,17 @@ def _token_values(tokens) -> np.ndarray:
 def project_full(tokens, weights: np.ndarray) -> np.ndarray:
     """Dense projection, output row i = token row i times the weight matrix.
 
-    Accumulates over the input dimension in ascending order so each output
-    row depends only on its own input row, bit-for-bit.
+    Each row is its own fixed-shape (1 x d) by (d x d) product, so output
+    row i depends on token row i alone, bit for bit, whatever other rows
+    are in the batch and however the input is laid out in memory.  One
+    batched ``values @ weights`` would not be: its per-row summation order
+    can change with the row count (see the module docstring).
     """
     values = _token_values(tokens)
     weights = np.asarray(weights, dtype=np.float64)
     if values.ndim != 2 or weights.ndim != 2 or values.shape[1] != weights.shape[0]:
         raise ValueError(f"shape mismatch: tokens {values.shape} vs weights {weights.shape}")
-    out = np.zeros((values.shape[0], weights.shape[1]))
-    for k in range(weights.shape[0]):
-        out += values[:, k : k + 1] * weights[k]
-    return out
+    return np.matmul(np.ascontiguousarray(values)[:, None, :], weights)[:, 0, :]
 
 
 def project_selective(

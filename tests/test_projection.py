@@ -38,6 +38,31 @@ class TestProjectFull:
         for i in range(8):
             assert np.array_equal(project_full(tokens[i : i + 1], weights), full[i : i + 1])
 
+        # d = 64 as in the default run: a 256-patch batch against random row
+        # subsets of the sizes fusion masks recompute, and against copies laid
+        # out differently in memory.
+        tokens = rng.standard_normal((256, 64))
+        weights = rng.standard_normal((64, 64))
+        full = project_full(tokens, weights)
+        for size in (1, 2, 37, 70, 128, 186, 255):
+            rows = np.sort(rng.choice(256, size=size, replace=False))
+            assert np.array_equal(project_full(tokens[rows], weights), full[rows])
+        buffer = np.empty(tokens.size + 1)
+        odd_offset = buffer[1:].reshape(tokens.shape)
+        odd_offset[...] = tokens
+        assert np.array_equal(project_full(odd_offset, weights), full)
+        assert np.array_equal(project_full(np.asfortranarray(tokens), weights), full)
+        assert np.array_equal(project_full(tokens[1::3], weights), full[1::3])
+
+    def test_matches_ascending_index_reference(self):
+        rng = np.random.default_rng(6)
+        tokens = rng.standard_normal((256, 64))
+        weights = rng.standard_normal((64, 64))
+        reference = np.zeros((256, 64))
+        for k in range(64):
+            reference += tokens[:, k : k + 1] * weights[k]
+        assert np.allclose(project_full(tokens, weights), reference, rtol=1e-12, atol=1e-12)
+
 
 class TestProjectSelective:
     def test_all_ones_matches_full_with_no_reuse(self):
