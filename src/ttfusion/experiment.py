@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detection import AttentionSlice
-from .frames import FrameObservation, load_frame, read_pgm, write_pgm
-from .fusion import SequenceResult, run_sequence
+from .frames import FrameObservation, GrayscaleImage, load_frame, read_pgm, write_pgm
+from .fusion import SequenceResult, run_sequence, run_sequences
 from .projection import EquivalenceCheck, ProjectionSet, verify_equivalence
 from .report import build_report, load_report, write_report
 from .runconfig import ATTENTION_SOURCE_TENSOR_FILES, RunConfig, config_echo
@@ -32,6 +33,7 @@ TOKEN_NAME = "fused_{:06d}.ttft"
 TEXT_ATTENTION_NAME = "attn_text_{:06d}.ttft"
 ACTION_ATTENTION_NAME = "attn_action_{:06d}.ttft"
 REPORT_NAME = "report.json"
+_FRAME_FILE = re.compile(r"frame_(\d{6,})\.ppm")
 
 
 @dataclass
@@ -43,7 +45,11 @@ class ExperimentResult:
 
 
 def load_frames_dir(path: str | os.PathLike) -> list[FrameObservation]:
-    """Load frame_%06d.ppm files starting at index 0."""
+    """Load frame_%06d.ppm files starting at index 0.
+
+    The indices must be contiguous: a missing index below the highest one
+    present raises ``FileNotFoundError`` naming the first missing index.
+    """
     if not os.path.isdir(path):
         raise FileNotFoundError(f"frames directory not found: {path}")
     frames = []
@@ -56,6 +62,13 @@ def load_frames_dir(path: str | os.PathLike) -> list[FrameObservation]:
         t += 1
     if not frames:
         raise FileNotFoundError(f"no frame_000000.ppm in {path}: first frame missing")
+    # t is the first missing index; any higher index on disk is a gap.
+    indices = [int(m[1]) for m in map(_FRAME_FILE.fullmatch, os.listdir(path)) if m]
+    if max(indices) > t:
+        raise FileNotFoundError(
+            f"frame gap in {path}: {FRAME_NAME.format(t)} (index {t}) is missing, "
+            f"but frames up to index {max(indices)} exist"
+        )
     return frames
 
 
@@ -72,8 +85,8 @@ class TensorFileAttentionEncoder:
     attention_dir: str
     required: str  # "text" or "action"
 
-    def __call__(self, frame: FrameObservation):
-        tokens = encode(frame, self.spec)
+    def __call__(self, frame: FrameObservation, gray: GrayscaleImage | None = None):
+        tokens = encode(frame, self.spec, gray)
         text_path = os.path.join(self.attention_dir, TEXT_ATTENTION_NAME.format(frame.timestep))
         action_path = os.path.join(
             self.attention_dir, ACTION_ATTENTION_NAME.format(frame.timestep)
@@ -121,6 +134,11 @@ def run_experiment(
         frames = materialize_frames(config)
     encoder = build_encoder(config)
     sequence = run_sequence(frames, encoder, config.fusion, timing=timing)
+    return _verify_and_report(config, sequence)
+
+
+def _verify_and_report(config: RunConfig, sequence: SequenceResult) -> ExperimentResult:
+    """Check Q/K/V reuse over a finished fusion run and build its report."""
     projections = ProjectionSet.generate(config.fusion.token_dim, config.seed)
     checks = verify_equivalence(sequence.steps, projections)
     report = build_report(config_echo(config), sequence, checks)
@@ -166,21 +184,27 @@ def run_sweep(
 ) -> tuple[dict, list[ExperimentResult]]:
     """Run the same frames once per parameter value.
 
-    Returns the sweep summary (value -> fusion-rate means) and the per-value
-    results in order.
+    Every value is applied before anything runs, so an invalid one fails
+    first.  All values then advance through the frames in lockstep: each
+    frame is encoded once, by an encoder built from ``config`` (sweep
+    parameters are fusion knobs the encoder does not read), and its tokens
+    and attention feed every value's step.  Each value is then verified and
+    reported as ``run_experiment`` would.  Returns the sweep summary
+    (value -> fusion-rate means) and the per-value results in order.
     """
     from .report import build_sweep_summary
     from .runconfig import apply_parameter
 
     if not values:
         raise ValueError("sweep values list is empty")
+    varied = [apply_parameter(config, parameter, value) for value in values]
     if frames is None:
         frames = materialize_frames(config)
+    sequences = run_sequences(frames, build_encoder(config), [v.fusion for v in varied])
     points = []
     results = []
-    for value in values:
-        varied = apply_parameter(config, parameter, value)
-        result = run_experiment(varied, frames=frames)
+    for value, point_config, sequence in zip(values, varied, sequences):
+        result = _verify_and_report(point_config, sequence)
         results.append(result)
         points.append(
             {

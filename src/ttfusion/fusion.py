@@ -90,13 +90,12 @@ class FusionConfig:
 
 @dataclass
 class FusionState:
-    """Rolling memory between steps: previous frame, fused tokens, attention.
+    """Rolling memory between steps: previous grayscale, fused tokens, attention.
 
     At timestep 0 every ``prev_*`` field is absent; afterwards
     ``prev_tokens`` always holds the fused tokens just emitted.
     """
 
-    prev_frame: FrameObservation | None = None
     prev_gray: GrayscaleImage | None = None
     prev_tokens: TokenMatrix | None = None
     prev_attention: AttentionSlice | None = None
@@ -212,15 +211,23 @@ def step(
 ) -> tuple[StepResult, FusionState]:
     """Run one timestep of the fusion loop.
 
-    ``encoder`` is any callable mapping a frame to ``(TokenMatrix,
-    AttentionSlice | None)``.  The returned state carries the fused tokens,
-    this frame's grayscale, and the attention captured this step (consumed
-    by the next step).  ``timing`` optionally accumulates phase seconds
-    under ``encode`` / ``pixel_detect`` / ``fuse``.
+    ``encoder`` is any callable ``encoder(frame, gray)`` returning
+    ``(TokenMatrix, AttentionSlice | None)``, where ``gray`` is the frame's
+    grayscale, computed once here and shared by pixel detection and the
+    encoder.  The returned state carries the fused tokens, this frame's
+    grayscale, and the attention captured this step (consumed by the next
+    step, which rejects it unless it came from timestep t - 1).  ``timing``
+    optionally accumulates phase seconds under ``encode`` /
+    ``pixel_detect`` / ``fuse``.
     """
     t = frame.timestep
     if t != state.timestep:
         raise ValueError(f"frame timestep {t} does not match state timestep {state.timestep}")
+    if state.prev_attention is not None and state.prev_attention.source_timestep != t - 1:
+        raise ValueError(
+            f"stale attention: step {t} got attention from timestep "
+            f"{state.prev_attention.source_timestep}, expected {t - 1}"
+        )
     if frame.width != config.width or frame.height != config.height:
         raise ValueError(
             f"frame is {frame.width}x{frame.height}, config expects {config.width}x{config.height}"
@@ -230,7 +237,7 @@ def step(
     gray = to_grayscale(frame)
 
     started = time.perf_counter()
-    tokens, attention = encoder(frame)
+    tokens, attention = encoder(frame, gray)
     if timing is not None:
         timing["encode"] = timing.get("encode", 0.0) + time.perf_counter() - started
     if tokens.patch_count != n:
@@ -283,7 +290,6 @@ def step(
         )
 
     new_state = FusionState(
-        prev_frame=frame,
         prev_gray=gray,
         prev_tokens=result.fused_tokens,
         prev_attention=attention,
@@ -303,18 +309,60 @@ def run_sequence(
     Frames must start at timestep 0 and increase by 1; gaps or an empty
     sequence are rejected.
     """
-    frames = list(frames)
-    if not frames:
-        raise ValueError("sequence is empty: first frame missing")
-    state = FusionState.initial()
-    steps: list[StepResult] = []
+    return run_sequences(frames, encoder, [config], timing=timing)[0]
+
+
+def run_sequences(
+    frames,
+    encoder,
+    configs,
+    timing: dict | None = None,
+) -> list[SequenceResult]:
+    """Drive one fusion loop per config over the same frames, in lockstep.
+
+    Frames are the outer loop and configs the inner one, so every config
+    takes its ``step`` on frame t before any takes frame t + 1.  The encoder
+    runs once per frame, on the first config's step; the other configs'
+    steps receive the same ``(tokens, attention)`` result, which is valid
+    because the encoder depends on the frame alone, not on any
+    ``FusionConfig`` field.  Frames are consumed as they arrive and need not
+    be a list.  Same frame rules as ``run_sequence``; one result per config,
+    in order.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("no fusion configs to run")
+    states = [FusionState() for _ in configs]
+    steps: list[list[StepResult]] = [[] for _ in configs]
     for index, frame in enumerate(frames):
         if frame.timestep != index:
             raise ValueError(
                 f"timestep gap: frame at position {index} has timestep {frame.timestep}"
             )
-        result, state = step(state, frame, encoder, config, timing=timing)
-        steps.append(result)
+        shared = _EncodeOnce(encoder)
+        for i, config in enumerate(configs):
+            result, states[i] = step(states[i], frame, shared, config, timing=timing)
+            steps[i].append(result)
+    if not steps[0]:
+        raise ValueError("sequence is empty: first frame missing")
+    return [_summarize(config_steps) for config_steps in steps]
+
+
+class _EncodeOnce:
+    """Encoder for one frame that runs ``encoder`` on the first call only
+    and hands every later call the same result."""
+
+    def __init__(self, encoder):
+        self._encoder = encoder
+        self._result = None
+
+    def __call__(self, frame: FrameObservation, gray: GrayscaleImage):
+        if self._result is None:
+            self._result = self._encoder(frame, gray)
+        return self._result
+
+
+def _summarize(steps: list[StepResult]) -> SequenceResult:
     rates = [s.fusion_rate for s in steps]
     non_keyframe = [s.fusion_rate for s in steps if not s.is_keyframe]
     return SequenceResult(

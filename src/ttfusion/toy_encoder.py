@@ -15,7 +15,14 @@ from functools import lru_cache
 import numpy as np
 
 from .detection import AttentionSlice
-from .frames import PATCH_PIXELS, PATCH_SIDE, FrameObservation, PatchGrid, to_grayscale
+from .frames import (
+    PATCH_PIXELS,
+    PATCH_SIDE,
+    FrameObservation,
+    GrayscaleImage,
+    PatchGrid,
+    to_grayscale,
+)
 from .fusion import TokenMatrix
 from .prng import SplitMix64
 
@@ -55,23 +62,40 @@ def _projection_for(spec: "EncoderSpec") -> np.ndarray:
     return (2.0 * flat - 1.0).reshape(FEATURE_DIM, spec.token_dim)
 
 
-def _patch_features(frame: FrameObservation) -> np.ndarray:
-    """(N, 198) features: patch pixels row-major, then row/rows, col/cols."""
+def _patch_blocks(frame: FrameObservation, gray: GrayscaleImage | None) -> np.ndarray:
+    """(N, 196) patch pixels row-major; ``gray`` defaults to the frame's."""
     grid = PatchGrid.for_frame(frame)
-    gray = to_grayscale(frame).values
-    patches = (
-        gray.reshape(grid.rows, PATCH_SIDE, grid.cols, PATCH_SIDE)
+    if gray is None:
+        gray = to_grayscale(frame)
+    if gray.values.shape != (frame.height, frame.width):
+        raise ValueError(
+            f"grayscale is {gray.values.shape}, frame is {frame.height}x{frame.width}"
+        )
+    return (
+        gray.values.reshape(grid.rows, PATCH_SIDE, grid.cols, PATCH_SIDE)
         .transpose(0, 2, 1, 3)
         .reshape(grid.patch_count, PATCH_PIXELS)
     )
+
+
+def _patch_features(frame: FrameObservation, gray: GrayscaleImage | None) -> np.ndarray:
+    """(N, 198) features: patch pixels row-major, then row/rows, col/cols."""
+    grid = PatchGrid.for_frame(frame)
+    patches = _patch_blocks(frame, gray)
     rows, cols = np.divmod(np.arange(grid.patch_count), grid.cols)
     position = np.stack([rows / grid.rows, cols / grid.cols], axis=1)
     return np.concatenate([patches, position], axis=1)
 
 
-def encode(frame: FrameObservation, spec: EncoderSpec) -> TokenMatrix:
-    """Project each patch's features through the seeded matrix."""
-    features = _patch_features(frame)
+def encode(
+    frame: FrameObservation, spec: EncoderSpec, gray: GrayscaleImage | None = None
+) -> TokenMatrix:
+    """Project each patch's features through the seeded matrix.
+
+    ``gray`` is the frame's grayscale if the caller already has it; by
+    default it is computed here.
+    """
+    features = _patch_features(frame, gray)
     return TokenMatrix(features @ spec.projection())
 
 
@@ -81,17 +105,18 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def synth_attention(frame: FrameObservation, spec: EncoderSpec) -> AttentionSlice:
+def synth_attention(
+    frame: FrameObservation, spec: EncoderSpec, gray: GrayscaleImage | None = None
+) -> AttentionSlice:
     """Luminance-driven attention rows, one distribution per head and token.
 
     Text logits for head h and token j are ``mean_luminance * (1 + 0.1 h) +
     0.05 j``; the action row is a softmax over per-patch luminance contrast
-    (max minus min pixel), shared across heads.
+    (max minus min pixel), shared across heads.  ``gray`` is as in
+    ``encode``.
     """
     grid = PatchGrid.for_frame(frame)
-    gray = to_grayscale(frame).values
-    blocks = gray.reshape(grid.rows, PATCH_SIDE, grid.cols, PATCH_SIDE).transpose(0, 2, 1, 3)
-    blocks = blocks.reshape(grid.patch_count, PATCH_PIXELS)
+    blocks = _patch_blocks(frame, gray)
     luminance = blocks.mean(axis=1)
     contrast = blocks.max(axis=1) - blocks.min(axis=1)
 
@@ -107,9 +132,17 @@ def synth_attention(frame: FrameObservation, spec: EncoderSpec) -> AttentionSlic
 
 @dataclass
 class ToyEncoder:
-    """Callable encoder producing (tokens, attention) for the fusion loop."""
+    """Callable encoder producing (tokens, attention) for the fusion loop.
+
+    Both come from one grayscale of the frame: ``gray`` if given (the
+    fusion loop passes the one it computed), else computed once here.
+    """
 
     spec: EncoderSpec = field(default_factory=EncoderSpec)
 
-    def __call__(self, frame: FrameObservation) -> tuple[TokenMatrix, AttentionSlice]:
-        return encode(frame, self.spec), synth_attention(frame, self.spec)
+    def __call__(
+        self, frame: FrameObservation, gray: GrayscaleImage | None = None
+    ) -> tuple[TokenMatrix, AttentionSlice]:
+        if gray is None:
+            gray = to_grayscale(frame)
+        return encode(frame, self.spec, gray), synth_attention(frame, self.spec, gray)

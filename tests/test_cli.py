@@ -48,6 +48,19 @@ class TestRun:
         assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 3
         assert "/no/such/frames" in capsys.readouterr().err
 
+    def test_frame_gap_exits_3_and_names_missing_index(self, tmp_path, capsys):
+        synth = write_config(tmp_path, SMALL + f"output_dir = {tmp_path / 'frames'}\n",
+                             name="synth.cfg")
+        assert main(["synth", "--config", synth]) == 0
+        (tmp_path / "frames" / "frame_000002.ppm").unlink()
+        for t in (4, 5):
+            (tmp_path / "frames" / f"frame_{t:06d}.ppm").unlink()
+        config = write_config(
+            tmp_path, f"frames_dir = {tmp_path / 'frames'}\nwidth = 28\nheight = 28\n"
+        )
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 3
+        assert "frame_000002.ppm" in capsys.readouterr().err
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, "synth_frames = 6\nbogus = 1\n")
         assert main(["run", "--config", config]) == 2
@@ -165,6 +178,25 @@ class TestSweep:
         summary = json.loads((out / "sweep_summary.json").read_text())
         rates = [p["mean_fusion_rate_non_keyframe"] for p in summary["points"]]
         assert rates == [1.0, 0.0]
+
+    def test_each_point_report_matches_run(self, tmp_path):
+        episode = SMALL.replace("synth_frames = 6", "synth_frames = 13") + (
+            "synth_walker = true\nsynth_noise = 0.08\n"
+        )
+        config = write_config(tmp_path, episode)
+        out = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", config, "--out", str(out), "--param", "K",
+             "--values", "1,3,6"]
+        ) == 0
+        for value in (1, 3, 6):
+            single = write_config(
+                tmp_path, episode + f"keyframe_interval = {value}\n", name=f"k{value}.cfg"
+            )
+            run_out = tmp_path / f"run_{value}"
+            assert main(["run", "--config", single, "--out", str(run_out)]) == 0
+            sweep_bytes = (out / f"K_{value}" / "report.json").read_bytes()
+            assert sweep_bytes == (run_out / "report.json").read_bytes()
 
     def test_empty_values_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL)

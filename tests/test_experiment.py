@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+import ttfusion.fusion
 from ttfusion.experiment import (
     TensorFileAttentionEncoder,
     load_frames_dir,
     materialize_frames,
     run_experiment,
+    run_sweep,
     write_run_outputs,
 )
-from ttfusion.runconfig import build_run_config
+from ttfusion.runconfig import ConfigError, build_run_config
 from ttfusion.synthetic import SynthSpec, write_sequence
 from ttfusion.tensor_io import write_tensor
 from ttfusion.toy_encoder import EncoderSpec
@@ -110,6 +112,30 @@ class TestFrameDirectory:
         (tmp_path / "empty").mkdir()
         with pytest.raises(FileNotFoundError, match="first frame missing"):
             load_frames_dir(tmp_path / "empty")
+
+    def test_gap_names_first_missing_index(self, tmp_path):
+        write_sequence(SynthSpec(frame_count=4, width=28, height=28, seed=9), tmp_path / "f")
+        (tmp_path / "f" / "frame_000002.ppm").unlink()
+        with pytest.raises(FileNotFoundError, match="frame_000002.ppm"):
+            load_frames_dir(tmp_path / "f")
+
+
+class TestSweep:
+    def test_invalid_value_fails_before_any_point_runs(self, monkeypatch):
+        calls = []
+        original = ttfusion.fusion.step
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ttfusion.fusion, "step", counting)
+        config = build_run_config(small_values())
+        with pytest.raises(ConfigError, match="keyframe interval"):
+            run_sweep(config, "K", [3, 0])
+        assert calls == []
+        run_sweep(config, "K", [3])
+        assert len(calls) == 5
 
 
 class TestOutputs:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import ttfusion.fusion
+import ttfusion.toy_encoder
 from ttfusion.detection import AttentionSlice
 from ttfusion.frames import FrameObservation
 from ttfusion.fusion import (
@@ -11,6 +13,7 @@ from ttfusion.fusion import (
     fuse_tokens,
     is_keyframe,
     run_sequence,
+    run_sequences,
     step,
 )
 from ttfusion.synthetic import SynthSpec, generate_frames
@@ -39,7 +42,7 @@ class StubEncoder:
         self.tokens_by_step = tokens_by_step
         self.attention = attention
 
-    def __call__(self, frame):
+    def __call__(self, frame, gray):
         return TokenMatrix(self.tokens_by_step[frame.timestep]), self.attention
 
 
@@ -206,11 +209,25 @@ class TestStep:
             step(FusionState.initial(), frame, small_encoder(), FusionConfig())
 
     def test_encoder_failure_propagates(self):
-        def broken(frame):
+        def broken(frame, gray):
             raise RuntimeError("encoder down")
 
         with pytest.raises(RuntimeError, match="encoder down"):
             step(FusionState.initial(), small_frames(1)[0], broken, small_config())
+
+    def test_stale_attention_rejected(self):
+        # Every step hands back attention from timestep 0; step 2 must not
+        # select patches with it.
+        stale = AttentionSlice(
+            text_rows=np.full((2, 2, 4), 0.25), action_row=None, source_timestep=0
+        )
+        encoder = StubEncoder({t: np.zeros((4, 8)) for t in range(3)}, attention=stale)
+        config = small_config(keyframe_interval=100)
+        frames = small_frames(3)
+        _, state = step(FusionState(), frames[0], encoder, config)
+        _, state = step(state, frames[1], encoder, config)
+        with pytest.raises(ValueError, match="stale attention"):
+            step(state, frames[2], encoder, config)
 
     def test_diffs_recorded_on_non_keyframes(self):
         frames = small_frames(2, walker=True)
@@ -302,6 +319,73 @@ class TestRunSequence:
         frames = small_frames(3)
         with pytest.raises(ValueError, match="timestep gap"):
             run_sequence([frames[0], frames[2]], small_encoder(), small_config())
+
+
+class TestRunSequences:
+    def walker_frames(self):
+        return small_frames(13, walker=True, noise_amplitude=0.08, seed=11)
+
+    def configs(self):
+        return [small_config(keyframe_interval=k, top_k=1) for k in (1, 3, 6)]
+
+    def test_encoder_runs_once_per_frame(self):
+        inner = small_encoder()
+        calls = []
+
+        def counting(frame, gray):
+            calls.append(frame.timestep)
+            return inner(frame, gray)
+
+        frames = self.walker_frames()
+        run_sequences(frames, counting, self.configs())
+        assert calls == list(range(len(frames)))
+
+    def test_each_config_matches_its_own_run_sequence(self):
+        frames = self.walker_frames()
+        encoder = small_encoder()
+        together = run_sequences(frames, encoder, self.configs())
+        for config, sequence in zip(self.configs(), together):
+            alone = run_sequence(frames, encoder, config)
+            assert sequence.fusion_rates == alone.fusion_rates
+            assert sequence.mean_fusion_rate_all == alone.mean_fusion_rate_all
+            assert sequence.mean_fusion_rate_non_keyframe == alone.mean_fusion_rate_non_keyframe
+            for a, b in zip(sequence.steps, alone.steps):
+                assert a.is_keyframe == b.is_keyframe
+                assert np.array_equal(a.pixel_mask, b.pixel_mask)
+                assert np.array_equal(a.attention_mask, b.attention_mask)
+                assert np.array_equal(a.fusion_mask, b.fusion_mask)
+                assert np.array_equal(a.diffs, b.diffs)
+                assert np.array_equal(a.fused_tokens.values, b.fused_tokens.values)
+        # K = 1 recomputes every patch, K = 6 reuses some: the points differ.
+        assert together[0].fusion_rates != together[2].fusion_rates
+
+    def test_one_grayscale_per_step(self, monkeypatch):
+        calls = []
+        original = ttfusion.fusion.to_grayscale
+
+        def counting(frame):
+            calls.append(frame.timestep)
+            return original(frame)
+
+        monkeypatch.setattr(ttfusion.fusion, "to_grayscale", counting)
+        monkeypatch.setattr(ttfusion.toy_encoder, "to_grayscale", counting)
+        frames = self.walker_frames()
+        run_sequence(frames, small_encoder(), self.configs()[0])
+        assert calls == list(range(len(frames)))
+        calls.clear()
+        run_sequences(frames, small_encoder(), self.configs())
+        assert calls == [t for t in range(len(frames)) for _ in range(3)]
+
+    def test_frames_may_be_an_iterator(self):
+        frames = self.walker_frames()
+        streamed = run_sequences(iter(frames), small_encoder(), self.configs())
+        assert [s.fusion_rates for s in streamed] == [
+            s.fusion_rates for s in run_sequences(frames, small_encoder(), self.configs())
+        ]
+
+    def test_no_configs_rejected(self):
+        with pytest.raises(ValueError, match="no fusion configs"):
+            run_sequences(small_frames(2), small_encoder(), [])
 
 
 class TestConfigValidation:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ttfusion.frames import FrameObservation, PatchGrid
+from ttfusion.frames import FrameObservation, GrayscaleImage, PatchGrid, to_grayscale
 from ttfusion.toy_encoder import EncoderSpec, ToyEncoder, encode, synth_attention
 
 
@@ -131,6 +131,22 @@ class TestToyEncoder:
         tokens, attention = encoder(frame_from_gray_levels([9, 9, 9, 9]))
         assert tokens.patch_count == 4
         assert attention.head_count == 2
+
+    def test_given_grayscale_matches_computed_one(self):
+        frame = frame_from_gray_levels([10, 80, 160, 250])
+        gray = to_grayscale(frame)
+        tokens, attention = ToyEncoder(SPEC)(frame, gray)
+        assert np.array_equal(tokens.values, encode(frame, SPEC).values)
+        assert np.array_equal(attention.text_rows, synth_attention(frame, SPEC).text_rows)
+        assert np.array_equal(attention.action_row, synth_attention(frame, SPEC).action_row)
+
+    def test_grayscale_of_other_shape_rejected(self):
+        frame = frame_from_gray_levels([10, 80, 160, 250])
+        wrong = GrayscaleImage(np.zeros((14, 56)))
+        with pytest.raises(ValueError, match="grayscale is"):
+            encode(frame, SPEC, wrong)
+        with pytest.raises(ValueError, match="grayscale is"):
+            synth_attention(frame, SPEC, wrong)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
