@@ -29,7 +29,6 @@ from .frames import (
     GrayscaleImage,
     PatchGrid,
     load_frame,
-    patch_region,
     save_frame,
     to_grayscale,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "is_keyframe",
     "load_config_file",
     "load_frame",
-    "patch_region",
     "pixel_diff",
     "project_full",
     "project_selective",

@@ -65,8 +65,6 @@ def _load_config(args):
         raise FileNotFoundError(f"config file not found: {args.config}")
     config = load_config_file(args.config)
     if args.seed is not None:
-        if not 0 <= args.seed < (1 << 64):
-            raise ConfigError("seed must fit in 64 bits")
         config = replace(config, seed=args.seed)
         if config.synth is not None:
             config = replace(config, synth=replace(config.synth, seed=args.seed))
@@ -80,18 +78,24 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _cmd_run(args) -> int:
-    from .experiment import run_experiment, write_run_outputs
+def _require_exact_reuse(checks) -> None:
+    """Print every nonzero Q/K/V reuse error and raise if there is any."""
     from .projection import equivalence_failures
 
-    config = _load_config(args)
-    result = run_experiment(config)
-    report_path = write_run_outputs(result, config.output_dir)
-    failures = equivalence_failures(result.checks)
+    failures = equivalence_failures(checks)
     if failures:
         for failure in failures:
             print(f"reuse-equivalence violation: {failure}", file=sys.stderr)
         raise InvariantError(f"{len(failures)} nonzero Q/K/V reuse errors")
+
+
+def _cmd_run(args) -> int:
+    from .experiment import run_experiment, write_run_outputs
+
+    config = _load_config(args)
+    result = run_experiment(config)
+    report_path = write_run_outputs(result, config.output_dir)
+    _require_exact_reuse(result.checks)
     aggregates = result.report["aggregates"]
     print(
         f"wrote {report_path}: {aggregates['steps']} steps, "
@@ -137,14 +141,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify_qreuse(args) -> int:
     from .experiment import replay_run_dir
-    from .projection import equivalence_failures
 
     _, checks = replay_run_dir(args.run)
-    failures = equivalence_failures(checks)
-    if failures:
-        for failure in failures:
-            print(f"reuse-equivalence violation: {failure}", file=sys.stderr)
-        raise InvariantError(f"{len(failures)} nonzero Q/K/V reuse errors")
+    _require_exact_reuse(checks)
     total = sum(check.saved_multiplications for check in checks)
     print(
         f"verified {len(checks)} steps: all Q/K/V reuse errors are exactly 0 "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import AttentionSlice
-from .frames import FrameObservation, GrayscaleImage, load_frame, read_pgm, write_pgm
+from .frames import FrameObservation, GrayscaleImage, PatchGrid, load_frame, read_pgm, write_pgm
 from .fusion import SequenceResult, run_sequence, run_sequences
 from .projection import EquivalenceCheck, ProjectionSet, verify_equivalence
 from .report import build_report, load_report, write_report
@@ -34,6 +34,7 @@ TEXT_ATTENTION_NAME = "attn_text_{:06d}.ttft"
 ACTION_ATTENTION_NAME = "attn_action_{:06d}.ttft"
 REPORT_NAME = "report.json"
 _FRAME_FILE = re.compile(r"frame_(\d{6,})\.ppm")
+_ATTENTION_FILE = re.compile(r"attn_(text|action)_(\d{6,})\.ttft")
 
 
 @dataclass
@@ -102,8 +103,26 @@ class TensorFileAttentionEncoder:
         )
         return tokens, slice_
 
+    def reject_extra_files(self, frame_count: int) -> None:
+        """Raise ``FileExistsError`` naming the first tensor of the required
+        kind whose index is past the last of ``frame_count`` frames."""
+        extra = [
+            (int(m[2]), m[0])
+            for m in map(_ATTENTION_FILE.fullmatch, os.listdir(self.attention_dir))
+            if m and m[1] == self.required and int(m[2]) >= frame_count
+        ]
+        if extra:
+            index, name = min(extra)
+            raise FileExistsError(
+                f"extra attention tensor in {self.attention_dir}: {name} (index {index}), "
+                f"but the run has frames up to index {frame_count - 1} only"
+            )
 
-def build_encoder(config: RunConfig):
+
+def build_encoder(config: RunConfig, frame_count: int):
+    """The run's encoder.  A tensor-file encoder is first checked against
+    the frame count, so a misnumbered attention directory fails before any
+    step runs."""
     spec = EncoderSpec(
         token_dim=config.fusion.token_dim,
         seed=config.seed,
@@ -112,9 +131,11 @@ def build_encoder(config: RunConfig):
     )
     if config.attention_source == ATTENTION_SOURCE_TENSOR_FILES:
         required = "text" if config.fusion.attention_mode == "text_to_vision" else "action"
-        return TensorFileAttentionEncoder(
+        encoder = TensorFileAttentionEncoder(
             spec=spec, attention_dir=config.attention_dir, required=required
         )
+        encoder.reject_extra_files(frame_count)
+        return encoder
     return ToyEncoder(spec)
 
 
@@ -132,7 +153,7 @@ def run_experiment(
     """One full run: fusion loop plus Q/K/V reuse verification."""
     if frames is None:
         frames = materialize_frames(config)
-    encoder = build_encoder(config)
+    encoder = build_encoder(config, len(frames))
     sequence = run_sequence(frames, encoder, config.fusion, timing=timing)
     return _verify_and_report(config, sequence)
 
@@ -200,7 +221,8 @@ def run_sweep(
     varied = [apply_parameter(config, parameter, value) for value in values]
     if frames is None:
         frames = materialize_frames(config)
-    sequences = run_sequences(frames, build_encoder(config), [v.fusion for v in varied])
+    encoder = build_encoder(config, len(frames))
+    sequences = run_sequences(frames, encoder, [v.fusion for v in varied])
     points = []
     results = []
     for value, point_config, sequence in zip(values, varied, sequences):
@@ -226,7 +248,7 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[EquivalenceCh
     """
     report = load_report(os.path.join(run_dir, REPORT_NAME))
     config = report["config"]
-    grid_patches = (config["width"] // 14) * (config["height"] // 14)
+    grid_patches = PatchGrid.from_dims(config["width"], config["height"]).patch_count
     items = []
     for record in report["steps"]:
         t = record["t"]

@@ -66,10 +66,6 @@ class FrameObservation:
     def height(self) -> int:
         return self.pixels.shape[0]
 
-    @property
-    def channels(self) -> int:
-        return 3
-
 
 @dataclass
 class GrayscaleImage:
@@ -135,10 +131,6 @@ class PatchGrid:
         u0 = (index // self.cols) * PATCH_SIDE
         v0 = (index % self.cols) * PATCH_SIDE
         return u0, v0, u0 + PATCH_SIDE - 1, v0 + PATCH_SIDE - 1
-
-
-def patch_region(grid: PatchGrid, index: int) -> tuple[int, int, int, int]:
-    return grid.patch_region(index)
 
 
 def to_grayscale(frame: FrameObservation) -> GrayscaleImage:

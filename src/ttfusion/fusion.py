@@ -101,18 +101,14 @@ class FusionState:
     prev_attention: AttentionSlice | None = None
     timestep: int = 0
 
-    @classmethod
-    def initial(cls) -> "FusionState":
-        return cls()
-
 
 @dataclass
 class StepResult:
     """Outcome of one fusion step.
 
-    On keyframes every mask is recorded as all-ones, ``diffs`` is zero, and
-    the fusion rate is 0.  ``fusion_rate`` counts the fraction of patches
-    whose token was reused from history.
+    On keyframes the three masks are one shared read-only all-ones array,
+    ``diffs`` is zero, and the fusion rate is 0.  ``fusion_rate`` counts the
+    fraction of patches whose token was reused from history.
     """
 
     timestep: int
@@ -245,13 +241,14 @@ def step(
 
     if is_keyframe(t, state, config.keyframe_interval):
         ones = np.ones(n, dtype=np.uint8)
+        ones.flags.writeable = False
         result = StepResult(
             timestep=t,
             is_keyframe=True,
             fused_tokens=tokens,
             pixel_mask=ones,
-            attention_mask=ones.copy(),
-            fusion_mask=ones.copy(),
+            attention_mask=ones,
+            fusion_mask=ones,
             fusion_rate=0.0,
             diffs=np.zeros(n),
         )

@@ -9,10 +9,9 @@ exactly one of the two must be present.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
-from .detection import ATTENTION_MODES
-from .fusion import SELECTION_MODES, FusionConfig
+from .fusion import FusionConfig
 from .synthetic import SynthSpec
 
 ATTENTION_SOURCE_TOY = "toy"
@@ -75,21 +74,37 @@ _PARSERS = {
 }
 
 
+# Config keys that are SynthSpec fields under another name.  Every other
+# key is a FusionConfig field or a RunConfig field of the same name.
+_SYNTH_FIELDS = {
+    "synth_frames": "frame_count",
+    "synth_change_fraction": "change_fraction",
+    "synth_walker": "walker",
+    "synth_noise": "noise_amplitude",
+}
+_FUSION_KEYS = tuple(f.name for f in fields(FusionConfig))
+_RUN_KEYS = tuple(k for k in _PARSERS if k not in _SYNTH_FIELDS and k not in _FUSION_KEYS)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved experiment configuration."""
+    """Resolved experiment configuration.
 
-    fusion: FusionConfig
-    frames_dir: str | None
-    synth: SynthSpec | None
-    seed: int
-    output_dir: str
-    attention_source: str
-    attention_dir: str | None
-    emit_masks: bool
-    emit_tokens: bool
-    text_tokens: int
-    heads: int
+    The field defaults here and on ``FusionConfig`` and ``SynthSpec`` are
+    the defaults of the config file keys.
+    """
+
+    fusion: FusionConfig = FusionConfig()
+    frames_dir: str | None = None
+    synth: SynthSpec | None = None
+    seed: int = 0
+    output_dir: str = "out"
+    attention_source: str = ATTENTION_SOURCE_TOY
+    attention_dir: str | None = None
+    emit_masks: bool = False
+    emit_tokens: bool = False
+    text_tokens: int = 8
+    heads: int = 4
 
     def __post_init__(self) -> None:
         if (self.frames_dir is None) == (self.synth is None):
@@ -124,57 +139,29 @@ def parse_config_text(text: str) -> dict:
 
 
 def build_run_config(values: dict) -> RunConfig:
-    """Resolve raw values into a validated RunConfig with defaults."""
+    """Resolve raw values into a validated RunConfig.
+
+    Only the keys present in ``values`` are passed on, so every absent key
+    takes its dataclass field default.  ``SynthSpec`` also gets the run's
+    frame size and seed.
+    """
     unknown = set(values) - set(_PARSERS)
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
     try:
-        fusion = FusionConfig(
-            keyframe_interval=values.get("keyframe_interval", 3),
-            pixel_threshold=values.get("pixel_threshold", 0.03),
-            top_k=values.get("top_k", 70),
-            attention_mode=values.get("attention_mode", "text_to_vision"),
-            selection_mode=values.get("selection_mode", "top_k"),
-            target_reuse_rate=values.get("target_reuse_rate", 0.3),
-            width=values.get("width", 224),
-            height=values.get("height", 224),
-            token_dim=values.get("token_dim", 64),
-            enable_pixel=values.get("enable_pixel", True),
-            enable_attention=values.get("enable_attention", True),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if fusion.attention_mode not in ATTENTION_MODES or fusion.selection_mode not in SELECTION_MODES:
-        raise ConfigError("invalid attention or selection mode")
-
-    seed = values.get("seed", 0)
-    synth = None
-    if "synth_frames" in values:
-        try:
+        fusion = FusionConfig(**{k: values[k] for k in _FUSION_KEYS if k in values})
+        synth = None
+        if "synth_frames" in values:
             synth = SynthSpec(
-                frame_count=values["synth_frames"],
                 width=fusion.width,
                 height=fusion.height,
-                change_fraction=values.get("synth_change_fraction", 0.0),
-                walker=values.get("synth_walker", False),
-                noise_amplitude=values.get("synth_noise", 0.0),
-                seed=seed,
+                seed=values.get("seed", RunConfig.seed),
+                **{f: values[k] for k, f in _SYNTH_FIELDS.items() if k in values},
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return RunConfig(
-        fusion=fusion,
-        frames_dir=values.get("frames_dir"),
-        synth=synth,
-        seed=seed,
-        output_dir=values.get("output_dir", "out"),
-        attention_source=values.get("attention_source", ATTENTION_SOURCE_TOY),
-        attention_dir=values.get("attention_dir"),
-        emit_masks=values.get("emit_masks", False),
-        emit_tokens=values.get("emit_tokens", False),
-        text_tokens=values.get("text_tokens", 8),
-        heads=values.get("heads", 4),
-    )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    run = {k: values[k] for k in _RUN_KEYS if k in values}
+    return RunConfig(fusion=fusion, synth=synth, **run)
 
 
 def load_config_file(path: str | os.PathLike) -> RunConfig:
@@ -182,24 +169,28 @@ def load_config_file(path: str | os.PathLike) -> RunConfig:
         return build_run_config(parse_config_text(fh.read()))
 
 
-# Sweep parameter aliases; canonical name first.
+# Sweep parameter aliases -> the config key they set.
 SWEEP_PARAMETERS = {
-    "keyframe_interval": ("keyframe_interval", _parse_int),
-    "K": ("keyframe_interval", _parse_int),
-    "pixel_threshold": ("pixel_threshold", _parse_float),
-    "tau_pixel": ("pixel_threshold", _parse_float),
-    "top_k": ("top_k", _parse_int),
-    "k": ("top_k", _parse_int),
+    "keyframe_interval": "keyframe_interval",
+    "K": "keyframe_interval",
+    "pixel_threshold": "pixel_threshold",
+    "tau_pixel": "pixel_threshold",
+    "top_k": "top_k",
+    "k": "top_k",
 }
+
+
+def _sweep_key(name: str) -> str:
+    if name not in SWEEP_PARAMETERS:
+        raise ConfigError(f"unknown sweep parameter {name!r} (expected one of K, tau_pixel, k)")
+    return SWEEP_PARAMETERS[name]
 
 
 def apply_parameter(config: RunConfig, name: str, value) -> RunConfig:
     """A copy of the config with one sweepable fusion parameter replaced."""
-    if name not in SWEEP_PARAMETERS:
-        raise ConfigError(f"unknown sweep parameter {name!r} (expected one of K, tau_pixel, k)")
-    canonical, _ = SWEEP_PARAMETERS[name]
+    key = _sweep_key(name)
     try:
-        fusion = replace(config.fusion, **{canonical: value})
+        fusion = replace(config.fusion, **{key: value})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return replace(config, fusion=fusion)
@@ -207,9 +198,7 @@ def apply_parameter(config: RunConfig, name: str, value) -> RunConfig:
 
 def parse_sweep_values(name: str, raw_values: str) -> list:
     """Parse a comma-separated sweep value list for the given parameter."""
-    if name not in SWEEP_PARAMETERS:
-        raise ConfigError(f"unknown sweep parameter {name!r} (expected one of K, tau_pixel, k)")
-    _, parser = SWEEP_PARAMETERS[name]
+    parser = _PARSERS[_sweep_key(name)]
     parts = [part.strip() for part in raw_values.split(",") if part.strip()]
     if not parts:
         raise ConfigError("sweep values list is empty")
@@ -217,35 +206,13 @@ def parse_sweep_values(name: str, raw_values: str) -> list:
 
 
 def config_echo(config: RunConfig) -> dict:
-    """JSON-ready echo of the experiment-defining settings.
-
-    The output directory is deliberately omitted: it does not influence
-    results, and leaving it out keeps reports byte-comparable across runs
-    written to different places.
+    """JSON-ready echo of the experiment-defining settings: every config key
+    but ``output_dir``, which does not influence results; leaving it out
+    keeps reports byte-comparable across runs written to different places.
+    The ``synth_*`` keys echo None for a run that reads frames from disk.
     """
-    fusion = config.fusion
-    return {
-        "frames_dir": config.frames_dir,
-        "synth_frames": config.synth.frame_count if config.synth else None,
-        "synth_change_fraction": config.synth.change_fraction if config.synth else None,
-        "synth_walker": config.synth.walker if config.synth else None,
-        "synth_noise": config.synth.noise_amplitude if config.synth else None,
-        "seed": config.seed,
-        "attention_source": config.attention_source,
-        "attention_dir": config.attention_dir,
-        "emit_masks": config.emit_masks,
-        "emit_tokens": config.emit_tokens,
-        "keyframe_interval": fusion.keyframe_interval,
-        "pixel_threshold": fusion.pixel_threshold,
-        "top_k": fusion.top_k,
-        "attention_mode": fusion.attention_mode,
-        "selection_mode": fusion.selection_mode,
-        "target_reuse_rate": fusion.target_reuse_rate,
-        "width": fusion.width,
-        "height": fusion.height,
-        "token_dim": fusion.token_dim,
-        "enable_pixel": fusion.enable_pixel,
-        "enable_attention": fusion.enable_attention,
-        "text_tokens": config.text_tokens,
-        "heads": config.heads,
-    }
+    echo = {k: getattr(config, k) for k in _RUN_KEYS if k != "output_dir"}
+    synth = config.synth
+    echo.update({k: getattr(synth, f) if synth else None for k, f in _SYNTH_FIELDS.items()})
+    echo.update(asdict(config.fusion))
+    return echo

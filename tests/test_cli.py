@@ -99,6 +99,13 @@ class TestRun:
         for mask in sorted((out_a / "masks").iterdir()):
             assert mask.read_bytes() == (out_b / "masks" / mask.name).read_bytes()
 
+    def test_seed_override_out_of_range_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL)
+        argv = ["run", "--config", config, "--out", str(tmp_path / "out"),
+                "--seed", "18446744073709551616"]
+        assert main(argv) == 2
+        assert "seed must fit in 64 bits" in capsys.readouterr().err
+
     def test_seed_override_changes_outputs(self, tmp_path):
         config = write_config(tmp_path, SMALL + "synth_noise = 0.05\n")
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -249,6 +256,14 @@ class TestVerifyQReuse:
         (out / "report.json").write_text(json.dumps(payload))
         assert main(["verify-qreuse", "--run", str(out)]) == 4
 
+    def test_width_off_the_patch_grid_exits_3(self, tmp_path, capsys):
+        out = self.run_with_artifacts(tmp_path)
+        payload = json.loads((out / "report.json").read_text())
+        payload["config"]["width"] = 30
+        (out / "report.json").write_text(json.dumps(payload))
+        assert main(["verify-qreuse", "--run", str(out)]) == 3
+        assert "30x28" in capsys.readouterr().err
+
     def test_missing_token_dumps_exit_3(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL)
         out = tmp_path / "out"
@@ -267,6 +282,25 @@ class TestTensorFileAttentionSource:
         )
         assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 3
         assert "attn_text_000000" in capsys.readouterr().err
+
+    def test_attention_file_past_last_frame_exits_3(self, tmp_path, capsys):
+        attention_dir = tmp_path / "attn"
+        attention_dir.mkdir()
+        text = np.full((4, 8, 4), 0.25, dtype=np.float32)
+        for t in range(7):  # SMALL has 6 frames, t = 0..5
+            write_tensor(attention_dir / f"attn_text_{t:06d}.ttft", text)
+        config = write_config(
+            tmp_path,
+            SMALL + f"attention_source = tensor_files\nattention_dir = {attention_dir}\n",
+        )
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", config, "--out", out]) == 3
+        assert "attn_text_000006" in capsys.readouterr().err
+        argv = ["sweep", "--config", config, "--param", "K", "--values", "1,3", "--out", out]
+        assert main(argv) == 3
+        assert "attn_text_000006" in capsys.readouterr().err
+        (attention_dir / "attn_text_000006.ttft").unlink()
+        assert main(["run", "--config", config, "--out", out]) == 0
 
 
 class TestLogging:

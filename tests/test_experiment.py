@@ -82,6 +82,36 @@ class TestTensorFileAttention:
         with pytest.raises(FileNotFoundError, match="attn_text_000002"):
             run_experiment(config)
 
+    def test_file_past_last_frame_fails_before_any_step(self, tmp_path, monkeypatch):
+        calls = []
+        original = ttfusion.fusion.step
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ttfusion.fusion, "step", counting)
+        attention_dir = tmp_path / "attn"
+        # Five frames, six text tensors: attn_text_000005 has no frame.
+        write_attention_files(attention_dir, frame_count=6)
+        config = build_run_config(
+            small_values(
+                attention_source="tensor_files",
+                attention_dir=str(attention_dir),
+                text_tokens=2,
+                heads=2,
+            )
+        )
+        with pytest.raises(FileExistsError, match="attn_text_000005"):
+            run_experiment(config)
+        with pytest.raises(FileExistsError, match="attn_text_000005"):
+            run_sweep(config, "K", [1, 3])
+        assert calls == []
+        # Only the kind the attention mode reads is checked.
+        (attention_dir / "attn_text_000005.ttft").unlink()
+        run_experiment(config)
+        assert len(calls) == 5
+
     def test_encoder_widens_float32_to_float64(self, tmp_path):
         attention_dir = tmp_path / "attn"
         write_attention_files(attention_dir, frame_count=1)

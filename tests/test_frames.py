@@ -6,7 +6,6 @@ from ttfusion.frames import (
     FrameObservation,
     PatchGrid,
     load_frame,
-    patch_region,
     save_frame,
     to_grayscale,
     write_ppm,
@@ -147,9 +146,9 @@ class TestPatchGrid:
         with pytest.raises(IndexError):
             grid.patch_region(-1)
 
-    def test_module_level_wrapper(self):
+    def test_unbound_call_matches_bound(self):
         grid = PatchGrid.from_dims(28, 28)
-        assert patch_region(grid, 3) == grid.patch_region(3)
+        assert PatchGrid.patch_region(grid, 3) == grid.patch_region(3) == (14, 14, 27, 27)
 
     def test_regions_partition_every_pixel_exactly_once(self):
         grid = PatchGrid.from_dims(70, 42)

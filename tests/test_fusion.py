@@ -48,7 +48,7 @@ class StubEncoder:
 
 class TestIsKeyframe:
     def test_first_step_with_empty_state(self):
-        assert is_keyframe(0, FusionState.initial(), 3)
+        assert is_keyframe(0, FusionState(), 3)
 
     def test_multiple_of_interval(self):
         state = FusionState(prev_tokens=TokenMatrix(np.zeros((4, 8))), timestep=3)
@@ -64,7 +64,7 @@ class TestIsKeyframe:
 
     def test_timestep_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            is_keyframe(2, FusionState.initial(), 3)
+            is_keyframe(2, FusionState(), 3)
 
 
 class TestCombineMasks:
@@ -139,7 +139,7 @@ class TestFuseTokens:
 class TestStep:
     def test_first_step_is_keyframe_with_rate_zero(self):
         frames = small_frames(1)
-        result, state = step(FusionState.initial(), frames[0], small_encoder(), small_config())
+        result, state = step(FusionState(), frames[0], small_encoder(), small_config())
         assert result.is_keyframe
         assert result.fusion_rate == 0.0
         assert result.pixel_mask.all() and result.attention_mask.all()
@@ -153,7 +153,7 @@ class TestStep:
             keyframe_interval=100, enable_pixel=False, enable_attention=False
         )
         encoder = small_encoder()
-        result0, state = step(FusionState.initial(), frames[0], encoder, config)
+        result0, state = step(FusionState(), frames[0], encoder, config)
         result1, _ = step(state, frames[1], encoder, config)
         assert not result1.is_keyframe
         assert result1.fusion_rate == 1.0
@@ -164,7 +164,7 @@ class TestStep:
         frames = small_frames(3)
         config = small_config(keyframe_interval=100, top_k=3)
         encoder = small_encoder()
-        state = FusionState.initial()
+        state = FusionState()
         results = []
         for frame in frames:
             result, state = step(state, frame, encoder, config)
@@ -178,7 +178,7 @@ class TestStep:
         tokens = {0: np.zeros((4, 8)), 1: np.ones((4, 8))}
         encoder = StubEncoder(tokens, attention=None)
         config = small_config(keyframe_interval=100)
-        _, state = step(FusionState.initial(), small_frames(2)[0], encoder, config)
+        _, state = step(FusionState(), small_frames(2)[0], encoder, config)
         assert state.prev_attention is None
         result, _ = step(state, small_frames(2)[1], encoder, config)
         assert result.attention_mask.all()
@@ -193,7 +193,7 @@ class TestStep:
             enable_pixel=False,
         )
         encoder = small_encoder()
-        _, state = step(FusionState.initial(), frames[0], encoder, config)
+        _, state = step(FusionState(), frames[0], encoder, config)
         result, _ = step(state, frames[1], encoder, config)
         assert result.attention_mask.sum() == 2  # ceil(0.5 * 4)
         assert result.fusion_rate == 0.5
@@ -201,19 +201,19 @@ class TestStep:
     def test_timestep_mismatch_rejected(self):
         frames = small_frames(2)
         with pytest.raises(ValueError):
-            step(FusionState.initial(), frames[1], small_encoder(), small_config())
+            step(FusionState(), frames[1], small_encoder(), small_config())
 
     def test_frame_dims_must_match_config(self):
         frame = small_frames(1)[0]
         with pytest.raises(ValueError):
-            step(FusionState.initial(), frame, small_encoder(), FusionConfig())
+            step(FusionState(), frame, small_encoder(), FusionConfig())
 
     def test_encoder_failure_propagates(self):
         def broken(frame, gray):
             raise RuntimeError("encoder down")
 
         with pytest.raises(RuntimeError, match="encoder down"):
-            step(FusionState.initial(), small_frames(1)[0], broken, small_config())
+            step(FusionState(), small_frames(1)[0], broken, small_config())
 
     def test_stale_attention_rejected(self):
         # Every step hands back attention from timestep 0; step 2 must not
@@ -233,7 +233,7 @@ class TestStep:
         frames = small_frames(2, walker=True)
         config = small_config(keyframe_interval=100)
         encoder = small_encoder()
-        _, state = step(FusionState.initial(), frames[0], encoder, config)
+        _, state = step(FusionState(), frames[0], encoder, config)
         result, _ = step(state, frames[1], encoder, config)
         assert result.diffs.shape == (4,)
         assert result.diffs.max() > 0.0

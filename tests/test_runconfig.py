@@ -1,6 +1,11 @@
+from dataclasses import asdict
+
 import pytest
 
+from ttfusion.fusion import FusionConfig
 from ttfusion.runconfig import (
+    _PARSERS,
+    SWEEP_PARAMETERS,
     ConfigError,
     apply_parameter,
     build_run_config,
@@ -9,6 +14,7 @@ from ttfusion.runconfig import (
     parse_config_text,
     parse_sweep_values,
 )
+from ttfusion.synthetic import SynthSpec
 
 MINIMAL = "synth_frames = 6\n"
 
@@ -132,3 +138,22 @@ class TestEcho:
         assert echo["seed"] == 5
         assert echo["top_k"] == 12
         assert echo["frames_dir"] is None
+
+
+class TestSingleDeclaration:
+    """Each config key is declared once: a parser and a dataclass field."""
+
+    def test_echo_covers_every_key_but_output_dir(self):
+        assert set(config_echo(config_from(MINIMAL))) == set(_PARSERS) - {"output_dir"}
+
+    def test_fusion_defaults_are_the_dataclass_defaults(self):
+        assert config_from(MINIMAL).fusion == FusionConfig()
+
+    def test_synth_defaults_are_the_dataclass_defaults(self):
+        assert asdict(config_from(MINIMAL).synth) == asdict(SynthSpec(frame_count=6))
+
+    def test_sweep_aliases_parse_as_their_key(self):
+        for alias, key in SWEEP_PARAMETERS.items():
+            [got] = parse_sweep_values(alias, "2")
+            want = _PARSERS[key]("2")
+            assert (got, type(got)) == (want, type(want))
