@@ -78,11 +78,20 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _require_exact_reuse(checks) -> None:
-    """Print every nonzero Q/K/V reuse error and raise if there is any."""
+def _require_exact_reuse(labelled_checks) -> None:
+    """Print every nonzero Q/K/V reuse error and raise if there is any.
+
+    ``labelled_checks`` holds ``(label, checks)`` pairs, each failure line
+    prefixed with its label: one pair with an empty label for a run, one
+    per point naming its value for a sweep.
+    """
     from .projection import equivalence_failures
 
-    failures = equivalence_failures(checks)
+    failures = [
+        label + failure
+        for label, checks in labelled_checks
+        for failure in equivalence_failures(checks)
+    ]
     if failures:
         for failure in failures:
             print(f"reuse-equivalence violation: {failure}", file=sys.stderr)
@@ -95,7 +104,7 @@ def _cmd_run(args) -> int:
     config = _load_config(args)
     result = run_experiment(config)
     report_path = write_run_outputs(result, config.output_dir)
-    _require_exact_reuse(result.checks)
+    _require_exact_reuse([("", result.checks)])
     aggregates = result.report["aggregates"]
     print(
         f"wrote {report_path}: {aggregates['steps']} steps, "
@@ -130,6 +139,9 @@ def _cmd_sweep(args) -> int:
     csv_path = os.path.join(config.output_dir, "sweep_summary.csv")
     with open(csv_path, "w", encoding="ascii") as fh:
         fh.write(sweep_csv(summary))
+    _require_exact_reuse(
+        [(f"{args.param} = {value}: ", result.checks) for value, result in zip(values, results)]
+    )
     for point in summary["points"]:
         print(
             f"{args.param} = {point['value']}: "
@@ -143,7 +155,7 @@ def _cmd_verify_qreuse(args) -> int:
     from .experiment import replay_run_dir
 
     _, checks = replay_run_dir(args.run)
-    _require_exact_reuse(checks)
+    _require_exact_reuse([("", checks)])
     total = sum(check.saved_multiplications for check in checks)
     print(
         f"verified {len(checks)} steps: all Q/K/V reuse errors are exactly 0 "

@@ -114,18 +114,32 @@ def pixel_diff(
     ``threshold=None`` selects the scene-statistics mode where the cut is
     ``mean(diffs) + stddev(diffs)`` for this frame pair.
     """
+    return threshold_diffs(patch_diffs(gray_t, gray_prev, grid), threshold)
+
+
+def patch_diffs(gray_t: GrayscaleImage, gray_prev: GrayscaleImage, grid: PatchGrid) -> np.ndarray:
+    """Mean absolute luminance difference of each patch between two frames.
+
+    Depends on the frame pair alone, so one result can serve every
+    threshold applied to it.
+    """
     a, b = gray_t.values, gray_prev.values
     if a.shape != b.shape:
         raise ValueError(f"grayscale shapes differ: {a.shape} vs {b.shape}")
     if a.shape != (grid.rows * PATCH_SIDE, grid.cols * PATCH_SIDE):
         raise ValueError(f"grayscale shape {a.shape} does not match grid {grid.rows}x{grid.cols}")
     delta = np.abs(a - b)
-    diffs = (
+    return (
         delta.reshape(grid.rows, PATCH_SIDE, grid.cols, PATCH_SIDE)
         .sum(axis=(1, 3))
         .ravel()
         / PATCH_PIXELS
     )
+
+
+def threshold_diffs(diffs: np.ndarray, threshold: float | None) -> PixelDiffResult:
+    """Mask the patches whose difference lies strictly above ``threshold``;
+    ``None`` selects :func:`auto_threshold` of ``diffs``."""
     if threshold is None:
         threshold = auto_threshold(diffs)
     elif threshold < 0.0:

@@ -207,9 +207,9 @@ def run_sweep(
 
     Every value is applied before anything runs, so an invalid one fails
     first.  All values then advance through the frames in lockstep: each
-    frame is encoded once, by an encoder built from ``config`` (sweep
-    parameters are fusion knobs the encoder does not read), and its tokens
-    and attention feed every value's step.  Each value is then verified and
+    frame's grayscale, encoding (by an encoder built from ``config``; sweep
+    parameters are fusion knobs the encoder does not read) and pixel diffs
+    are computed once and feed every value's step.  Each value is then verified and
     reported as ``run_experiment`` would.  Returns the sweep summary
     (value -> fusion-rate means) and the per-value results in order.
     """

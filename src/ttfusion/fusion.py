@@ -204,17 +204,21 @@ def step(
     encoder,
     config: FusionConfig,
     timing: dict | None = None,
+    shared: SharedObservation | None = None,
 ) -> tuple[StepResult, FusionState]:
     """Run one timestep of the fusion loop.
 
     ``encoder`` is any callable ``encoder(frame, gray)`` returning
     ``(TokenMatrix, AttentionSlice | None)``, where ``gray`` is the frame's
     grayscale, computed once here and shared by pixel detection and the
-    encoder.  The returned state carries the fused tokens, this frame's
-    grayscale, and the attention captured this step (consumed by the next
-    step, which rejects it unless it came from timestep t - 1).  ``timing``
-    optionally accumulates phase seconds under ``encode`` /
-    ``pixel_detect`` / ``fuse``.
+    encoder.  ``shared``, when given, is this frame's
+    :class:`SharedObservation` (built from ``frame`` and ``encoder``), so
+    steps of several configs on one frame compute its grayscale, encoding
+    and pixel diffs once; without it the step builds its own.  The returned
+    state carries the fused tokens, this frame's grayscale, and the
+    attention captured this step (consumed by the next step, which rejects
+    it unless it came from timestep t - 1).  ``timing`` optionally
+    accumulates phase seconds under ``encode`` / ``pixel_detect`` / ``fuse``.
     """
     t = frame.timestep
     if t != state.timestep:
@@ -228,12 +232,15 @@ def step(
         raise ValueError(
             f"frame is {frame.width}x{frame.height}, config expects {config.width}x{config.height}"
         )
+    if shared is None:
+        shared = SharedObservation(frame, encoder)
+    elif shared.frame is not frame:
+        raise ValueError(f"shared observation is of another frame than timestep {t}")
     grid = config.grid
     n = grid.patch_count
-    gray = to_grayscale(frame)
 
     started = time.perf_counter()
-    tokens, attention = encoder(frame, gray)
+    tokens, attention = shared.encoded()
     if timing is not None:
         timing["encode"] = timing.get("encode", 0.0) + time.perf_counter() - started
     if tokens.patch_count != n:
@@ -257,7 +264,9 @@ def step(
             if state.prev_gray is None:
                 raise ValueError("non-keyframe step needs the previous frame's grayscale")
             started = time.perf_counter()
-            pd = detection.pixel_diff(gray, state.prev_gray, grid, config.pixel_threshold)
+            pd = detection.threshold_diffs(
+                shared.diffs(state.prev_gray, grid), config.pixel_threshold
+            )
             if timing is not None:
                 timing["pixel_detect"] = (
                     timing.get("pixel_detect", 0.0) + time.perf_counter() - started
@@ -287,7 +296,7 @@ def step(
         )
 
     new_state = FusionState(
-        prev_gray=gray,
+        prev_gray=shared.gray,
         prev_tokens=result.fused_tokens,
         prev_attention=attention,
         timestep=t + 1,
@@ -318,13 +327,12 @@ def run_sequences(
     """Drive one fusion loop per config over the same frames, in lockstep.
 
     Frames are the outer loop and configs the inner one, so every config
-    takes its ``step`` on frame t before any takes frame t + 1.  The encoder
-    runs once per frame, on the first config's step; the other configs'
-    steps receive the same ``(tokens, attention)`` result, which is valid
-    because the encoder depends on the frame alone, not on any
-    ``FusionConfig`` field.  Frames are consumed as they arrive and need not
-    be a list.  Same frame rules as ``run_sequence``; one result per config,
-    in order.
+    takes its ``step`` on frame t before any takes frame t + 1.  All steps on
+    a frame share one :class:`SharedObservation`, so the frame's grayscale
+    and encoding are computed once, and its pixel diffs at most once, inside
+    whichever step first needs them.  Frames are consumed as they arrive
+    and need not be a list.  Same frame rules as ``run_sequence``; one
+    result per config, in order.
     """
     configs = list(configs)
     if not configs:
@@ -336,27 +344,55 @@ def run_sequences(
             raise ValueError(
                 f"timestep gap: frame at position {index} has timestep {frame.timestep}"
             )
-        shared = _EncodeOnce(encoder)
+        shared = SharedObservation(frame, encoder)
         for i, config in enumerate(configs):
-            result, states[i] = step(states[i], frame, shared, config, timing=timing)
+            result, states[i] = step(
+                states[i], frame, encoder, config, timing=timing, shared=shared
+            )
             steps[i].append(result)
     if not steps[0]:
         raise ValueError("sequence is empty: first frame missing")
     return [_summarize(config_steps) for config_steps in steps]
 
 
-class _EncodeOnce:
-    """Encoder for one frame that runs ``encoder`` on the first call only
-    and hands every later call the same result."""
+class SharedObservation:
+    """What the fusion loop derives from one frame, each part computed on
+    first request: the grayscale, the encoder result, and the per-patch
+    pixel diffs against the previous frame's grayscale.
 
-    def __init__(self, encoder):
+    None of the three reads a ``FusionConfig`` field, so every config's step
+    on the frame can use the same results.  The diffs are read-only because
+    every config's ``StepResult`` holds the same array.
+    """
+
+    def __init__(self, frame: FrameObservation, encoder):
+        self.frame = frame
         self._encoder = encoder
-        self._result = None
+        self._gray: GrayscaleImage | None = None
+        self._encoded = None
+        self._diffs: np.ndarray | None = None
+        self._diffs_base: GrayscaleImage | None = None
 
-    def __call__(self, frame: FrameObservation, gray: GrayscaleImage):
-        if self._result is None:
-            self._result = self._encoder(frame, gray)
-        return self._result
+    @property
+    def gray(self) -> GrayscaleImage:
+        if self._gray is None:
+            self._gray = to_grayscale(self.frame)
+        return self._gray
+
+    def encoded(self):
+        """``encoder(frame, gray)``, run on the first call only."""
+        if self._encoded is None:
+            self._encoded = self._encoder(self.frame, self.gray)
+        return self._encoded
+
+    def diffs(self, prev_gray: GrayscaleImage, grid: PatchGrid) -> np.ndarray:
+        """``detection.patch_diffs`` of this frame against ``prev_gray``,
+        computed again only when asked against another grayscale."""
+        if self._diffs_base is not prev_gray:
+            diffs = detection.patch_diffs(self.gray, prev_gray, grid)
+            diffs.flags.writeable = False
+            self._diffs, self._diffs_base = diffs, prev_gray
+        return self._diffs
 
 
 def _summarize(steps: list[StepResult]) -> SequenceResult:

@@ -12,6 +12,13 @@ row to be a deterministic function of its own token row alone:
 BLAS may sum a row in a different order depending on how many rows share
 the call: at d = 64 a row computed alone differs in the last bits from the
 same row inside a batch of 256.
+
+The check of one step splits its rows by the fusion mask once and shares
+that split by the query, key and value projections.  For each matrix it
+projects the m recomputed rows, copies the reused rows from the previous
+step's result, projects all n rows densely, and compares the two with an
+exact equality test; the per-row gaps that locate a failure are computed
+only when that test fails.
 """
 
 from __future__ import annotations
@@ -124,41 +131,76 @@ def project_selective(
     same weights applied to the previous fused tokens); rows with mask 1 go
     through the same per-row arithmetic as :func:`project_full`.  The ledger
     records the row split, the multiplications avoided, and the max-norm gap
-    against a full recomputation of ``tokens_fused``.
+    against a full recomputation of ``tokens_fused``.  ``prev_projection``
+    is not modified.
     """
-    values = _token_values(tokens_fused)
-    mask = np.asarray(fusion_mask, dtype=np.uint8)
-    n, d = values.shape
-    if mask.shape != (n,):
-        raise ValueError(f"mask length {mask.shape} does not match {n} rows")
-    reuse = mask == 0
-    reused = int(np.count_nonzero(reuse))
-    if reused and prev_projection is None:
-        raise ValueError(f"{reused} rows marked for reuse but no previous projection given")
-    out = np.empty((n, weights.shape[1]))
-    recompute = ~reuse
-    if recompute.any():
-        out[recompute] = project_full(values[recompute], weights)
-    if reused:
-        out[reuse] = np.asarray(prev_projection)[reuse]
-    reference = project_full(values, weights)
-    gaps = np.abs(out - reference)
-    error = float(gaps.max()) if n else 0.0
-    ledger = ReuseLedger(
-        reused_rows=reused,
-        recomputed_rows=n - reused,
-        saved_multiplications=reused * d * weights.shape[1],
-        max_row_error=error,
-        worst_row=int(gaps.max(axis=1).argmax()) if error else None,
-    )
-    return out, ledger
+    if prev_projection is not None:
+        prev_projection = np.array(prev_projection, dtype=np.float64)
+    return _RowSplit(tokens_fused, fusion_mask).project(prev_projection, weights)
 
 
-def _fused_and_mask(item) -> tuple[np.ndarray, np.ndarray]:
+class _RowSplit:
+    """One step's token rows split by its fusion mask into recomputed rows
+    (mask 1) and reused rows (mask 0), built once and shared by the query,
+    key and value projections of the step."""
+
+    def __init__(self, tokens, fusion_mask) -> None:
+        self.values = _token_values(tokens)
+        mask = np.asarray(fusion_mask, dtype=np.uint8)
+        n = self.values.shape[0]
+        if mask.shape != (n,):
+            raise ValueError(f"mask length {mask.shape} does not match {n} rows")
+        self.recompute = np.flatnonzero(mask)
+        self.reused = n - self.recompute.size
+        self.rows = self.values[self.recompute] if self.reused else self.values
+
+    def project(
+        self, prev_projection: np.ndarray | None, weights: np.ndarray
+    ) -> tuple[np.ndarray, ReuseLedger]:
+        """The selective projection and its ledger, as :func:`project_selective`
+        describes, except that the recomputed rows are written into
+        ``prev_projection`` (a float64 array) in place."""
+        n, d = self.values.shape
+        width = weights.shape[1]
+        if not self.reused:
+            out = project_full(self.rows, weights)
+        elif prev_projection is None:
+            raise ValueError(
+                f"{self.reused} rows marked for reuse but no previous projection given"
+            )
+        elif prev_projection.shape != (n, width):
+            raise ValueError(
+                f"previous projection is {prev_projection.shape}, expected {(n, width)}"
+            )
+        else:
+            out = prev_projection
+            if self.recompute.size:
+                out[self.recompute] = project_full(self.rows, weights)
+        reference = project_full(self.values, weights)
+        # Equal arrays have gap 0 everywhere, except that an infinite entry
+        # gives inf - inf = NaN; such arrays and every unequal one (NaN
+        # entries included) take the full gap computation.
+        if np.array_equal(out, reference) and not np.isinf(out).any():
+            error, worst_row = 0.0, None
+        else:
+            gaps = np.abs(out - reference)
+            error = float(gaps.max())
+            worst_row = int(gaps.max(axis=1).argmax())
+        ledger = ReuseLedger(
+            reused_rows=self.reused,
+            recomputed_rows=n - self.reused,
+            saved_multiplications=self.reused * d * width,
+            max_row_error=error,
+            worst_row=worst_row,
+        )
+        return out, ledger
+
+
+def _fused_and_mask(item) -> tuple:
     if hasattr(item, "fused_tokens"):
-        return _token_values(item.fused_tokens), np.asarray(item.fusion_mask, dtype=np.uint8)
+        return item.fused_tokens, item.fusion_mask
     tokens, mask = item
-    return _token_values(tokens), np.asarray(mask, dtype=np.uint8)
+    return tokens, mask
 
 
 def verify_equivalence(steps, projections: ProjectionSet) -> list[EquivalenceCheck]:
@@ -168,19 +210,20 @@ def verify_equivalence(steps, projections: ProjectionSet) -> list[EquivalenceChe
     pairs in step order starting at the sequence head.  For each step and
     each of the three projections, the selective result (chained on the
     previous step's selective result) is compared bit-exactly to the full
-    product; any gap is reported with its step and matrix identity.
+    product; any gap is reported with its step and matrix identity.  Each
+    step's row split is made once for all three projections, and each
+    previous projection is overwritten by its successor as soon as that
+    matrix is checked.
     """
     checks: list[EquivalenceCheck] = []
     previous: dict[str, np.ndarray | None] = {"query": None, "key": None, "value": None}
     for t, item in enumerate(steps):
-        tokens, mask = _fused_and_mask(item)
+        split = _RowSplit(*_fused_and_mask(item))
         ledgers: dict[str, ReuseLedger] = {}
         for name in ("query", "key", "value"):
-            selective, ledger = project_selective(
-                tokens, previous[name], mask, getattr(projections, name)
+            previous[name], ledgers[name] = split.project(
+                previous[name], getattr(projections, name)
             )
-            previous[name] = selective
-            ledgers[name] = ledger
         checks.append(
             EquivalenceCheck(
                 timestep=t,

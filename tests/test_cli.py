@@ -205,6 +205,35 @@ class TestSweep:
             sweep_bytes = (out / f"K_{value}" / "report.json").read_bytes()
             assert sweep_bytes == (run_out / "report.json").read_bytes()
 
+    def test_nonzero_reuse_error_exits_4_after_writing_every_point(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import ttfusion.experiment
+
+        original = ttfusion.experiment.verify_equivalence
+
+        def tampered(steps, projections):
+            checks = original(steps, projections)
+            checks[-1].key_error = 0.25
+            checks[-1].worst_rows["key"] = 2
+            return checks
+
+        monkeypatch.setattr(ttfusion.experiment, "verify_equivalence", tampered)
+        config = write_config(tmp_path, SMALL)
+        out = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", config, "--out", str(out), "--param", "K",
+             "--values", "1,3,6"]
+        ) == 4
+        for value in (1, 3, 6):
+            report = read_report(out / f"K_{value}")
+            assert report["aggregates"]["max_reuse_error_key"] == 0.25
+        assert (out / "sweep_summary.json").exists()
+        err = capsys.readouterr().err
+        for value in (1, 3, 6):
+            assert f"K = {value}: step 5: key row 2 reuse error 2.500e-01" in err
+        assert "3 nonzero Q/K/V reuse errors" in err
+
     def test_empty_values_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL)
         assert main(

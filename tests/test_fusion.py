@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ttfusion.detection
 import ttfusion.fusion
 import ttfusion.toy_encoder
 from ttfusion.detection import AttentionSlice
@@ -13,6 +14,7 @@ from ttfusion.fusion import (
     fuse_tokens,
     is_keyframe,
     run_sequence,
+    SharedObservation,
     run_sequences,
     step,
 )
@@ -239,6 +241,23 @@ class TestStep:
         assert result.diffs.max() > 0.0
 
 
+    def test_shared_observation_diffs_follow_each_previous_grayscale(self):
+        # Two histories reach frame 1 with different previous grayscales;
+        # one shared observation must give each the diffs of its own.
+        frames = small_frames(2, walker=True)
+        other = small_frames(1, walker=True, noise_amplitude=0.3, seed=5)[0]
+        config = small_config(keyframe_interval=100)
+        encoder = small_encoder()
+        shared = SharedObservation(frames[1], encoder)
+        for first in (frames[0], other):
+            _, state = step(FusionState(), first, encoder, config)
+            alone, _ = step(state, frames[1], encoder, config)
+            together, _ = step(state, frames[1], encoder, config, shared=shared)
+            assert np.array_equal(together.diffs, alone.diffs)
+        with pytest.raises(ValueError, match="another frame"):
+            step(state, small_frames(2, seed=7)[1], encoder, config, shared=shared)
+
+
 class TestRunSequence:
     def test_single_frame_sequence(self):
         sequence = run_sequence(small_frames(1), small_encoder(), small_config())
@@ -360,21 +379,32 @@ class TestRunSequences:
         assert together[0].fusion_rates != together[2].fusion_rates
 
     def test_one_grayscale_per_step(self, monkeypatch):
-        calls = []
+        calls, diff_calls = [], []
         original = ttfusion.fusion.to_grayscale
+        original_diffs = ttfusion.detection.patch_diffs
 
         def counting(frame):
             calls.append(frame.timestep)
             return original(frame)
 
+        def counting_diffs(gray_t, gray_prev, grid):
+            diff_calls.append(calls[-1])
+            return original_diffs(gray_t, gray_prev, grid)
+
         monkeypatch.setattr(ttfusion.fusion, "to_grayscale", counting)
         monkeypatch.setattr(ttfusion.toy_encoder, "to_grayscale", counting)
+        monkeypatch.setattr(ttfusion.detection, "patch_diffs", counting_diffs)
         frames = self.walker_frames()
         run_sequence(frames, small_encoder(), self.configs()[0])
         assert calls == list(range(len(frames)))
+        assert diff_calls == []
         calls.clear()
         run_sequences(frames, small_encoder(), self.configs())
-        assert calls == [t for t in range(len(frames)) for _ in range(3)]
+        # One grayscale per frame for all three points, and one pixel-diff
+        # computation per frame that is a non-keyframe for some point: with
+        # K = 1, 3, 6 those are the frames off multiples of 6.
+        assert calls == list(range(len(frames)))
+        assert diff_calls == [t for t in range(len(frames)) if t % 6]
 
     def test_frames_may_be_an_iterator(self):
         frames = self.walker_frames()

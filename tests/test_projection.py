@@ -3,6 +3,7 @@ import pytest
 
 from ttfusion.fusion import FusionConfig
 from ttfusion.projection import (
+    EquivalenceCheck,
     ProjectionSet,
     equivalence_failures,
     project_full,
@@ -100,6 +101,17 @@ class TestProjectSelective:
         with pytest.raises(ValueError):
             project_selective(tokens, None, np.array([0, 1, 1, 1], dtype=np.uint8), np.eye(4))
 
+    def test_previous_projection_left_unchanged(self):
+        rng = np.random.default_rng(7)
+        tokens = rng.standard_normal((6, 8))
+        weights = rng.standard_normal((8, 8))
+        prev = np.ones((6, 8))
+        mask = np.array([1, 0, 1, 0, 0, 1], dtype=np.uint8)
+        out, _ = project_selective(tokens, prev, mask, weights)
+        assert np.array_equal(prev, np.ones((6, 8)))
+        assert np.array_equal(out[[0, 2, 5]], project_full(tokens, weights)[[0, 2, 5]])
+        assert np.array_equal(out[[1, 3, 4]], np.ones((3, 8)))
+
     def test_corrupted_previous_row_is_localised(self):
         rng = np.random.default_rng(5)
         tokens = rng.standard_normal((6, 8))
@@ -184,6 +196,136 @@ class TestVerifyEquivalence:
         assert failures
         assert any(f"row {target}" in failure for failure in failures)
         assert any("step 2" in failure for failure in failures)
+
+
+def reference_project_selective(tokens, prev_projection, fusion_mask, weights):
+    """The per-matrix selective projection before the shared row split:
+    boolean gathers per matrix and a gap computation on every call."""
+    values = np.asarray(tokens, dtype=np.float64)
+    mask = np.asarray(fusion_mask, dtype=np.uint8)
+    n, d = values.shape
+    reuse = mask == 0
+    reused = int(np.count_nonzero(reuse))
+    out = np.empty((n, weights.shape[1]))
+    recompute = ~reuse
+    if recompute.any():
+        out[recompute] = project_full(values[recompute], weights)
+    if reused:
+        out[reuse] = np.asarray(prev_projection)[reuse]
+    gaps = np.abs(out - project_full(values, weights))
+    error = float(gaps.max()) if n else 0.0
+    worst_row = int(gaps.max(axis=1).argmax()) if error else None
+    return out, (reused, reused * d * weights.shape[1], error, worst_row)
+
+
+def reference_verify(pairs, projections):
+    checks = []
+    previous = {"query": None, "key": None, "value": None}
+    for t, (tokens, mask) in enumerate(pairs):
+        ledgers = {}
+        for name in ("query", "key", "value"):
+            previous[name], ledgers[name] = reference_project_selective(
+                tokens, previous[name], mask, getattr(projections, name)
+            )
+        checks.append(
+            EquivalenceCheck(
+                timestep=t,
+                query_error=ledgers["query"][2],
+                key_error=ledgers["key"][2],
+                value_error=ledgers["value"][2],
+                reused_rows=ledgers["query"][0],
+                saved_multiplications=sum(ledger[1] for ledger in ledgers.values()),
+                worst_rows={
+                    name: ledgers[name][3]
+                    for name in ("query", "key", "value")
+                    if ledgers[name][3] is not None
+                },
+            )
+        )
+    return checks
+
+
+class TestVerifyMatchesPerMatrixChain:
+    """verify_equivalence against the per-matrix project_selective chain it
+    replaced, on clean and tampered runs."""
+
+    ROWS, DIM = 12, 8
+
+    def chain(self):
+        """(tokens, mask) pairs whose reused rows copy the previous tokens:
+        masks all ones, mixed, all zeros, mixed."""
+        rng = np.random.default_rng(21)
+        masks = [np.ones(self.ROWS, dtype=np.uint8)]
+        masks.append((rng.random(self.ROWS) < 0.5).astype(np.uint8))
+        masks.append(np.zeros(self.ROWS, dtype=np.uint8))
+        masks.append((rng.random(self.ROWS) < 0.5).astype(np.uint8))
+        pairs, tokens = [], None
+        for mask in masks:
+            fresh = rng.standard_normal((self.ROWS, self.DIM))
+            tokens = fresh if tokens is None else np.where(mask[:, None] == 1, fresh, tokens)
+            pairs.append([tokens.copy(), mask])
+        return pairs
+
+    def assert_same(self, pairs):
+        projections = ProjectionSet.generate(self.DIM, 4)
+        checks = verify_equivalence(pairs, projections)
+        # repr compares NaN errors as equal and tells 0.0 from -0.0.
+        assert repr(checks) == repr(reference_verify(pairs, projections))
+        return checks
+
+    def test_clean_chain(self):
+        pairs = self.chain()
+        assert [int(m.sum()) for _, m in pairs][0] == self.ROWS
+        assert 0 < int(pairs[1][1].sum()) < self.ROWS
+        checks = self.assert_same(pairs)
+        assert equivalence_failures(checks) == []
+        assert [c.reused_rows for c in checks][2] == self.ROWS
+
+    def test_tampered_reused_row(self):
+        pairs = self.chain()
+        row = int(np.flatnonzero(pairs[3][1] == 0)[0])
+        pairs[3][0][row, 1] += 1e-9
+        assert equivalence_failures(self.assert_same(pairs))
+
+    def test_tampered_recomputed_row(self):
+        pairs = self.chain()
+        row = int(np.flatnonzero(pairs[1][1] == 1)[0])
+        pairs[1][0][row, 0] += 0.5
+        self.assert_same(pairs)
+
+    def test_nan_token(self):
+        for t, row in ((0, 3), (2, 5)):
+            pairs = self.chain()
+            pairs[t][0][row, 2] = np.nan
+            assert equivalence_failures(self.assert_same(pairs))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    def test_infinite_token(self):
+        pairs = self.chain()
+        pairs[0][0][4, 0] = np.inf
+        assert equivalence_failures(self.assert_same(pairs))
+
+    def test_negative_zero(self):
+        pairs = self.chain()
+        # Row 6 is +0.0 where it is first projected and -0.0 where step 2
+        # reuses it: the copied and the recomputed rows differ only in signs
+        # of zero, which is no gap.
+        for tokens, _ in pairs:
+            tokens[6] = 0.0
+        pairs[2][0][6] = -0.0
+        pairs[3][0][6] = -0.0
+        checks = self.assert_same(pairs)
+        assert equivalence_failures(checks) == []
+        # BLAS sums zeros to +0.0, so a -0.0 projection row can only come
+        # from the caller: a copied -0.0 against a recomputed +0.0 is no gap.
+        tokens, mask = pairs[2]
+        weights = ProjectionSet.generate(self.DIM, 4).key
+        prev = project_full(tokens, weights)
+        prev[6] = -0.0
+        out, ledger = project_selective(tokens, prev, mask, weights)
+        _, (_, _, error, worst_row) = reference_project_selective(tokens, prev, mask, weights)
+        assert (ledger.max_row_error, ledger.worst_row) == (error, worst_row) == (0.0, None)
+        assert np.signbit(out[6]).all()
 
 
 class TestProjectionSet:
