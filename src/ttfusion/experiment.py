@@ -16,10 +16,10 @@ import numpy as np
 
 from .detection import AttentionSlice
 from .frames import FrameObservation, GrayscaleImage, PatchGrid, load_frame, read_pgm, write_pgm
-from .fusion import SequenceResult, run_sequence, run_sequences
+from .fusion import SequenceResult, run_sequences
 from .projection import EquivalenceCheck, ProjectionSet, verify_equivalence
-from .report import build_report, load_report, write_report
-from .runconfig import ATTENTION_SOURCE_TENSOR_FILES, RunConfig, config_echo
+from .report import build_report, build_sweep_summary, load_report, write_report
+from .runconfig import ATTENTION_SOURCE_TENSOR_FILES, RunConfig, apply_parameter, config_echo
 from .synthetic import FRAME_NAME, generate_frames
 from .tensor_io import read_tensor, write_tensor
 from .toy_encoder import EncoderSpec, ToyEncoder, encode
@@ -35,6 +35,7 @@ ACTION_ATTENTION_NAME = "attn_action_{:06d}.ttft"
 REPORT_NAME = "report.json"
 _FRAME_FILE = re.compile(r"frame_(\d{6,})\.ppm")
 _ATTENTION_FILE = re.compile(r"attn_(text|action)_(\d{6,})\.ttft")
+_ATTENTION_NAMES = {"text": TEXT_ATTENTION_NAME, "action": ACTION_ATTENTION_NAME}
 
 
 @dataclass
@@ -88,27 +89,33 @@ class TensorFileAttentionEncoder:
 
     def __call__(self, frame: FrameObservation, gray: GrayscaleImage | None = None):
         tokens = encode(frame, self.spec, gray)
-        text_path = os.path.join(self.attention_dir, TEXT_ATTENTION_NAME.format(frame.timestep))
-        action_path = os.path.join(
-            self.attention_dir, ACTION_ATTENTION_NAME.format(frame.timestep)
-        )
-        text_rows = read_tensor(text_path) if os.path.exists(text_path) else None
-        action_row = read_tensor(action_path) if os.path.exists(action_path) else None
-        if self.required == "text" and text_rows is None:
-            raise FileNotFoundError(f"attention tensor not found: {text_path}")
-        if self.required == "action" and action_row is None:
-            raise FileNotFoundError(f"attention tensor not found: {action_path}")
+        rows = {}
+        for kind, name in _ATTENTION_NAMES.items():
+            path = os.path.join(self.attention_dir, name.format(frame.timestep))
+            # The required file was checked before step 0; read_tensor names
+            # it if it has gone since.
+            required = kind == self.required
+            rows[kind] = read_tensor(path) if required or os.path.exists(path) else None
         slice_ = AttentionSlice(
-            text_rows=text_rows, action_row=action_row, source_timestep=frame.timestep
+            text_rows=rows["text"], action_row=rows["action"], source_timestep=frame.timestep
         )
         return tokens, slice_
 
-    def reject_extra_files(self, frame_count: int) -> None:
-        """Raise ``FileExistsError`` naming the first tensor of the required
-        kind whose index is past the last of ``frame_count`` frames."""
+    def check_file_set(self, frame_count: int) -> None:
+        """Check the required kind's files against the frames before any
+        step runs: ``FileNotFoundError`` names the first index in
+        0..frame_count - 1 without a file, ``FileExistsError`` the first file
+        whose index is past the last frame."""
+        names = os.listdir(self.attention_dir)
+        present = set(names)
+        for t in range(frame_count):
+            name = _ATTENTION_NAMES[self.required].format(t)
+            if name not in present:
+                path = os.path.join(self.attention_dir, name)
+                raise FileNotFoundError(f"attention tensor not found: {path} (index {t})")
         extra = [
             (int(m[2]), m[0])
-            for m in map(_ATTENTION_FILE.fullmatch, os.listdir(self.attention_dir))
+            for m in map(_ATTENTION_FILE.fullmatch, names)
             if m and m[1] == self.required and int(m[2]) >= frame_count
         ]
         if extra:
@@ -120,9 +127,9 @@ class TensorFileAttentionEncoder:
 
 
 def build_encoder(config: RunConfig, frame_count: int):
-    """The run's encoder.  A tensor-file encoder is first checked against
-    the frame count, so a misnumbered attention directory fails before any
-    step runs."""
+    """The run's encoder.  A tensor-file encoder's files are first checked
+    against the frame count, so a missing or misnumbered attention tensor
+    fails before any step runs."""
     spec = EncoderSpec(
         token_dim=config.fusion.token_dim,
         seed=config.seed,
@@ -134,7 +141,7 @@ def build_encoder(config: RunConfig, frame_count: int):
         encoder = TensorFileAttentionEncoder(
             spec=spec, attention_dir=config.attention_dir, required=required
         )
-        encoder.reject_extra_files(frame_count)
+        encoder.check_file_set(frame_count)
         return encoder
     return ToyEncoder(spec)
 
@@ -145,32 +152,45 @@ def materialize_frames(config: RunConfig) -> list[FrameObservation]:
     return generate_frames(config.synth)
 
 
+def run_points(
+    configs: list[RunConfig], frames: list[FrameObservation] | None = None
+) -> list[ExperimentResult]:
+    """Run the same frames once per config: the fusion loop, then each
+    config's Q/K/V reuse verification and report, in order.
+
+    Frames come from the first config unless given, and so does the encoder
+    (configs may differ only in fusion knobs the encoder does not read).
+    Every config advances through the frames in lockstep
+    (``fusion.run_sequences``); all steps are held until verified.
+    """
+    if frames is None:
+        frames = materialize_frames(configs[0])
+    encoder = build_encoder(configs[0], len(frames))
+    sequences = run_sequences(frames, encoder, [config.fusion for config in configs])
+    results = []
+    for config, sequence in zip(configs, sequences):
+        projections = ProjectionSet.generate(config.fusion.token_dim, config.seed)
+        checks = verify_equivalence(sequence.steps, projections)
+        report = build_report(config_echo(config), sequence, checks)
+        aggregates = report["aggregates"]
+        logger.info(
+            "run: %d steps, mean fusion rate %.4f (all) / %.4f (non-keyframe), max reuse error %g",
+            aggregates["steps"],
+            aggregates["mean_fusion_rate_all"],
+            aggregates["mean_fusion_rate_non_keyframe"],
+            max((c.max_error for c in checks), default=0.0),
+        )
+        results.append(
+            ExperimentResult(config=config, sequence=sequence, checks=checks, report=report)
+        )
+    return results
+
+
 def run_experiment(
-    config: RunConfig,
-    frames: list[FrameObservation] | None = None,
-    timing: dict | None = None,
+    config: RunConfig, frames: list[FrameObservation] | None = None
 ) -> ExperimentResult:
     """One full run: fusion loop plus Q/K/V reuse verification."""
-    if frames is None:
-        frames = materialize_frames(config)
-    encoder = build_encoder(config, len(frames))
-    sequence = run_sequence(frames, encoder, config.fusion, timing=timing)
-    return _verify_and_report(config, sequence)
-
-
-def _verify_and_report(config: RunConfig, sequence: SequenceResult) -> ExperimentResult:
-    """Check Q/K/V reuse over a finished fusion run and build its report."""
-    projections = ProjectionSet.generate(config.fusion.token_dim, config.seed)
-    checks = verify_equivalence(sequence.steps, projections)
-    report = build_report(config_echo(config), sequence, checks)
-    logger.info(
-        "run: %d steps, mean fusion rate %.4f (all) / %.4f (non-keyframe), max reuse error %g",
-        len(sequence.steps),
-        sequence.mean_fusion_rate_all,
-        sequence.mean_fusion_rate_non_keyframe,
-        max((c.max_error for c in checks), default=0.0),
-    )
-    return ExperimentResult(config=config, sequence=sequence, checks=checks, report=report)
+    return run_points([config], frames)[0]
 
 
 def write_run_outputs(result: ExperimentResult, out_dir: str | os.PathLike) -> str:
@@ -203,39 +223,29 @@ def write_run_outputs(result: ExperimentResult, out_dir: str | os.PathLike) -> s
 def run_sweep(
     config: RunConfig, parameter: str, values: list, frames: list[FrameObservation] | None = None
 ) -> tuple[dict, list[ExperimentResult]]:
-    """Run the same frames once per parameter value.
+    """Run the same frames once per parameter value, through ``run_points``.
 
     Every value is applied before anything runs, so an invalid one fails
-    first.  All values then advance through the frames in lockstep: each
-    frame's grayscale, encoding (by an encoder built from ``config``; sweep
-    parameters are fusion knobs the encoder does not read) and pixel diffs
-    are computed once and feed every value's step.  Each value is then verified and
-    reported as ``run_experiment`` would.  Returns the sweep summary
-    (value -> fusion-rate means) and the per-value results in order.
+    first.  All values then advance through the frames in lockstep, sharing
+    each frame's grayscale, encoding and pixel diffs, and each value is
+    verified and reported exactly as ``run_experiment`` would.  Returns the
+    sweep summary (value -> the fusion-rate means of its report) and the
+    per-value results in order.
     """
-    from .report import build_sweep_summary
-    from .runconfig import apply_parameter
-
     if not values:
         raise ValueError("sweep values list is empty")
     varied = [apply_parameter(config, parameter, value) for value in values]
-    if frames is None:
-        frames = materialize_frames(config)
-    encoder = build_encoder(config, len(frames))
-    sequences = run_sequences(frames, encoder, [v.fusion for v in varied])
+    results = run_points(varied, frames)
     points = []
-    results = []
-    for value, point_config, sequence in zip(values, varied, sequences):
-        result = _verify_and_report(point_config, sequence)
-        results.append(result)
+    for value, result in zip(values, results):
+        aggregates = result.report["aggregates"]
         points.append(
             {
                 "value": value,
-                "mean_fusion_rate_all": result.sequence.mean_fusion_rate_all,
-                "mean_fusion_rate_non_keyframe": result.sequence.mean_fusion_rate_non_keyframe,
+                "mean_fusion_rate_all": aggregates["mean_fusion_rate_all"],
+                "mean_fusion_rate_non_keyframe": aggregates["mean_fusion_rate_non_keyframe"],
             }
         )
-        logger.info("sweep %s=%s: mean fusion rate %.4f", parameter, value, points[-1]["mean_fusion_rate_all"])
     return build_sweep_summary(parameter, points), results
 
 

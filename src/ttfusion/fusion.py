@@ -9,7 +9,6 @@ recompute everything and reset reuse chains.  The rolling state stores the
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +122,7 @@ class StepResult:
 
 @dataclass
 class SequenceResult:
-    """Per-step results plus the two fusion-rate means.
+    """Per-step results of one fusion loop, and their two fusion-rate means.
 
     ``mean_fusion_rate_all`` includes keyframes (which contribute 0);
     ``mean_fusion_rate_non_keyframe`` averages the remaining steps and is
@@ -131,12 +130,20 @@ class SequenceResult:
     """
 
     steps: list[StepResult]
-    mean_fusion_rate_all: float
-    mean_fusion_rate_non_keyframe: float
 
     @property
     def fusion_rates(self) -> list[float]:
         return [s.fusion_rate for s in self.steps]
+
+    @property
+    def mean_fusion_rate_all(self) -> float:
+        rates = self.fusion_rates
+        return sum(rates) / len(rates)
+
+    @property
+    def mean_fusion_rate_non_keyframe(self) -> float:
+        rates = [s.fusion_rate for s in self.steps if not s.is_keyframe]
+        return sum(rates) / len(rates) if rates else 0.0
 
 
 def is_keyframe(t: int, state: FusionState, keyframe_interval: int) -> bool:
@@ -203,7 +210,6 @@ def step(
     frame: FrameObservation,
     encoder,
     config: FusionConfig,
-    timing: dict | None = None,
     shared: SharedObservation | None = None,
 ) -> tuple[StepResult, FusionState]:
     """Run one timestep of the fusion loop.
@@ -217,8 +223,7 @@ def step(
     and pixel diffs once; without it the step builds its own.  The returned
     state carries the fused tokens, this frame's grayscale, and the
     attention captured this step (consumed by the next step, which rejects
-    it unless it came from timestep t - 1).  ``timing`` optionally
-    accumulates phase seconds under ``encode`` / ``pixel_detect`` / ``fuse``.
+    it unless it came from timestep t - 1).
     """
     t = frame.timestep
     if t != state.timestep:
@@ -239,10 +244,7 @@ def step(
     grid = config.grid
     n = grid.patch_count
 
-    started = time.perf_counter()
     tokens, attention = shared.encoded()
-    if timing is not None:
-        timing["encode"] = timing.get("encode", 0.0) + time.perf_counter() - started
     if tokens.patch_count != n:
         raise ValueError(f"encoder produced {tokens.patch_count} tokens, expected {n}")
 
@@ -263,14 +265,9 @@ def step(
         if config.enable_pixel:
             if state.prev_gray is None:
                 raise ValueError("non-keyframe step needs the previous frame's grayscale")
-            started = time.perf_counter()
             pd = detection.threshold_diffs(
                 shared.diffs(state.prev_gray, grid), config.pixel_threshold
             )
-            if timing is not None:
-                timing["pixel_detect"] = (
-                    timing.get("pixel_detect", 0.0) + time.perf_counter() - started
-                )
             pixel_mask, diffs = pd.mask, pd.diffs
         else:
             pixel_mask, diffs = np.zeros(n, dtype=np.uint8), np.zeros(n)
@@ -280,10 +277,7 @@ def step(
             attention_mask = np.zeros(n, dtype=np.uint8)
         fusion_mask = combine_masks(pixel_mask, attention_mask, config)
 
-        started = time.perf_counter()
         fused = fuse_tokens(tokens, state.prev_tokens, fusion_mask)
-        if timing is not None:
-            timing["fuse"] = timing.get("fuse", 0.0) + time.perf_counter() - started
         result = StepResult(
             timestep=t,
             is_keyframe=False,
@@ -304,26 +298,16 @@ def step(
     return result, new_state
 
 
-def run_sequence(
-    frames,
-    encoder,
-    config: FusionConfig,
-    timing: dict | None = None,
-) -> SequenceResult:
+def run_sequence(frames, encoder, config: FusionConfig) -> SequenceResult:
     """Drive the fusion loop over an episode of contiguous frames.
 
     Frames must start at timestep 0 and increase by 1; gaps or an empty
     sequence are rejected.
     """
-    return run_sequences(frames, encoder, [config], timing=timing)[0]
+    return run_sequences(frames, encoder, [config])[0]
 
 
-def run_sequences(
-    frames,
-    encoder,
-    configs,
-    timing: dict | None = None,
-) -> list[SequenceResult]:
+def run_sequences(frames, encoder, configs) -> list[SequenceResult]:
     """Drive one fusion loop per config over the same frames, in lockstep.
 
     Frames are the outer loop and configs the inner one, so every config
@@ -346,13 +330,11 @@ def run_sequences(
             )
         shared = SharedObservation(frame, encoder)
         for i, config in enumerate(configs):
-            result, states[i] = step(
-                states[i], frame, encoder, config, timing=timing, shared=shared
-            )
+            result, states[i] = step(states[i], frame, encoder, config, shared=shared)
             steps[i].append(result)
     if not steps[0]:
         raise ValueError("sequence is empty: first frame missing")
-    return [_summarize(config_steps) for config_steps in steps]
+    return [SequenceResult(config_steps) for config_steps in steps]
 
 
 class SharedObservation:
@@ -394,14 +376,3 @@ class SharedObservation:
             self._diffs, self._diffs_base = diffs, prev_gray
         return self._diffs
 
-
-def _summarize(steps: list[StepResult]) -> SequenceResult:
-    rates = [s.fusion_rate for s in steps]
-    non_keyframe = [s.fusion_rate for s in steps if not s.is_keyframe]
-    return SequenceResult(
-        steps=steps,
-        mean_fusion_rate_all=sum(rates) / len(rates),
-        mean_fusion_rate_non_keyframe=(
-            sum(non_keyframe) / len(non_keyframe) if non_keyframe else 0.0
-        ),
-    )

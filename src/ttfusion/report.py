@@ -24,16 +24,12 @@ class InvariantError(RuntimeError):
 def build_report(
     config_echo: dict,
     sequence: SequenceResult,
-    checks: list[EquivalenceCheck] | None,
+    checks: list[EquivalenceCheck],
 ) -> dict:
-    """Assemble the report dict for one run.
-
-    ``checks`` may be None when projection verification was skipped; the
-    ledger columns are then zero.
-    """
+    """Assemble the report dict for one run from its steps and their
+    Q/K/V reuse checks, one check per step."""
     steps = []
-    for index, step in enumerate(sequence.steps):
-        check = checks[index] if checks else None
+    for step, check in zip(sequence.steps, checks, strict=True):
         steps.append(
             {
                 "t": step.timestep,
@@ -42,11 +38,11 @@ def build_report(
                 "attention_updates": int(step.attention_mask.sum()),
                 "fusion_updates": int(step.fusion_mask.sum()),
                 "fusion_rate": step.fusion_rate,
-                "reused_rows": check.reused_rows if check else 0,
-                "saved_multiplications": check.saved_multiplications if check else 0,
-                "query_error": check.query_error if check else 0.0,
-                "key_error": check.key_error if check else 0.0,
-                "value_error": check.value_error if check else 0.0,
+                "reused_rows": check.reused_rows,
+                "saved_multiplications": check.saved_multiplications,
+                "query_error": check.query_error,
+                "key_error": check.key_error,
+                "value_error": check.value_error,
             }
         )
     report = {"format": REPORT_FORMAT, "config": dict(config_echo), "steps": steps}

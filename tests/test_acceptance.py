@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+import ttfusion.detection
 from ttfusion.cli import main
 from ttfusion.detection import pixel_diff, top_k_mask
 from ttfusion.frames import FrameObservation, PatchGrid, to_grayscale
@@ -226,7 +227,7 @@ def test_c9_run_command_is_byte_deterministic(tmp_path):
     report_line("C9 identical config+seed give byte-identical outputs", ok)
 
 
-def test_c10_throughput_and_d_independent_detection():
+def test_c10_throughput_and_d_independent_detection(monkeypatch):
     frames = generate_frames(SynthSpec(frame_count=500, walker=True, seed=110))
     started = time.perf_counter()
     run_sequence(frames, toy(110), FusionConfig())
@@ -236,21 +237,37 @@ def test_c10_throughput_and_d_independent_detection():
         SynthSpec(frame_count=300, walker=True, noise_amplitude=0.05, seed=111)
     )
 
-    def detection_seconds(token_dim):
-        best = float("inf")
-        for _ in range(3):
-            timing = {}
-            run_sequence(
-                spot_frames,
-                toy(111, token_dim=token_dim),
-                FusionConfig(token_dim=token_dim),
-                timing=timing,
-            )
-            best = min(best, timing["pixel_detect"])
-        return best
+    # Pixel detection is the loop's patch_diffs and threshold_diffs calls;
+    # time them where the loop looks them up.
+    elapsed = [0.0]
 
-    base = detection_seconds(64)
-    doubled = detection_seconds(128)
+    def timed(fn):
+        def wrapper(*args, **kwargs):
+            started = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elapsed[0] += time.perf_counter() - started
+
+        return wrapper
+
+    for name in ("patch_diffs", "threshold_diffs"):
+        monkeypatch.setattr(ttfusion.detection, name, timed(getattr(ttfusion.detection, name)))
+
+    def detection_seconds(token_dim):
+        elapsed[0] = 0.0
+        run_sequence(
+            spot_frames,
+            toy(111, token_dim=token_dim),
+            FusionConfig(token_dim=token_dim),
+        )
+        return elapsed[0]
+
+    # Best of 3 per width, the widths alternating so that a drift in machine
+    # speed reaches both alike.
+    trials = [(detection_seconds(64), detection_seconds(128)) for _ in range(3)]
+    base = min(t[0] for t in trials)
+    doubled = min(t[1] for t in trials)
     ok = run_seconds < 10.0 and abs(doubled - base) <= 0.10 * base
     print(
         f"  [c10] 500-frame run {run_seconds:.2f}s; detection {base*1000:.1f}ms (d=64) "

@@ -112,6 +112,33 @@ class TestTensorFileAttention:
         run_experiment(config)
         assert len(calls) == 5
 
+    def test_missing_file_fails_before_any_step(self, tmp_path, monkeypatch):
+        calls = []
+        original = ttfusion.fusion.step
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ttfusion.fusion, "step", counting)
+        attention_dir = tmp_path / "attn"
+        # Five frames, text tensors 0, 1, 3 and 4: step 2 has no file.
+        write_attention_files(attention_dir, frame_count=5)
+        (attention_dir / "attn_text_000002.ttft").unlink()
+        config = build_run_config(
+            small_values(
+                attention_source="tensor_files",
+                attention_dir=str(attention_dir),
+                text_tokens=2,
+                heads=2,
+            )
+        )
+        with pytest.raises(FileNotFoundError, match="attn_text_000002"):
+            run_experiment(config)
+        with pytest.raises(FileNotFoundError, match="attn_text_000002"):
+            run_sweep(config, "K", [1, 3])
+        assert calls == []
+
     def test_encoder_widens_float32_to_float64(self, tmp_path):
         attention_dir = tmp_path / "attn"
         write_attention_files(attention_dir, frame_count=1)
@@ -166,6 +193,18 @@ class TestSweep:
         assert calls == []
         run_sweep(config, "K", [3])
         assert len(calls) == 5
+
+    def test_summary_means_are_each_points_report_aggregates(self):
+        config = build_run_config(small_values(synth_frames=7, top_k=2, synth_noise=0.05))
+        summary, results = run_sweep(config, "K", [1, 3, 6])
+        assert [p["value"] for p in summary["points"]] == [1, 3, 6]
+        for point, result in zip(summary["points"], results):
+            aggregates = result.report["aggregates"]
+            for key in ("mean_fusion_rate_all", "mean_fusion_rate_non_keyframe"):
+                assert point[key] == aggregates[key]
+        # K = 1 makes every step a keyframe; the others reuse tokens.
+        assert summary["points"][0]["mean_fusion_rate_all"] == 0.0
+        assert summary["points"][2]["mean_fusion_rate_non_keyframe"] > 0.0
 
 
 class TestOutputs:
