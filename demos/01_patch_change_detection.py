@@ -11,9 +11,10 @@ import numpy as np
 from ttfusion import (
     FrameObservation,
     PatchGrid,
-    pixel_diff,
+    patch_diffs,
     synth_attention,
     text_to_vision_scores,
+    threshold_diffs,
     to_grayscale,
     top_k_mask,
 )
@@ -33,24 +34,23 @@ after[u0 + 2, v0 + 7] = 255  # one hot pixel
 frame_before = FrameObservation(pixels=before, timestep=0)
 frame_after = FrameObservation(pixels=after, timestep=1)
 
-result = pixel_diff(
-    to_grayscale(frame_after), to_grayscale(frame_before), grid, threshold=0.03
-)
+diffs = patch_diffs(to_grayscale(frame_after), to_grayscale(frame_before), grid)
+pixel_mask = threshold_diffs(diffs, threshold=0.03)
 print("pixel detector (threshold 0.03):")
 print(f"{'patch':>5} {'mean abs diff':>14} {'recompute?':>10}")
 for i in range(grid.patch_count):
-    if result.diffs[i] > 0:
-        print(f"{i:>5} {result.diffs[i]:>14.6f} {'yes' if result.mask[i] else 'no'}")
-print(f"patches flagged: {sorted(int(i) for i in np.nonzero(result.mask)[0])}")
+    if diffs[i] > 0:
+        print(f"{i:>5} {diffs[i]:>14.6f} {'yes' if pixel_mask[i] else 'no'}")
+print(f"patches flagged: {sorted(int(i) for i in np.nonzero(pixel_mask)[0])}")
 print("the single hot pixel in patch 10 stays below the threshold:",
-      f"{result.diffs[10]:.6f} <= 0.03")
+      f"{diffs[10]:.6f} <= 0.03")
 
 spec = EncoderSpec(token_dim=16, seed=0, text_token_count=4, head_count=2)
 slice_ = synth_attention(frame_after, spec)
 scores = text_to_vision_scores(slice_)
-selected = top_k_mask(scores, k=4)
+attention_mask = top_k_mask(scores, k=4)
 print("\nattention detector (top-4 of the text-to-vision scores):")
-print("selected patches:", sorted(int(i) for i in np.nonzero(selected.mask)[0]))
+print("selected patches:", sorted(int(i) for i in np.nonzero(attention_mask)[0]))
 print("score range: %.5f .. %.5f" % (scores.min(), scores.max()))
 print("patches 5 and 10 score above the flat background; the leftover budget")
 print("goes to the lowest tied indices (the deterministic tie rule).")

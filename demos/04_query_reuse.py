@@ -25,7 +25,8 @@ config = FusionConfig(keyframe_interval=3, token_dim=64)
 sequence = run_sequence(frames, ToyEncoder(EncoderSpec(token_dim=64, seed=5)), config)
 
 projections = ProjectionSet.generate(dim=64, seed=5)
-checks = verify_equivalence(sequence.steps, projections)
+pairs = [(step.fused_tokens.values, step.fusion_mask) for step in sequence.steps]
+checks = verify_equivalence(pairs, projections)
 
 print(f"{'t':>3} {'reused rows':>11} {'saved mults':>12} {'max |selective - full|':>23}")
 for check in checks[:10]:

@@ -13,13 +13,12 @@ from .detection import (
     ACTION_TO_VISION,
     TEXT_TO_VISION,
     AttentionSlice,
-    PixelDiffResult,
-    RelevanceScores,
     action_to_vision_scores,
     auto_threshold,
-    pixel_diff,
+    patch_diffs,
     rate_target_mask,
     text_to_vision_scores,
+    threshold_diffs,
     top_k_mask,
 )
 from .frames import (
@@ -47,9 +46,7 @@ from .fusion import (
 from .projection import (
     EquivalenceCheck,
     ProjectionSet,
-    ReuseLedger,
     project_full,
-    project_selective,
     verify_equivalence,
 )
 from .prng import SplitMix64
@@ -74,10 +71,7 @@ __all__ = [
     "FusionState",
     "GrayscaleImage",
     "PatchGrid",
-    "PixelDiffResult",
     "ProjectionSet",
-    "RelevanceScores",
-    "ReuseLedger",
     "RunConfig",
     "SequenceResult",
     "SplitMix64",
@@ -95,9 +89,8 @@ __all__ = [
     "is_keyframe",
     "load_config_file",
     "load_frame",
-    "pixel_diff",
+    "patch_diffs",
     "project_full",
-    "project_selective",
     "rate_target_mask",
     "read_tensor",
     "run_sequence",
@@ -105,6 +98,7 @@ __all__ = [
     "step",
     "synth_attention",
     "text_to_vision_scores",
+    "threshold_diffs",
     "to_grayscale",
     "top_k_mask",
     "verify_equivalence",

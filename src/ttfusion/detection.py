@@ -24,19 +24,6 @@ _ROW_SUM_TOLERANCE = 1e-6
 
 
 @dataclass
-class PixelDiffResult:
-    """Per-patch mean absolute luminance differences and the binary mask.
-
-    ``mask[i]`` is 1 exactly when ``diffs[i] > threshold`` (strict), so a
-    difference sitting exactly on the threshold reuses history.
-    """
-
-    diffs: np.ndarray
-    mask: np.ndarray
-    threshold: float
-
-
-@dataclass
 class AttentionSlice:
     """Attention rows from text/action tokens to vision patches.
 
@@ -89,34 +76,6 @@ def _check_rows(rows: np.ndarray) -> None:
         raise ValueError("attention rows must sum to at most 1")
 
 
-@dataclass
-class RelevanceScores:
-    """Task-relevance scores with the selected top-k mask.
-
-    Exactly ``min(k, N)`` mask entries are 1; ties are broken toward the
-    lower patch index so selections are reproducible.
-    """
-
-    scores: np.ndarray
-    mode: str
-    mask: np.ndarray
-    k: int
-
-
-def pixel_diff(
-    gray_t: GrayscaleImage,
-    gray_prev: GrayscaleImage,
-    grid: PatchGrid,
-    threshold: float | None,
-) -> PixelDiffResult:
-    """Mean absolute luminance difference per patch, thresholded strictly.
-
-    ``threshold=None`` selects the scene-statistics mode where the cut is
-    ``mean(diffs) + stddev(diffs)`` for this frame pair.
-    """
-    return threshold_diffs(patch_diffs(gray_t, gray_prev, grid), threshold)
-
-
 def patch_diffs(gray_t: GrayscaleImage, gray_prev: GrayscaleImage, grid: PatchGrid) -> np.ndarray:
     """Mean absolute luminance difference of each patch between two frames.
 
@@ -137,15 +96,16 @@ def patch_diffs(gray_t: GrayscaleImage, gray_prev: GrayscaleImage, grid: PatchGr
     )
 
 
-def threshold_diffs(diffs: np.ndarray, threshold: float | None) -> PixelDiffResult:
-    """Mask the patches whose difference lies strictly above ``threshold``;
-    ``None`` selects :func:`auto_threshold` of ``diffs``."""
+def threshold_diffs(diffs: np.ndarray, threshold: float | None) -> np.ndarray:
+    """The uint8 mask of the patches whose difference (from
+    :func:`patch_diffs`) lies strictly above ``threshold``, so a difference
+    sitting exactly on it reuses history.  ``None`` selects
+    :func:`auto_threshold` of ``diffs``; a negative threshold is rejected."""
     if threshold is None:
         threshold = auto_threshold(diffs)
     elif threshold < 0.0:
         raise ValueError("pixel threshold must be non-negative")
-    mask = (diffs > threshold).astype(np.uint8)
-    return PixelDiffResult(diffs=diffs, mask=mask, threshold=float(threshold))
+    return (diffs > threshold).astype(np.uint8)
 
 
 def auto_threshold(diffs: np.ndarray) -> float:
@@ -176,10 +136,12 @@ def relevance_scores(slice_: AttentionSlice, mode: str) -> np.ndarray:
     raise ValueError(f"unknown attention mode {mode!r}")
 
 
-def top_k_mask(scores: np.ndarray, k: int, mode: str = TEXT_TO_VISION) -> RelevanceScores:
-    """Mark the k highest-scoring patches, lower index first on ties.
+def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
+    """The uint8 mask of the k highest-scoring patches, lower index first on
+    ties, so selections are reproducible.
 
-    ``k`` beyond the patch count selects every patch.
+    Exactly ``min(k, N)`` entries are 1: ``k`` beyond the patch count
+    selects every patch.
     """
     if k < 0:
         raise ValueError("selection budget must be non-negative")
@@ -190,12 +152,10 @@ def top_k_mask(scores: np.ndarray, k: int, mode: str = TEXT_TO_VISION) -> Releva
     order = np.argsort(-scores, kind="stable")
     mask = np.zeros(n, dtype=np.uint8)
     mask[order[:take]] = 1
-    return RelevanceScores(scores=scores, mode=mode, mask=mask, k=k)
+    return mask
 
 
-def rate_target_mask(
-    scores: np.ndarray, target_reuse_rate: float, mode: str = TEXT_TO_VISION
-) -> RelevanceScores:
+def rate_target_mask(scores: np.ndarray, target_reuse_rate: float) -> np.ndarray:
     """Mark enough patches that the reused fraction meets the target.
 
     Selects the top ceil((1 - target) * N) patches as important, so a target
@@ -209,4 +169,4 @@ def rate_target_mask(
     # Epsilon guards against float products like 0.65 * 20 landing above the
     # intended integer.
     k = math.ceil((1.0 - target_reuse_rate) * n - 1e-9)
-    return top_k_mask(scores, max(k, 0), mode=mode)
+    return top_k_mask(scores, max(k, 0))

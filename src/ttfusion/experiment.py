@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import AttentionSlice
+from .detection import TEXT_TO_VISION, AttentionSlice
 from .frames import FrameObservation, GrayscaleImage, PatchGrid, load_frame, read_pgm, write_pgm
 from .fusion import SequenceResult, run_sequences
 from .projection import EquivalenceCheck, ProjectionSet, verify_equivalence
@@ -78,9 +78,10 @@ def load_frames_dir(path: str | os.PathLike) -> list[FrameObservation]:
 class TensorFileAttentionEncoder:
     """Toy tokens with attention slices read from tensor files.
 
-    Each timestep t needs attn_text_%06d.ttft (heads x text tokens x
-    patches) and/or attn_action_%06d.ttft (heads x patches) under the
-    attention directory; the file matching the configured mode must exist.
+    Each timestep t reads one file under the attention directory, of the
+    kind the attention mode uses: attn_text_%06d.ttft (heads x text tokens
+    x patches) or attn_action_%06d.ttft (heads x patches).  Files of the
+    other kind are never read.
     """
 
     spec: EncoderSpec
@@ -89,15 +90,15 @@ class TensorFileAttentionEncoder:
 
     def __call__(self, frame: FrameObservation, gray: GrayscaleImage | None = None):
         tokens = encode(frame, self.spec, gray)
-        rows = {}
-        for kind, name in _ATTENTION_NAMES.items():
-            path = os.path.join(self.attention_dir, name.format(frame.timestep))
-            # The required file was checked before step 0; read_tensor names
-            # it if it has gone since.
-            required = kind == self.required
-            rows[kind] = read_tensor(path) if required or os.path.exists(path) else None
+        name = _ATTENTION_NAMES[self.required].format(frame.timestep)
+        # The file was checked before step 0; read_tensor names it if it has
+        # gone since.
+        rows = read_tensor(os.path.join(self.attention_dir, name))
+        text = self.required == "text"
         slice_ = AttentionSlice(
-            text_rows=rows["text"], action_row=rows["action"], source_timestep=frame.timestep
+            text_rows=rows if text else None,
+            action_row=None if text else rows,
+            source_timestep=frame.timestep,
         )
         return tokens, slice_
 
@@ -137,7 +138,7 @@ def build_encoder(config: RunConfig, frame_count: int):
         head_count=config.heads,
     )
     if config.attention_source == ATTENTION_SOURCE_TENSOR_FILES:
-        required = "text" if config.fusion.attention_mode == "text_to_vision" else "action"
+        required = "text" if config.fusion.attention_mode == TEXT_TO_VISION else "action"
         encoder = TensorFileAttentionEncoder(
             spec=spec, attention_dir=config.attention_dir, required=required
         )
@@ -170,7 +171,9 @@ def run_points(
     results = []
     for config, sequence in zip(configs, sequences):
         projections = ProjectionSet.generate(config.fusion.token_dim, config.seed)
-        checks = verify_equivalence(sequence.steps, projections)
+        checks = verify_equivalence(
+            ((s.fused_tokens.values, s.fusion_mask) for s in sequence.steps), projections
+        )
         report = build_report(config_echo(config), sequence, checks)
         aggregates = report["aggregates"]
         logger.info(

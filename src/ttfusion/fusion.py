@@ -153,18 +153,12 @@ def is_keyframe(t: int, state: FusionState, keyframe_interval: int) -> bool:
     return (t % keyframe_interval == 0) or state.prev_tokens is None
 
 
-def combine_masks(
-    pixel_mask: np.ndarray, attention_mask: np.ndarray, config: FusionConfig
-) -> np.ndarray:
-    """OR the two masks; a disabled dimension contributes all-zeros."""
+def combine_masks(pixel_mask: np.ndarray, attention_mask: np.ndarray) -> np.ndarray:
+    """OR the two masks (``step`` passes all zeros for a disabled dimension)."""
     pixel_mask = np.asarray(pixel_mask, dtype=np.uint8)
     attention_mask = np.asarray(attention_mask, dtype=np.uint8)
     if pixel_mask.shape != attention_mask.shape:
         raise ValueError(f"mask lengths differ: {pixel_mask.shape} vs {attention_mask.shape}")
-    if not config.enable_pixel:
-        pixel_mask = np.zeros_like(pixel_mask)
-    if not config.enable_attention:
-        attention_mask = np.zeros_like(attention_mask)
     return (pixel_mask | attention_mask).astype(np.uint8)
 
 
@@ -197,12 +191,8 @@ def _attention_mask(
     if scores.shape[0] != n:
         raise ValueError(f"attention slice covers {scores.shape[0]} patches, expected {n}")
     if config.selection_mode == SELECTION_TOP_K:
-        selected = detection.top_k_mask(scores, config.top_k, mode=config.attention_mode)
-    else:
-        selected = detection.rate_target_mask(
-            scores, config.target_reuse_rate, mode=config.attention_mode
-        )
-    return selected.mask
+        return detection.top_k_mask(scores, config.top_k)
+    return detection.rate_target_mask(scores, config.target_reuse_rate)
 
 
 def step(
@@ -265,17 +255,15 @@ def step(
         if config.enable_pixel:
             if state.prev_gray is None:
                 raise ValueError("non-keyframe step needs the previous frame's grayscale")
-            pd = detection.threshold_diffs(
-                shared.diffs(state.prev_gray, grid), config.pixel_threshold
-            )
-            pixel_mask, diffs = pd.mask, pd.diffs
+            diffs = shared.diffs(state.prev_gray, grid)
+            pixel_mask = detection.threshold_diffs(diffs, config.pixel_threshold)
         else:
             pixel_mask, diffs = np.zeros(n, dtype=np.uint8), np.zeros(n)
         if config.enable_attention:
             attention_mask = _attention_mask(state.prev_attention, n, config)
         else:
             attention_mask = np.zeros(n, dtype=np.uint8)
-        fusion_mask = combine_masks(pixel_mask, attention_mask, config)
+        fusion_mask = combine_masks(pixel_mask, attention_mask)
 
         fused = fuse_tokens(tokens, state.prev_tokens, fusion_mask)
         result = StepResult(

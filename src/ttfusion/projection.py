@@ -1,24 +1,24 @@
-"""Selective Q/K/V projection reuse and its exact-equality verification.
+"""Q/K/V projection reuse and its exact-equality verification.
 
 Because the query matrix is the fused tokens times a fixed weight matrix,
 any token row reused from the previous step yields a projection row
 bit-identical to the previous step's, so the row can be copied instead of
-recomputed.  This module performs that selective reuse, counts the
-multiplications it avoids, and checks the shortcut against a full
-recomputation.  Equality is demanded bit-exact, which requires each output
-row to be a deterministic function of its own token row alone:
-:func:`project_full` computes every row as its own fixed-shape (1 x d) by
-(d x d) BLAS product.  A plain batched ``x @ W`` does not qualify, because
-BLAS may sum a row in a different order depending on how many rows share
-the call: at d = 64 a row computed alone differs in the last bits from the
-same row inside a batch of 256.
+recomputed.  :func:`verify_equivalence` replays a run's fused tokens and
+fusion masks, counts the multiplications that copying avoids, and checks
+the shortcut against a full recomputation.  Equality is demanded
+bit-exact, which requires each output row to be a deterministic function
+of its own token row alone: :func:`project_full` computes every row as its
+own fixed-shape (1 x d) by (d x d) BLAS product.  A plain batched
+``x @ W`` does not qualify, because BLAS may sum a row in a different
+order depending on how many rows share the call: at d = 64 a row computed
+alone differs in the last bits from the same row inside a batch of 256.
 
-The check of one step splits its rows by the fusion mask once and shares
-that split by the query, key and value projections.  For each matrix it
-projects the m recomputed rows, copies the reused rows from the previous
-step's result, projects all n rows densely, and compares the two with an
-exact equality test; the per-row gaps that locate a failure are computed
-only when that test fails.
+The check of one step gathers the m recomputed rows (mask 1) once and
+shares them by the query, key and value matrices.  For each matrix it
+projects those m rows into the previous step's projection in place, so the
+reused rows keep their copied values, then projects all n rows densely and
+compares the two with an exact equality test; the per-row gaps that locate
+a failure are computed only when that test fails.
 """
 
 from __future__ import annotations
@@ -66,22 +66,6 @@ class ProjectionSet:
 
 
 @dataclass
-class ReuseLedger:
-    """Accounting for one selective projection: rows copied vs recomputed.
-
-    ``saved_multiplications`` counts ``reused_rows * d * d`` for this one
-    projection; ``max_row_error`` is the max-norm gap against the full
-    recomputation (0 whenever arithmetic order is shared).
-    """
-
-    reused_rows: int
-    recomputed_rows: int
-    saved_multiplications: int
-    max_row_error: float
-    worst_row: int | None = None
-
-
-@dataclass
 class EquivalenceCheck:
     """Per-step verification record for the three projections."""
 
@@ -98,11 +82,6 @@ class EquivalenceCheck:
         return max(self.query_error, self.key_error, self.value_error)
 
 
-def _token_values(tokens) -> np.ndarray:
-    values = getattr(tokens, "values", tokens)
-    return np.asarray(values, dtype=np.float64)
-
-
 def project_full(tokens, weights: np.ndarray) -> np.ndarray:
     """Dense projection, output row i = token row i times the weight matrix.
 
@@ -112,134 +91,92 @@ def project_full(tokens, weights: np.ndarray) -> np.ndarray:
     batched ``values @ weights`` would not be: its per-row summation order
     can change with the row count (see the module docstring).
     """
-    values = _token_values(tokens)
+    values = np.asarray(tokens, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if values.ndim != 2 or weights.ndim != 2 or values.shape[1] != weights.shape[0]:
         raise ValueError(f"shape mismatch: tokens {values.shape} vs weights {weights.shape}")
     return np.matmul(np.ascontiguousarray(values)[:, None, :], weights)[:, 0, :]
 
 
-def project_selective(
-    tokens_fused,
-    prev_projection: np.ndarray | None,
-    fusion_mask: np.ndarray,
-    weights: np.ndarray,
-) -> tuple[np.ndarray, ReuseLedger]:
-    """Copy projection rows for reused patches, recompute the rest.
-
-    Rows with mask 0 are taken from ``prev_projection`` (which must be the
-    same weights applied to the previous fused tokens); rows with mask 1 go
-    through the same per-row arithmetic as :func:`project_full`.  The ledger
-    records the row split, the multiplications avoided, and the max-norm gap
-    against a full recomputation of ``tokens_fused``.  ``prev_projection``
-    is not modified.
-    """
-    if prev_projection is not None:
-        prev_projection = np.array(prev_projection, dtype=np.float64)
-    return _RowSplit(tokens_fused, fusion_mask).project(prev_projection, weights)
-
-
-class _RowSplit:
-    """One step's token rows split by its fusion mask into recomputed rows
-    (mask 1) and reused rows (mask 0), built once and shared by the query,
-    key and value projections of the step."""
-
-    def __init__(self, tokens, fusion_mask) -> None:
-        self.values = _token_values(tokens)
-        mask = np.asarray(fusion_mask, dtype=np.uint8)
-        n = self.values.shape[0]
-        if mask.shape != (n,):
-            raise ValueError(f"mask length {mask.shape} does not match {n} rows")
-        self.recompute = np.flatnonzero(mask)
-        self.reused = n - self.recompute.size
-        self.rows = self.values[self.recompute] if self.reused else self.values
-
-    def project(
-        self, prev_projection: np.ndarray | None, weights: np.ndarray
-    ) -> tuple[np.ndarray, ReuseLedger]:
-        """The selective projection and its ledger, as :func:`project_selective`
-        describes, except that the recomputed rows are written into
-        ``prev_projection`` (a float64 array) in place."""
-        n, d = self.values.shape
-        width = weights.shape[1]
-        if not self.reused:
-            out = project_full(self.rows, weights)
-        elif prev_projection is None:
-            raise ValueError(
-                f"{self.reused} rows marked for reuse but no previous projection given"
-            )
-        elif prev_projection.shape != (n, width):
-            raise ValueError(
-                f"previous projection is {prev_projection.shape}, expected {(n, width)}"
-            )
-        else:
-            out = prev_projection
-            if self.recompute.size:
-                out[self.recompute] = project_full(self.rows, weights)
-        reference = project_full(self.values, weights)
-        # Equal arrays have gap 0 everywhere, except that an infinite entry
-        # gives inf - inf = NaN; such arrays and every unequal one (NaN
-        # entries included) take the full gap computation.
-        if np.array_equal(out, reference) and not np.isinf(out).any():
-            error, worst_row = 0.0, None
-        else:
-            gaps = np.abs(out - reference)
-            error = float(gaps.max())
-            worst_row = int(gaps.max(axis=1).argmax())
-        ledger = ReuseLedger(
-            reused_rows=self.reused,
-            recomputed_rows=n - self.reused,
-            saved_multiplications=self.reused * d * width,
-            max_row_error=error,
-            worst_row=worst_row,
-        )
-        return out, ledger
-
-
-def _fused_and_mask(item) -> tuple:
-    if hasattr(item, "fused_tokens"):
-        return item.fused_tokens, item.fusion_mask
-    tokens, mask = item
-    return tokens, mask
-
-
-def verify_equivalence(steps, projections: ProjectionSet) -> list[EquivalenceCheck]:
+def verify_equivalence(pairs, projections: ProjectionSet) -> list[EquivalenceCheck]:
     """Replay a recorded run, checking selective reuse against recomputation.
 
-    ``steps`` is a sequence of fusion step results, or of ``(tokens, mask)``
-    pairs in step order starting at the sequence head.  For each step and
-    each of the three projections, the selective result (chained on the
-    previous step's selective result) is compared bit-exactly to the full
-    product; any gap is reported with its step and matrix identity.  Each
-    step's row split is made once for all three projections, and each
-    previous projection is overwritten by its successor as soon as that
-    matrix is checked.
+    ``pairs`` yields one ``(tokens, mask)`` pair per step, in step order
+    from the sequence head: the step's fused token rows (n x d) and its
+    fusion mask (n entries, 1 = recomputed, 0 = reused from the previous
+    step).  For each step and each of the query, key and value matrices,
+    the selective projection (chained on the previous step's selective
+    projection) is compared bit-exactly to the full product; any gap is
+    reported with its step, matrix and worst row.  ``ValueError`` is raised
+    for a mask of the wrong length, or for reused rows with no previous
+    projection of the same shape to copy them from (so always at step 0).
     """
     checks: list[EquivalenceCheck] = []
     previous: dict[str, np.ndarray | None] = {"query": None, "key": None, "value": None}
-    for t, item in enumerate(steps):
-        split = _RowSplit(*_fused_and_mask(item))
-        ledgers: dict[str, ReuseLedger] = {}
-        for name in ("query", "key", "value"):
-            previous[name], ledgers[name] = split.project(
-                previous[name], getattr(projections, name)
+    for t, (tokens, mask) in enumerate(pairs):
+        values = np.asarray(tokens, dtype=np.float64)
+        mask = np.asarray(mask, dtype=np.uint8)
+        n, d = values.shape
+        if mask.shape != (n,):
+            raise ValueError(f"step {t}: mask length {mask.shape} does not match {n} rows")
+        recompute = np.flatnonzero(mask)
+        reused = n - recompute.size
+        shape = getattr(previous["query"], "shape", None)
+        if reused and shape != (n, d):
+            raise ValueError(
+                f"step {t}: {reused} rows marked for reuse, but the previous "
+                f"projection is {shape}, expected {(n, d)}"
             )
+        rows = values[recompute] if reused else values
+        errors: dict[str, float] = {}
+        worst_rows: dict[str, int] = {}
+        for name in ("query", "key", "value"):
+            previous[name], errors[name], worst = _check_matrix(
+                values, recompute, rows, previous[name] if reused else None,
+                getattr(projections, name),
+            )
+            if worst is not None:
+                worst_rows[name] = worst
         checks.append(
             EquivalenceCheck(
                 timestep=t,
-                query_error=ledgers["query"].max_row_error,
-                key_error=ledgers["key"].max_row_error,
-                value_error=ledgers["value"].max_row_error,
-                reused_rows=ledgers["query"].reused_rows,
-                saved_multiplications=sum(l.saved_multiplications for l in ledgers.values()),
-                worst_rows={
-                    name: ledgers[name].worst_row
-                    for name in ("query", "key", "value")
-                    if ledgers[name].worst_row is not None
-                },
+                query_error=errors["query"],
+                key_error=errors["key"],
+                value_error=errors["value"],
+                reused_rows=reused,
+                saved_multiplications=3 * reused * d * d,
+                worst_rows=worst_rows,
             )
         )
     return checks
+
+
+def _check_matrix(
+    values: np.ndarray,
+    recompute: np.ndarray,
+    rows: np.ndarray,
+    previous: np.ndarray | None,
+    weights: np.ndarray,
+) -> tuple[np.ndarray, float, int | None]:
+    """One matrix of one step: the selective projection, its max-norm gap
+    to the full product of ``values``, and the row of that gap (None when
+    the gap is 0).  ``rows`` are the ``recompute`` rows of ``values``; with
+    ``previous`` given they are projected into it in place, without it
+    they are every row."""
+    if previous is None:
+        out = project_full(rows, weights)
+    else:
+        out = previous
+        if recompute.size:
+            out[recompute] = project_full(rows, weights)
+    reference = project_full(values, weights)
+    # Equal arrays have gap 0 everywhere, except that an infinite entry
+    # gives inf - inf = NaN; such arrays and every unequal one (NaN entries
+    # included) take the full gap computation.
+    if np.array_equal(out, reference) and not np.isinf(out).any():
+        return out, 0.0, None
+    gaps = np.abs(out - reference)
+    return out, float(gaps.max()), int(gaps.max(axis=1).argmax())
 
 
 def equivalence_failures(checks: list[EquivalenceCheck]) -> list[str]:

@@ -11,7 +11,7 @@ import numpy as np
 
 import ttfusion.detection
 from ttfusion.cli import main
-from ttfusion.detection import pixel_diff, top_k_mask
+from ttfusion.detection import patch_diffs, threshold_diffs, top_k_mask
 from ttfusion.frames import FrameObservation, PatchGrid, to_grayscale
 from ttfusion.fusion import FusionConfig, run_sequence
 from ttfusion.projection import ProjectionSet, verify_equivalence
@@ -57,11 +57,12 @@ def test_c1_pixel_diff_matches_brute_force_oracle():
             FrameObservation(rng.integers(0, 256, (224, 224, 3), dtype=np.uint8), 0)
         )
         started = time.perf_counter()
-        result = pixel_diff(a, b, grid, threshold)
+        diffs = patch_diffs(a, b, grid)
+        mask = threshold_diffs(diffs, threshold)
         implementation_seconds += time.perf_counter() - started
         oracle = brute_force_diffs(a.values, b.values, grid)
-        worst = max(worst, float(np.abs(result.diffs - oracle).max()))
-        mask_mismatches += int((result.mask != (oracle > threshold)).sum())
+        worst = max(worst, float(np.abs(diffs - oracle).max()))
+        mask_mismatches += int((mask != (oracle > threshold)).sum())
     ok = worst <= 1e-12 and mask_mismatches == 0 and implementation_seconds < 1.0
     print(
         f"  [c1] max deviation {worst:.3e}, {mask_mismatches} mask mismatches, "
@@ -94,7 +95,7 @@ def test_c3_top_k_matches_sort_oracle():
         scores = rng.random(256)
         if trial % 2:
             scores = np.round(scores, 2)  # quantized half: exercises tie-breaks
-        mask = top_k_mask(scores, 70).mask
+        mask = top_k_mask(scores, 70)
         selected = set(np.nonzero(mask)[0])
         oracle = set(sorted(range(256), key=lambda i: (-scores[i], i))[:70])
         if selected != oracle:
@@ -174,7 +175,8 @@ def test_c7_kqv_reuse_is_bit_exact_over_100_frame_runs():
             SynthSpec(frame_count=100, noise_amplitude=0.05, walker=True, seed=seed)
         )
         sequence = run_sequence(frames, toy(seed), FusionConfig())
-        checks = verify_equivalence(sequence.steps, ProjectionSet.generate(64, seed))
+        pairs = [(s.fused_tokens.values, s.fusion_mask) for s in sequence.steps]
+        checks = verify_equivalence(pairs, ProjectionSet.generate(64, seed))
         worst = max(worst, max(c.max_error for c in checks))
         recount = sum(
             int(np.count_nonzero(step.fusion_mask == 0)) * 64 * 64 * 3

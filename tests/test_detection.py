@@ -5,9 +5,10 @@ from ttfusion.detection import (
     AttentionSlice,
     action_to_vision_scores,
     auto_threshold,
-    pixel_diff,
+    patch_diffs,
     rate_target_mask,
     text_to_vision_scores,
+    threshold_diffs,
     top_k_mask,
 )
 from ttfusion.frames import GrayscaleImage, PatchGrid
@@ -34,9 +35,9 @@ def brute_force_diffs(a, b, grid):
 class TestPixelDiff:
     def test_identical_images_are_all_zero(self):
         values = np.random.default_rng(0).random((28, 28))
-        result = pixel_diff(gray(values), gray(values.copy()), PatchGrid.from_dims(28, 28), 0.03)
-        assert (result.diffs == 0.0).all()
-        assert not result.mask.any()
+        diffs = patch_diffs(gray(values), gray(values.copy()), PatchGrid.from_dims(28, 28))
+        assert (diffs == 0.0).all()
+        assert not threshold_diffs(diffs, 0.03).any()
 
     def test_uniform_patch_delta_sets_exact_mean(self):
         grid = PatchGrid.from_dims(28, 28)
@@ -44,28 +45,27 @@ class TestPixelDiff:
         b = a.copy()
         u0, v0, u1, v1 = grid.patch_region(2)
         b[u0 : u1 + 1, v0 : v1 + 1] += 0.05
-        result = pixel_diff(gray(b), gray(a), grid, 0.03)
-        assert result.diffs[2] == pytest.approx(0.05, abs=1e-15)
-        assert list(result.mask) == [0, 0, 1, 0]
+        diffs = patch_diffs(gray(b), gray(a), grid)
+        assert diffs[2] == pytest.approx(0.05, abs=1e-15)
+        assert list(threshold_diffs(diffs, 0.03)) == [0, 0, 1, 0]
 
     def test_single_pixel_change_stays_below_threshold(self):
         grid = PatchGrid.from_dims(28, 28)
         a = np.zeros((28, 28))
         b = a.copy()
         b[3, 5] = 0.196
-        result = pixel_diff(gray(b), gray(a), grid, 0.03)
-        assert result.diffs[0] == 0.196 / 196
-        assert brute_force_diffs(b, a, grid)[0] == pytest.approx(result.diffs[0], abs=1e-15)
-        assert not result.mask.any()
+        diffs = patch_diffs(gray(b), gray(a), grid)
+        assert diffs[0] == 0.196 / 196
+        assert brute_force_diffs(b, a, grid)[0] == pytest.approx(diffs[0], abs=1e-15)
+        assert not threshold_diffs(diffs, 0.03).any()
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(7)
         grid = PatchGrid.from_dims(42, 28)
         a = rng.random((28, 42))
         b = rng.random((28, 42))
-        result = pixel_diff(gray(a), gray(b), grid, 0.1)
         oracle = brute_force_diffs(a, b, grid)
-        assert np.abs(result.diffs - oracle).max() <= 1e-12
+        assert np.abs(patch_diffs(gray(a), gray(b), grid) - oracle).max() <= 1e-12
 
     def test_threshold_is_strict(self):
         # Dyadic values keep both the mean and the threshold exact, so the
@@ -73,17 +73,17 @@ class TestPixelDiff:
         grid = PatchGrid.from_dims(14, 14)
         a = np.zeros((14, 14))
         b = np.full((14, 14), 1.0 / 32.0)
-        result = pixel_diff(gray(b), gray(a), grid, 1.0 / 32.0)
-        assert result.diffs[0] == 1.0 / 32.0
-        assert result.mask[0] == 0
+        diffs = patch_diffs(gray(b), gray(a), grid)
+        assert diffs[0] == 1.0 / 32.0
+        assert threshold_diffs(diffs, 1.0 / 32.0)[0] == 0
 
     def test_symmetric_in_frame_order(self):
         rng = np.random.default_rng(8)
         a, b = rng.random((28, 28)), rng.random((28, 28))
         grid = PatchGrid.from_dims(28, 28)
-        forward = pixel_diff(gray(a), gray(b), grid, 0.05)
-        backward = pixel_diff(gray(b), gray(a), grid, 0.05)
-        assert np.array_equal(forward.diffs, backward.diffs)
+        forward = patch_diffs(gray(a), gray(b), grid)
+        backward = patch_diffs(gray(b), gray(a), grid)
+        assert np.array_equal(forward, backward)
 
     def test_invariant_under_global_shift(self):
         # 8-bit dyadic values plus a dyadic shift make the additions exact.
@@ -91,21 +91,22 @@ class TestPixelDiff:
         a = rng.integers(0, 192, size=(28, 28)) / 256.0
         b = rng.integers(0, 192, size=(28, 28)) / 256.0
         grid = PatchGrid.from_dims(28, 28)
-        plain = pixel_diff(gray(a), gray(b), grid, 0.05)
-        shifted = pixel_diff(gray(a + 0.25), gray(b + 0.25), grid, 0.05)
-        assert np.array_equal(plain.diffs, shifted.diffs)
+        plain = patch_diffs(gray(a), gray(b), grid)
+        shifted = patch_diffs(gray(a + 0.25), gray(b + 0.25), grid)
+        assert np.array_equal(plain, shifted)
 
     def test_dimension_mismatch_rejected(self):
         grid = PatchGrid.from_dims(28, 28)
         with pytest.raises(ValueError):
-            pixel_diff(gray(np.zeros((28, 28))), gray(np.zeros((14, 14))), grid, 0.03)
+            patch_diffs(gray(np.zeros((28, 28))), gray(np.zeros((14, 14))), grid)
         with pytest.raises(ValueError):
-            pixel_diff(gray(np.zeros((14, 14))), gray(np.zeros((14, 14))), grid, 0.03)
+            patch_diffs(gray(np.zeros((14, 14))), gray(np.zeros((14, 14))), grid)
 
     def test_negative_threshold_rejected(self):
         grid = PatchGrid.from_dims(14, 14)
+        diffs = patch_diffs(gray(np.zeros((14, 14))), gray(np.zeros((14, 14))), grid)
         with pytest.raises(ValueError):
-            pixel_diff(gray(np.zeros((14, 14))), gray(np.zeros((14, 14))), grid, -0.1)
+            threshold_diffs(diffs, -0.1)
 
     def test_auto_threshold_mode(self):
         grid = PatchGrid.from_dims(28, 28)
@@ -113,10 +114,11 @@ class TestPixelDiff:
         b = a.copy()
         u0, v0, u1, v1 = grid.patch_region(3)
         b[u0 : u1 + 1, v0 : v1 + 1] = 0.4
-        result = pixel_diff(gray(b), gray(a), grid, None)
-        assert result.threshold == pytest.approx(auto_threshold(result.diffs))
+        diffs = patch_diffs(gray(b), gray(a), grid)
+        mask = threshold_diffs(diffs, None)
+        assert np.array_equal(mask, threshold_diffs(diffs, auto_threshold(diffs)))
         # Only the outlier patch clears mean + stddev.
-        assert list(result.mask) == [0, 0, 0, 1]
+        assert list(mask) == [0, 0, 0, 1]
 
 
 class TestAttentionScores:
@@ -192,20 +194,20 @@ class TestAttentionScores:
 
 class TestTopK:
     def test_selects_two_highest(self):
-        result = top_k_mask(np.array([0.1, 0.4, 0.3, 0.2]), 2)
-        assert list(result.mask) == [0, 1, 1, 0]
+        mask = top_k_mask(np.array([0.1, 0.4, 0.3, 0.2]), 2)
+        assert list(mask) == [0, 1, 1, 0]
 
     def test_tie_goes_to_lower_index(self):
-        result = top_k_mask(np.array([0.5, 0.5, 0.1]), 1)
-        assert list(result.mask) == [1, 0, 0]
+        mask = top_k_mask(np.array([0.5, 0.5, 0.1]), 1)
+        assert list(mask) == [1, 0, 0]
 
     def test_k_zero_selects_nothing(self):
-        result = top_k_mask(np.array([0.5, 0.5, 0.1]), 0)
-        assert not result.mask.any()
+        mask = top_k_mask(np.array([0.5, 0.5, 0.1]), 0)
+        assert not mask.any()
 
     def test_k_beyond_n_selects_all(self):
-        result = top_k_mask(np.array([0.5, 0.5, 0.1]), 99)
-        assert result.mask.all()
+        mask = top_k_mask(np.array([0.5, 0.5, 0.1]), 99)
+        assert mask.all()
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
@@ -215,39 +217,50 @@ class TestTopK:
         rng = np.random.default_rng(12)
         for _ in range(50):
             scores = np.round(rng.random(32), 2)  # quantized to force ties
-            mask = top_k_mask(scores, 10).mask
+            mask = top_k_mask(scores, 10)
             assert mask.sum() == 10
             assert scores[mask == 1].min() >= scores[mask == 0].max()
 
     def test_permutation_consistency_for_distinct_scores(self):
         rng = np.random.default_rng(13)
         scores = rng.permutation(np.linspace(0.0, 1.0, 40))
-        mask = top_k_mask(scores, 7).mask
+        mask = top_k_mask(scores, 7)
         perm = rng.permutation(40)
-        permuted_mask = top_k_mask(scores[perm], 7).mask
+        permuted_mask = top_k_mask(scores[perm], 7)
         restored = np.empty(40, dtype=permuted_mask.dtype)
         restored[perm] = permuted_mask
         assert np.array_equal(restored, mask)
 
 
 class TestRateTarget:
+    def test_detectors_return_uint8_masks(self):
+        scores = np.array([0.1, 0.4, 0.3, 0.2])
+        for mask in (
+            threshold_diffs(scores, 0.25),
+            top_k_mask(scores, 2),
+            rate_target_mask(scores, 0.5),
+        ):
+            assert mask.dtype == np.uint8
+            assert list(mask) == [0, 1, 1, 0]
+
+
     def test_target_030_selects_seven_of_ten(self):
-        result = rate_target_mask(np.arange(10.0), 0.30)
-        assert result.mask.sum() == 7
+        mask = rate_target_mask(np.arange(10.0), 0.30)
+        assert mask.sum() == 7
 
     def test_target_zero_selects_all(self):
-        result = rate_target_mask(np.arange(10.0), 0.0)
-        assert result.mask.all()
+        mask = rate_target_mask(np.arange(10.0), 0.0)
+        assert mask.all()
 
     def test_target_one_selects_none(self):
-        result = rate_target_mask(np.arange(10.0), 1.0)
-        assert not result.mask.any()
+        mask = rate_target_mask(np.arange(10.0), 1.0)
+        assert not mask.any()
 
     def test_float_products_do_not_over_select(self):
         # ceil((1 - 0.35) * 20) must be 13 even though 0.65 * 20 can float
         # slightly above 13.
-        result = rate_target_mask(np.arange(20.0), 0.35)
-        assert result.mask.sum() == 13
+        mask = rate_target_mask(np.arange(20.0), 0.35)
+        assert mask.sum() == 13
 
     def test_invalid_fraction_rejected(self):
         with pytest.raises(ValueError):

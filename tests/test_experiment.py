@@ -152,7 +152,33 @@ class TestTensorFileAttention:
         )
         _, slice_ = encoder(frames[0])
         assert slice_.text_rows.dtype == np.float64
-        assert slice_.action_row is not None
+        assert slice_.action_row is None
+
+    @pytest.mark.parametrize("content", ["three_heads", "junk"])
+    def test_other_kind_of_attention_file_is_never_read(self, tmp_path, content):
+        # A text-mode run reads text tensors only; an action file that would
+        # not load, or that disagrees with the text set, changes nothing.
+        attention_dir = tmp_path / "attn"
+        write_attention_files(attention_dir, frame_count=5)
+        for t in range(5):
+            (attention_dir / f"attn_action_{t:06d}.ttft").unlink()
+        config = build_run_config(
+            small_values(
+                attention_source="tensor_files",
+                attention_dir=str(attention_dir),
+                text_tokens=2,
+                heads=2,
+            )
+        )
+        baseline = write_run_outputs(run_experiment(config), tmp_path / "without")
+        other = attention_dir / "attn_action_000002.ttft"
+        if content == "junk":
+            other.write_bytes(b"not a tensor")
+        else:
+            write_tensor(other, np.full((3, 4), 0.25, dtype=np.float32))
+        report = write_run_outputs(run_experiment(config), tmp_path / "with")
+        with open(baseline, "rb") as a, open(report, "rb") as b:
+            assert a.read() == b.read()
 
 
 class TestFrameDirectory:

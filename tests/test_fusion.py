@@ -71,31 +71,17 @@ class TestIsKeyframe:
 
 class TestCombineMasks:
     def test_logical_or_per_patch(self):
-        config = small_config()
         pixel = np.array([0, 0, 1, 1], dtype=np.uint8)
         attention = np.array([1, 0, 0, 1], dtype=np.uint8)
-        assert list(combine_masks(pixel, attention, config)) == [1, 0, 1, 1]
-
-    def test_pixel_only_mode_equals_pixel_mask(self):
-        config = small_config(enable_attention=False)
-        pixel = np.array([0, 1, 0, 1], dtype=np.uint8)
-        attention = np.array([1, 1, 1, 1], dtype=np.uint8)
-        assert np.array_equal(combine_masks(pixel, attention, config), pixel)
-
-    def test_attention_only_mode_equals_attention_mask(self):
-        config = small_config(enable_pixel=False)
-        pixel = np.array([1, 1, 1, 1], dtype=np.uint8)
-        attention = np.array([0, 1, 1, 0], dtype=np.uint8)
-        assert np.array_equal(combine_masks(pixel, attention, config), attention)
+        assert list(combine_masks(pixel, attention)) == [1, 0, 1, 1]
 
     def test_all_ones_gives_all_ones(self):
-        config = small_config()
         ones = np.ones(4, dtype=np.uint8)
-        assert combine_masks(ones, ones, config).all()
+        assert combine_masks(ones, ones).all()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            combine_masks(np.zeros(4, dtype=np.uint8), np.zeros(5, dtype=np.uint8), small_config())
+            combine_masks(np.zeros(4, dtype=np.uint8), np.zeros(5, dtype=np.uint8))
 
 
 class TestFuseTokens:
@@ -175,6 +161,36 @@ class TestStep:
             assert result.pixel_mask.sum() == 0
             assert result.attention_mask.sum() == 3
             assert result.fusion_rate == 1 / 4
+
+    @staticmethod
+    def non_keyframe_steps(config):
+        """Steps 1..5 of a noisy walker episode, where both detectors flag
+        some patches and leave others."""
+        encoder = small_encoder()
+        state, results = FusionState(), []
+        for frame in small_frames(6, walker=True, noise_amplitude=0.05, seed=6):
+            result, state = step(state, frame, encoder, config)
+            results.append(result)
+        return results[1:]
+
+    def test_pixel_only_mode_fusion_mask_equals_pixel_mask(self):
+        config = small_config(keyframe_interval=100, top_k=1, enable_attention=False)
+        results = self.non_keyframe_steps(config)
+        assert any(r.pixel_mask.any() for r in results)
+        for result in results:
+            assert not result.attention_mask.any()
+            assert np.array_equal(result.fusion_mask, result.pixel_mask)
+
+    def test_attention_only_mode_fusion_mask_equals_attention_mask(self):
+        config = small_config(keyframe_interval=100, top_k=1, enable_pixel=False)
+        assert any(r.pixel_mask.any() for r in self.non_keyframe_steps(
+            small_config(keyframe_interval=100, top_k=1)
+        ))
+        for result in self.non_keyframe_steps(config):
+            assert not result.pixel_mask.any()
+            assert not result.diffs.any()
+            assert result.attention_mask.sum() == 1
+            assert np.array_equal(result.fusion_mask, result.attention_mask)
 
     def test_missing_prev_attention_recomputes_everything(self):
         tokens = {0: np.zeros((4, 8)), 1: np.ones((4, 8))}

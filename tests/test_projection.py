@@ -7,7 +7,6 @@ from ttfusion.projection import (
     ProjectionSet,
     equivalence_failures,
     project_full,
-    project_selective,
     verify_equivalence,
 )
 from ttfusion.synthetic import SynthSpec, generate_frames
@@ -65,65 +64,8 @@ class TestProjectFull:
         assert np.allclose(project_full(tokens, weights), reference, rtol=1e-12, atol=1e-12)
 
 
-class TestProjectSelective:
-    def test_all_ones_matches_full_with_no_reuse(self):
-        rng = np.random.default_rng(2)
-        tokens = rng.standard_normal((6, 8))
-        weights = rng.standard_normal((8, 8))
-        out, ledger = project_selective(tokens, None, np.ones(6, dtype=np.uint8), weights)
-        assert np.array_equal(out, project_full(tokens, weights))
-        assert (ledger.reused_rows, ledger.recomputed_rows) == (0, 6)
-        assert ledger.saved_multiplications == 0
-        assert ledger.max_row_error == 0.0
-
-    def test_all_zeros_with_unchanged_tokens_copies_previous(self):
-        rng = np.random.default_rng(3)
-        tokens = rng.standard_normal((6, 8))
-        weights = rng.standard_normal((8, 8))
-        prev = project_full(tokens, weights)
-        out, ledger = project_selective(tokens, prev, np.zeros(6, dtype=np.uint8), weights)
-        assert np.array_equal(out, prev)
-        assert ledger.max_row_error == 0.0
-        assert ledger.reused_rows == 6
-
-    def test_saved_multiplication_counting(self):
-        rng = np.random.default_rng(4)
-        tokens = rng.standard_normal((256, 64))
-        weights = rng.standard_normal((64, 64))
-        mask = np.ones(256, dtype=np.uint8)
-        mask[:110] = 0
-        prev = project_full(tokens, weights)
-        _, ledger = project_selective(tokens, prev, mask, weights)
-        assert ledger.saved_multiplications == 110 * 64 * 64 == 450560
-
-    def test_missing_previous_projection_rejected(self):
-        tokens = np.zeros((4, 4))
-        with pytest.raises(ValueError):
-            project_selective(tokens, None, np.array([0, 1, 1, 1], dtype=np.uint8), np.eye(4))
-
-    def test_previous_projection_left_unchanged(self):
-        rng = np.random.default_rng(7)
-        tokens = rng.standard_normal((6, 8))
-        weights = rng.standard_normal((8, 8))
-        prev = np.ones((6, 8))
-        mask = np.array([1, 0, 1, 0, 0, 1], dtype=np.uint8)
-        out, _ = project_selective(tokens, prev, mask, weights)
-        assert np.array_equal(prev, np.ones((6, 8)))
-        assert np.array_equal(out[[0, 2, 5]], project_full(tokens, weights)[[0, 2, 5]])
-        assert np.array_equal(out[[1, 3, 4]], np.ones((3, 8)))
-
-    def test_corrupted_previous_row_is_localised(self):
-        rng = np.random.default_rng(5)
-        tokens = rng.standard_normal((6, 8))
-        weights = rng.standard_normal((8, 8))
-        prev = project_full(tokens, weights)
-        prev[3, 2] += 1.0
-        out, ledger = project_selective(tokens, prev, np.zeros(6, dtype=np.uint8), weights)
-        assert ledger.max_row_error == pytest.approx(1.0)
-        assert ledger.worst_row == 3
-        reference = project_full(tokens, weights)
-        differing_rows = np.nonzero((out != reference).any(axis=1))[0]
-        assert list(differing_rows) == [3]
+def pairs_of(sequence):
+    return [(s.fused_tokens.values, s.fusion_mask) for s in sequence.steps]
 
 
 class TestVerifyEquivalence:
@@ -148,13 +90,13 @@ class TestVerifyEquivalence:
     def test_full_run_is_bit_exact(self):
         sequence = self.run_small_sequence()
         projections = ProjectionSet.generate(8, 9)
-        checks = verify_equivalence(sequence.steps, projections)
+        checks = verify_equivalence(pairs_of(sequence), projections)
         assert max(c.max_error for c in checks) == 0.0
         assert equivalence_failures(checks) == []
 
     def test_keyframe_steps_recompute_all_rows(self):
         sequence = self.run_small_sequence()
-        checks = verify_equivalence(sequence.steps, ProjectionSet.generate(8, 9))
+        checks = verify_equivalence(pairs_of(sequence), ProjectionSet.generate(8, 9))
         for result, check in zip(sequence.steps, checks):
             if result.is_keyframe:
                 assert check.reused_rows == 0
@@ -162,13 +104,13 @@ class TestVerifyEquivalence:
 
     def test_reused_rows_match_fusion_rate(self):
         sequence = self.run_small_sequence()
-        checks = verify_equivalence(sequence.steps, ProjectionSet.generate(8, 9))
+        checks = verify_equivalence(pairs_of(sequence), ProjectionSet.generate(8, 9))
         for result, check in zip(sequence.steps, checks):
             assert check.reused_rows / 4 == result.fusion_rate
 
     def test_savings_match_independent_recount(self):
         sequence = self.run_small_sequence()
-        checks = verify_equivalence(sequence.steps, ProjectionSet.generate(8, 9))
+        checks = verify_equivalence(pairs_of(sequence), ProjectionSet.generate(8, 9))
         recount = sum(
             int(np.count_nonzero(step.fusion_mask == 0)) * 8 * 8 * 3
             for step in sequence.steps
@@ -196,6 +138,58 @@ class TestVerifyEquivalence:
         assert failures
         assert any(f"row {target}" in failure for failure in failures)
         assert any("step 2" in failure for failure in failures)
+
+    def test_all_ones_masks_reuse_nothing(self):
+        # Every row recomputed: unrelated tokens at each step are no gap.
+        rng = np.random.default_rng(2)
+        ones = np.ones(6, dtype=np.uint8)
+        pairs = [(rng.standard_normal((6, 8)), ones) for _ in range(3)]
+        checks = verify_equivalence(pairs, ProjectionSet.generate(8, 2))
+        assert [(c.reused_rows, c.saved_multiplications) for c in checks] == [(0, 0)] * 3
+        assert [c.max_error for c in checks] == [0.0] * 3
+        assert all(c.worst_rows == {} for c in checks)
+
+    def test_all_zeros_mask_with_unchanged_tokens_copies_previous_rows(self):
+        tokens = np.random.default_rng(3).standard_normal((6, 8))
+        pairs = [(tokens, np.ones(6, dtype=np.uint8)), (tokens, np.zeros(6, dtype=np.uint8))]
+        checks = verify_equivalence(pairs, ProjectionSet.generate(8, 3))
+        assert checks[1].reused_rows == 6
+        assert checks[1].max_error == 0.0
+        assert equivalence_failures(checks) == []
+
+    def test_saved_multiplication_counting(self):
+        tokens = np.random.default_rng(4).standard_normal((256, 64))
+        mask = np.ones(256, dtype=np.uint8)
+        mask[:110] = 0
+        pairs = [(tokens, np.ones(256, dtype=np.uint8)), (tokens, mask)]
+        checks = verify_equivalence(pairs, ProjectionSet.generate(64, 4))
+        assert checks[1].saved_multiplications == 3 * 110 * 64 * 64 == 1351680
+        assert checks[1].max_error == 0.0
+
+    def test_corrupted_reused_row_is_localised(self):
+        tokens = np.random.default_rng(5).standard_normal((6, 8))
+        changed = tokens.copy()
+        changed[3, 2] += 1.0
+        pairs = [(tokens, np.ones(6, dtype=np.uint8)), (changed, np.zeros(6, dtype=np.uint8))]
+        projections = ProjectionSet.generate(8, 5)
+        check = verify_equivalence(pairs, projections)[1]
+        # The copied row 3 misses exactly token entry 2 times weight row 2.
+        for name in ("query", "key", "value"):
+            weights = getattr(projections, name)
+            error = getattr(check, f"{name}_error")
+            assert error == pytest.approx(np.abs(weights[2]).max())
+        assert check.worst_rows == {"query": 3, "key": 3, "value": 3}
+
+    def test_reuse_at_first_step_rejected(self):
+        pairs = [(np.zeros((4, 4)), np.array([0, 1, 1, 1], dtype=np.uint8))]
+        with pytest.raises(ValueError, match="step 0: 1 rows marked for reuse"):
+            verify_equivalence(pairs, ProjectionSet.generate(4, 0))
+
+    def test_mask_length_mismatch_rejected(self):
+        tokens = np.zeros((4, 4))
+        pairs = [(tokens, np.ones(4, dtype=np.uint8)), (tokens, np.ones(5, dtype=np.uint8))]
+        with pytest.raises(ValueError, match="step 1: mask length"):
+            verify_equivalence(pairs, ProjectionSet.generate(4, 0))
 
 
 def reference_project_selective(tokens, prev_projection, fusion_mask, weights):
@@ -246,8 +240,8 @@ def reference_verify(pairs, projections):
 
 
 class TestVerifyMatchesPerMatrixChain:
-    """verify_equivalence against the per-matrix project_selective chain it
-    replaced, on clean and tampered runs."""
+    """verify_equivalence against a per-matrix selective-projection chain,
+    on clean and tampered runs."""
 
     ROWS, DIM = 12, 8
 
@@ -316,16 +310,6 @@ class TestVerifyMatchesPerMatrixChain:
         pairs[3][0][6] = -0.0
         checks = self.assert_same(pairs)
         assert equivalence_failures(checks) == []
-        # BLAS sums zeros to +0.0, so a -0.0 projection row can only come
-        # from the caller: a copied -0.0 against a recomputed +0.0 is no gap.
-        tokens, mask = pairs[2]
-        weights = ProjectionSet.generate(self.DIM, 4).key
-        prev = project_full(tokens, weights)
-        prev[6] = -0.0
-        out, ledger = project_selective(tokens, prev, mask, weights)
-        _, (_, _, error, worst_row) = reference_project_selective(tokens, prev, mask, weights)
-        assert (ledger.max_row_error, ledger.worst_row) == (error, worst_row) == (0.0, None)
-        assert np.signbit(out[6]).all()
 
 
 class TestProjectionSet:
