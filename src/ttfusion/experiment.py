@@ -15,13 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import TEXT_TO_VISION, AttentionSlice
-from .frames import FrameObservation, GrayscaleImage, PatchGrid, load_frame, read_pgm, write_pgm
+from .frames import (
+    FrameError,
+    FrameObservation,
+    GrayscaleImage,
+    PatchGrid,
+    load_frame,
+    read_pgm,
+    write_pgm,
+)
 from .fusion import SequenceResult, run_sequences
 from .projection import EquivalenceCheck, ProjectionSet, verify_equivalence
 from .report import build_report, build_sweep_summary, load_report, write_report
 from .runconfig import ATTENTION_SOURCE_TENSOR_FILES, RunConfig, apply_parameter, config_echo
 from .synthetic import FRAME_NAME, generate_frames
-from .tensor_io import read_tensor, write_tensor
+from .tensor_io import TensorFormatError, read_tensor, write_tensor
 from .toy_encoder import EncoderSpec, ToyEncoder, encode
 
 logger = logging.getLogger("ttfusion")
@@ -257,11 +265,14 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[EquivalenceCh
 
     The run must have been written with ``emit_tokens`` (and ``emit_masks``
     unless every step was a keyframe); projection weights are regenerated
-    from the config echo.
+    from the config echo.  A token dump that is not (patches, token_dim)
+    raises ``TensorFormatError`` and a mask that is not the patch grid
+    raises ``FrameError``, each naming the file and both shapes.
     """
     report = load_report(os.path.join(run_dir, REPORT_NAME))
     config = report["config"]
-    grid_patches = PatchGrid.from_dims(config["width"], config["height"]).patch_count
+    grid = PatchGrid.from_dims(config["width"], config["height"])
+    token_shape = (grid.patch_count, config["token_dim"])
     items = []
     for record in report["steps"]:
         t = record["t"]
@@ -271,15 +282,28 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[EquivalenceCh
                 f"token dump not found: {token_path} (run with emit_tokens = true)"
             )
         tokens = read_tensor(token_path).astype(np.float64)
+        if tokens.shape != token_shape:
+            raise TensorFormatError(
+                "bad-shape",
+                f"{token_path}: token dump is {tokens.shape}, expected "
+                f"{token_shape} (patches, token_dim)",
+            )
         if record["is_keyframe"]:
-            mask = np.ones(grid_patches, dtype=np.uint8)
+            mask = np.ones(grid.patch_count, dtype=np.uint8)
         else:
             mask_path = os.path.join(run_dir, MASK_DIR, MASK_NAME.format(t))
             if not os.path.exists(mask_path):
                 raise FileNotFoundError(
                     f"mask file not found: {mask_path} (run with emit_masks = true)"
                 )
-            mask = (read_pgm(mask_path).ravel() > 0).astype(np.uint8)
+            image = read_pgm(mask_path)
+            if image.shape != (grid.rows, grid.cols):
+                raise FrameError(
+                    "bad-dimensions",
+                    f"{mask_path}: mask is {image.shape}, expected "
+                    f"{(grid.rows, grid.cols)} (patch grid rows, cols)",
+                )
+            mask = (image.ravel() > 0).astype(np.uint8)
         items.append((tokens, mask))
     projections = ProjectionSet.generate(config["token_dim"], config["seed"])
     checks = verify_equivalence(items, projections)

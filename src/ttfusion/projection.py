@@ -7,11 +7,16 @@ recomputed.  :func:`verify_equivalence` replays a run's fused tokens and
 fusion masks, counts the multiplications that copying avoids, and checks
 the shortcut against a full recomputation.  Equality is demanded
 bit-exact, which requires each output row to be a deterministic function
-of its own token row alone: :func:`project_full` computes every row as its
-own fixed-shape (1 x d) by (d x d) BLAS product.  A plain batched
-``x @ W`` does not qualify, because BLAS may sum a row in a different
-order depending on how many rows share the call: at d = 64 a row computed
-alone differs in the last bits from the same row inside a batch of 256.
+of its own token row alone.  A plain batched ``x @ W`` does not qualify,
+because BLAS may sum a row in a different order depending on how many
+rows share the call: at d = 64 a row computed alone differs in the last
+bits from the same row inside a batch of 256.  :func:`project_full`
+therefore sends every row through the same fixed-shape (32 x d) by
+(d x d) product: the rows are viewed as chunks of ``CHUNK_ROWS`` = 32 and
+multiplied in one batched call into a preallocated output, and only the
+last partial chunk is copied into a zero-padded 32-row buffer.  Copying
+all rows into one padded buffer instead would fault in fresh pages on
+every call and cost more than the product it feeds.
 
 The check of one step gathers the m recomputed rows (mask 1) once and
 shares them by the query, key and value matrices.  For each matrix it
@@ -28,6 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .prng import SplitMix64
+
+# Rows per fixed-shape product in project_full.
+CHUNK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -85,17 +93,34 @@ class EquivalenceCheck:
 def project_full(tokens, weights: np.ndarray) -> np.ndarray:
     """Dense projection, output row i = token row i times the weight matrix.
 
-    Each row is its own fixed-shape (1 x d) by (d x d) product, so output
-    row i depends on token row i alone, bit for bit, whatever other rows
-    are in the batch and however the input is laid out in memory.  One
-    batched ``values @ weights`` would not be: its per-row summation order
-    can change with the row count (see the module docstring).
+    Every row goes through the same fixed-shape (32 x d) by (d x d) BLAS
+    product, so output row i depends on token row i alone, bit for bit,
+    whatever other rows are in the batch and however the input is laid out
+    in memory.  Whole chunks of ``CHUNK_ROWS`` rows are multiplied in place
+    as a ``(m // 32, 32, d)`` view; only the tail chunk is padded with zero
+    rows, so no full padded copy of the input is made.  One batched
+    ``values @ weights`` would not be row-invariant: its per-row summation
+    order can change with the row count (see the module docstring).
     """
     values = np.asarray(tokens, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if values.ndim != 2 or weights.ndim != 2 or values.shape[1] != weights.shape[0]:
         raise ValueError(f"shape mismatch: tokens {values.shape} vs weights {weights.shape}")
-    return np.matmul(np.ascontiguousarray(values)[:, None, :], weights)[:, 0, :]
+    values = np.ascontiguousarray(values)
+    (m, d), width = values.shape, weights.shape[1]
+    out = np.empty((m, width))
+    whole = m - m % CHUNK_ROWS
+    if whole:
+        np.matmul(
+            values[:whole].reshape(-1, CHUNK_ROWS, d),
+            weights,
+            out=out[:whole].reshape(-1, CHUNK_ROWS, width),
+        )
+    if whole < m:
+        tail = np.zeros((1, CHUNK_ROWS, d))
+        tail[0, : m - whole] = values[whole:]
+        out[whole:] = np.matmul(tail, weights)[0, : m - whole]
+    return out
 
 
 def verify_equivalence(pairs, projections: ProjectionSet) -> list[EquivalenceCheck]:

@@ -24,7 +24,8 @@ class TensorFormatError(ValueError):
     """Rejected tensor file.
 
     ``code`` is one of ``bad-magic``, ``bad-version``, ``dim-overflow``,
-    ``truncated``.
+    ``truncated``, or ``bad-shape`` (a well-formed file whose shape its
+    reader cannot use).
     """
 
     def __init__(self, code: str, message: str):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ttfusion.cli import main
-from ttfusion.frames import read_pgm
+from ttfusion.frames import read_pgm, write_pgm
 from ttfusion.tensor_io import read_tensor, write_tensor
 
 SMALL = """
@@ -292,6 +292,25 @@ class TestVerifyQReuse:
         (out / "report.json").write_text(json.dumps(payload))
         assert main(["verify-qreuse", "--run", str(out)]) == 3
         assert "30x28" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad_shape",
+        [(4, 4), (4, 8, 1), (3, 8), (32,)],
+        ids=["half-columns", "3-d", "short-rows", "1-d"],
+    )
+    def test_wrong_shape_token_dump_exits_3(self, tmp_path, capsys, bad_shape):
+        out = self.run_with_artifacts(tmp_path)  # 4 patches of token_dim 8
+        write_tensor(out / "tokens" / "fused_000002.ttft", np.zeros(bad_shape))
+        assert main(["verify-qreuse", "--run", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "fused_000002.ttft" in err and str(bad_shape) in err and "(4, 8)" in err
+
+    def test_wrong_size_mask_exits_3(self, tmp_path, capsys):
+        out = self.run_with_artifacts(tmp_path)  # a 2 x 2 patch grid
+        write_pgm(out / "masks" / "mask_000002.pgm", np.full((2, 3), 255, dtype=np.uint8))
+        assert main(["verify-qreuse", "--run", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "mask_000002.pgm" in err and "(2, 3)" in err and "(2, 2)" in err
 
     def test_missing_token_dumps_exit_3(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL)

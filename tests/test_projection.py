@@ -63,6 +63,32 @@ class TestProjectFull:
             reference += tokens[:, k : k + 1] * weights[k]
         assert np.allclose(project_full(tokens, weights), reference, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize(("d", "n"), [(64, 1024), (256, 256)])
+    def test_rows_are_bit_exact_across_chunk_boundaries(self, d, n):
+        # project_full multiplies rows in 32-row chunks and pads only the
+        # tail chunk; n = 1024 is the 448 px patch count.
+        rng = np.random.default_rng(d + n)
+        tokens = rng.standard_normal((n, d))
+        weights = rng.standard_normal((d, d))
+        full = project_full(tokens, weights)
+
+        # One fixed row at each offset of a whole chunk and of a tail chunk.
+        row = tokens[0]
+        for offset in range(32):
+            whole = rng.standard_normal((64, d))
+            whole[offset] = row
+            assert np.array_equal(project_full(whole, weights)[offset], full[0])
+            tail = rng.standard_normal((32 + offset + 1, d))
+            tail[32 + offset] = row
+            assert np.array_equal(project_full(tail, weights)[32 + offset], full[0])
+
+        for size in (0, 1, 31, 32, 33, 63, 64, 65, n - 1):
+            rows = np.sort(rng.choice(n, size=size, replace=False))
+            assert np.array_equal(project_full(tokens[rows], weights), full[rows])
+        rolled = project_full(np.roll(tokens, 5, axis=0), weights)
+        assert np.array_equal(rolled, np.roll(full, 5, axis=0))
+        assert project_full(np.empty((0, d)), weights).shape == (0, d)
+
 
 def pairs_of(sequence):
     return [(s.fused_tokens.values, s.fusion_mask) for s in sequence.steps]
