@@ -40,18 +40,20 @@ from .fusion import (
     combine_masks,
     fuse_tokens,
     is_keyframe,
+    lockstep,
     run_sequence,
     step,
 )
 from .projection import (
     EquivalenceCheck,
     ProjectionSet,
+    ReuseChecker,
     project_full,
     verify_equivalence,
 )
 from .prng import SplitMix64
 from .runconfig import ConfigError, RunConfig, load_config_file
-from .synthetic import SynthSpec, generate_frames, walker_patch, write_sequence
+from .synthetic import SynthSpec, generate_frames, iter_frames, walker_patch, write_sequence
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
 from .toy_encoder import EncoderSpec, ToyEncoder, encode, synth_attention
 
@@ -72,6 +74,7 @@ __all__ = [
     "GrayscaleImage",
     "PatchGrid",
     "ProjectionSet",
+    "ReuseChecker",
     "RunConfig",
     "SequenceResult",
     "SplitMix64",
@@ -87,8 +90,10 @@ __all__ = [
     "fuse_tokens",
     "generate_frames",
     "is_keyframe",
+    "iter_frames",
     "load_config_file",
     "load_frame",
+    "lockstep",
     "patch_diffs",
     "project_full",
     "rate_target_mask",

@@ -99,11 +99,11 @@ def _require_exact_reuse(labelled_checks) -> None:
 
 
 def _cmd_run(args) -> int:
-    from .experiment import run_experiment, write_run_outputs
+    from .experiment import REPORT_NAME, run_experiment
 
     config = _load_config(args)
-    result = run_experiment(config)
-    report_path = write_run_outputs(result, config.output_dir)
+    result = run_experiment(config, out_dir=config.output_dir)
+    report_path = os.path.join(config.output_dir, REPORT_NAME)
     _require_exact_reuse([("", result.checks)])
     aggregates = result.report["aggregates"]
     print(
@@ -126,14 +126,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .experiment import run_sweep, write_run_outputs
+    from .experiment import run_sweep
 
     config = _load_config(args)
     values = parse_sweep_values(args.param, args.values)
-    summary, results = run_sweep(config, args.param, values)
-    os.makedirs(config.output_dir, exist_ok=True)
-    for value, result in zip(values, results):
-        write_run_outputs(result, os.path.join(config.output_dir, f"{args.param}_{value}"))
+    summary, results = run_sweep(config, args.param, values, out_dir=config.output_dir)
     summary_path = os.path.join(config.output_dir, "sweep_summary.json")
     _write_json(summary_path, summary)
     csv_path = os.path.join(config.output_dir, "sweep_summary.csv")

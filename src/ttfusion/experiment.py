@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import os
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +25,11 @@ from .frames import (
     read_pgm,
     write_pgm,
 )
-from .fusion import SequenceResult, run_sequences
-from .projection import EquivalenceCheck, ProjectionSet, verify_equivalence
-from .report import build_report, build_sweep_summary, load_report, write_report
+from .fusion import StepResult, lockstep
+from .projection import EquivalenceCheck, ProjectionSet, ReuseChecker, verify_equivalence
+from .report import build_report, build_sweep_summary, load_report, step_record, write_report
 from .runconfig import ATTENTION_SOURCE_TENSOR_FILES, RunConfig, apply_parameter, config_echo
-from .synthetic import FRAME_NAME, generate_frames
+from .synthetic import FRAME_NAME, iter_frames
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
 from .toy_encoder import EncoderSpec, ToyEncoder, encode
 
@@ -48,38 +49,56 @@ _ATTENTION_NAMES = {"text": TEXT_ATTENTION_NAME, "action": ACTION_ATTENTION_NAME
 
 @dataclass
 class ExperimentResult:
+    """One point of a run: its config, one Q/K/V reuse check per step, and
+    its report."""
+
     config: RunConfig
-    sequence: SequenceResult
     checks: list[EquivalenceCheck]
     report: dict
 
 
-def load_frames_dir(path: str | os.PathLike) -> list[FrameObservation]:
-    """Load frame_%06d.ppm files starting at index 0.
+@dataclass(frozen=True)
+class FrameDirectory:
+    """Frames 0..count - 1 of a directory of frame_%06d.ppm files, each
+    loaded only when iteration reaches it."""
+
+    path: str
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        for t in range(self.count):
+            # A file removed since the directory was listed fails here, and
+            # the OSError names it.
+            yield load_frame(os.path.join(self.path, FRAME_NAME.format(t)), t)
+
+
+def load_frames_dir(path: str | os.PathLike) -> FrameDirectory:
+    """List the frame_%06d.ppm files starting at index 0, once.
 
     The indices must be contiguous: a missing index below the highest one
     present raises ``FileNotFoundError`` naming the first missing index.
+    No frame is read here; iterating the result loads each in turn.
     """
     if not os.path.isdir(path):
         raise FileNotFoundError(f"frames directory not found: {path}")
-    frames = []
-    t = 0
-    while True:
-        frame_path = os.path.join(path, FRAME_NAME.format(t))
-        if not os.path.exists(frame_path):
-            break
-        frames.append(load_frame(frame_path, t))
-        t += 1
-    if not frames:
+    names = os.listdir(path)
+    present = set(names)
+    count = 0
+    while FRAME_NAME.format(count) in present:
+        count += 1
+    if not count:
         raise FileNotFoundError(f"no frame_000000.ppm in {path}: first frame missing")
-    # t is the first missing index; any higher index on disk is a gap.
-    indices = [int(m[1]) for m in map(_FRAME_FILE.fullmatch, os.listdir(path)) if m]
-    if max(indices) > t:
+    # count is the first missing index; any higher index on disk is a gap.
+    indices = [int(m[1]) for m in map(_FRAME_FILE.fullmatch, names) if m]
+    if max(indices) > count:
         raise FileNotFoundError(
-            f"frame gap in {path}: {FRAME_NAME.format(t)} (index {t}) is missing, "
+            f"frame gap in {path}: {FRAME_NAME.format(count)} (index {count}) is missing, "
             f"but frames up to index {max(indices)} exist"
         )
-    return frames
+    return FrameDirectory(os.fspath(path), count)
 
 
 @dataclass
@@ -155,98 +174,148 @@ def build_encoder(config: RunConfig, frame_count: int):
     return ToyEncoder(spec)
 
 
-def materialize_frames(config: RunConfig) -> list[FrameObservation]:
+def open_frames(config: RunConfig) -> tuple[Iterable[FrameObservation], int]:
+    """The run's frames and their count.  Frames come from ``frames_dir``
+    or the ``synth_*`` keys, each read or generated when the loop reaches
+    it."""
     if config.frames_dir is not None:
-        return load_frames_dir(config.frames_dir)
-    return generate_frames(config.synth)
+        frames = load_frames_dir(config.frames_dir)
+        return frames, len(frames)
+    return iter_frames(config.synth), config.synth.frame_count
 
 
-def run_points(
-    configs: list[RunConfig], frames: list[FrameObservation] | None = None
-) -> list[ExperimentResult]:
-    """Run the same frames once per config: the fusion loop, then each
-    config's Q/K/V reuse verification and report, in order.
+class _Point:
+    """One config's share of the streaming pass: its Q/K/V reuse check, its
+    report records, and its mask and token dumps when it has a directory."""
 
-    Frames come from the first config unless given, and so does the encoder
-    (configs may differ only in fusion knobs the encoder does not read).
-    Every config advances through the frames in lockstep
-    (``fusion.run_sequences``); all steps are held until verified.
-    """
-    if frames is None:
-        frames = materialize_frames(configs[0])
-    encoder = build_encoder(configs[0], len(frames))
-    sequences = run_sequences(frames, encoder, [config.fusion for config in configs])
-    results = []
-    for config, sequence in zip(configs, sequences):
-        projections = ProjectionSet.generate(config.fusion.token_dim, config.seed)
-        checks = verify_equivalence(
-            ((s.fused_tokens.values, s.fusion_mask) for s in sequence.steps), projections
+    def __init__(self, config: RunConfig, out_dir: str | os.PathLike | None):
+        self.config = config
+        self.out_dir = out_dir
+        self.checker = ReuseChecker(
+            ProjectionSet.generate(config.fusion.token_dim, config.seed),
+            config.fusion.grid.patch_count,
         )
-        report = build_report(config_echo(config), sequence, checks)
+        self.checks: list[EquivalenceCheck] = []
+        self.records: list[dict] = []
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            # report.json is written last, so a directory without one holds
+            # an unfinished run, never a stale report beside new dumps.
+            try:
+                os.remove(os.path.join(out_dir, REPORT_NAME))
+            except FileNotFoundError:
+                pass
+            for wanted, name in ((config.emit_masks, MASK_DIR), (config.emit_tokens, TOKEN_DIR)):
+                if wanted:
+                    os.makedirs(os.path.join(out_dir, name), exist_ok=True)
+
+    def add(self, step: StepResult) -> None:
+        check = self.checker.check(step.fused_tokens.values, step.fusion_mask)
+        self.checks.append(check)
+        self.records.append(step_record(step, check))
+        if self.out_dir is None:
+            return
+        t = step.timestep
+        if self.config.emit_masks and not step.is_keyframe:
+            grid = self.config.fusion.grid
+            image = (step.fusion_mask.reshape(grid.rows, grid.cols) * 255).astype(np.uint8)
+            write_pgm(os.path.join(self.out_dir, MASK_DIR, MASK_NAME.format(t)), image)
+        if self.config.emit_tokens:
+            write_tensor(
+                os.path.join(self.out_dir, TOKEN_DIR, TOKEN_NAME.format(t)),
+                step.fused_tokens.values,
+            )
+
+    def finish(self) -> ExperimentResult:
+        report = build_report(config_echo(self.config), self.records)
         aggregates = report["aggregates"]
         logger.info(
             "run: %d steps, mean fusion rate %.4f (all) / %.4f (non-keyframe), max reuse error %g",
             aggregates["steps"],
             aggregates["mean_fusion_rate_all"],
             aggregates["mean_fusion_rate_non_keyframe"],
-            max((c.max_error for c in checks), default=0.0),
+            max((c.max_error for c in self.checks), default=0.0),
         )
-        results.append(
-            ExperimentResult(config=config, sequence=sequence, checks=checks, report=report)
-        )
-    return results
+        result = ExperimentResult(config=self.config, checks=self.checks, report=report)
+        if self.out_dir is not None:
+            write_run_outputs(result, self.out_dir)
+        return result
+
+
+def run_points(
+    configs: list[RunConfig],
+    frames: list[FrameObservation] | None = None,
+    out_dirs: list | None = None,
+) -> list[ExperimentResult]:
+    """Run the same frames once per config, in one streaming pass.
+
+    Frames come from the first config unless given, and so does the encoder
+    (configs may differ only in fusion knobs the encoder does not read).
+    Every config advances through the frames in lockstep
+    (``fusion.lockstep``).  Right after its step, each config's Q/K/V reuse
+    check runs and the step is reduced to its report record; its fused
+    tokens live on only as the next step's history, so memory does not grow
+    with the episode.  With ``out_dirs``, one directory per config, each
+    config's mask and token dumps are written as its steps complete and its
+    report.json after the last step.
+    """
+    if frames is None:
+        frames, count = open_frames(configs[0])
+    else:
+        count = len(frames)
+    encoder = build_encoder(configs[0], count)
+    if out_dirs is None:
+        out_dirs = [None] * len(configs)
+    points = [_Point(config, out_dir) for config, out_dir in zip(configs, out_dirs, strict=True)]
+    for steps in lockstep(frames, encoder, [config.fusion for config in configs]):
+        for point, step in zip(points, steps):
+            point.add(step)
+    return [point.finish() for point in points]
 
 
 def run_experiment(
-    config: RunConfig, frames: list[FrameObservation] | None = None
+    config: RunConfig,
+    frames: list[FrameObservation] | None = None,
+    out_dir: str | os.PathLike | None = None,
 ) -> ExperimentResult:
-    """One full run: fusion loop plus Q/K/V reuse verification."""
-    return run_points([config], frames)[0]
+    """One full run: fusion loop plus Q/K/V reuse verification, writing its
+    outputs to ``out_dir`` when given (see ``run_points``)."""
+    return run_points([config], frames, None if out_dir is None else [out_dir])[0]
 
 
 def write_run_outputs(result: ExperimentResult, out_dir: str | os.PathLike) -> str:
-    """Write report.json plus optional mask/token artifacts; returns the
-    report path."""
+    """Write report.json; returns its path.  Mask and token dumps are
+    written during the run, by ``run_points`` with an output directory."""
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, REPORT_NAME)
     write_report(report_path, result.report)
-    config = result.config
-    grid = config.fusion.grid
-    if config.emit_masks:
-        mask_dir = os.path.join(out_dir, MASK_DIR)
-        os.makedirs(mask_dir, exist_ok=True)
-        for step in result.sequence.steps:
-            if step.is_keyframe:
-                continue
-            image = (step.fusion_mask.reshape(grid.rows, grid.cols) * 255).astype(np.uint8)
-            write_pgm(os.path.join(mask_dir, MASK_NAME.format(step.timestep)), image)
-    if config.emit_tokens:
-        token_dir = os.path.join(out_dir, TOKEN_DIR)
-        os.makedirs(token_dir, exist_ok=True)
-        for step in result.sequence.steps:
-            write_tensor(
-                os.path.join(token_dir, TOKEN_NAME.format(step.timestep)),
-                step.fused_tokens.values,
-            )
     return report_path
 
 
 def run_sweep(
-    config: RunConfig, parameter: str, values: list, frames: list[FrameObservation] | None = None
+    config: RunConfig,
+    parameter: str,
+    values: list,
+    frames: list[FrameObservation] | None = None,
+    out_dir: str | os.PathLike | None = None,
 ) -> tuple[dict, list[ExperimentResult]]:
     """Run the same frames once per parameter value, through ``run_points``.
 
     Every value is applied before anything runs, so an invalid one fails
     first.  All values then advance through the frames in lockstep, sharing
     each frame's grayscale, encoding and pixel diffs, and each value is
-    verified and reported exactly as ``run_experiment`` would.  Returns the
-    sweep summary (value -> the fusion-rate means of its report) and the
-    per-value results in order.
+    verified and reported exactly as ``run_experiment`` would, writing its
+    outputs to ``out_dir/<parameter>_<value>`` when ``out_dir`` is given.
+    Returns the sweep summary (value -> the fusion-rate means of its report)
+    and the per-value results in order.
     """
     if not values:
         raise ValueError("sweep values list is empty")
     varied = [apply_parameter(config, parameter, value) for value in values]
-    results = run_points(varied, frames)
+    out_dirs = None
+    if out_dir is not None:
+        out_dirs = [os.path.join(out_dir, f"{parameter}_{value}") for value in values]
+    results = run_points(varied, frames, out_dirs)
     points = []
     for value, result in zip(values, results):
         aggregates = result.report["aggregates"]
@@ -267,44 +336,47 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[EquivalenceCh
     unless every step was a keyframe); projection weights are regenerated
     from the config echo.  A token dump that is not (patches, token_dim)
     raises ``TensorFormatError`` and a mask that is not the patch grid
-    raises ``FrameError``, each naming the file and both shapes.
+    raises ``FrameError``, each naming the file and both shapes.  Each
+    step's dump and mask are read as the check reaches the step.
     """
     report = load_report(os.path.join(run_dir, REPORT_NAME))
     config = report["config"]
     grid = PatchGrid.from_dims(config["width"], config["height"])
     token_shape = (grid.patch_count, config["token_dim"])
-    items = []
-    for record in report["steps"]:
-        t = record["t"]
-        token_path = os.path.join(run_dir, TOKEN_DIR, TOKEN_NAME.format(t))
-        if not os.path.exists(token_path):
-            raise FileNotFoundError(
-                f"token dump not found: {token_path} (run with emit_tokens = true)"
-            )
-        tokens = read_tensor(token_path).astype(np.float64)
-        if tokens.shape != token_shape:
-            raise TensorFormatError(
-                "bad-shape",
-                f"{token_path}: token dump is {tokens.shape}, expected "
-                f"{token_shape} (patches, token_dim)",
-            )
-        if record["is_keyframe"]:
-            mask = np.ones(grid.patch_count, dtype=np.uint8)
-        else:
-            mask_path = os.path.join(run_dir, MASK_DIR, MASK_NAME.format(t))
-            if not os.path.exists(mask_path):
+
+    def pairs():
+        for record in report["steps"]:
+            t = record["t"]
+            token_path = os.path.join(run_dir, TOKEN_DIR, TOKEN_NAME.format(t))
+            if not os.path.exists(token_path):
                 raise FileNotFoundError(
-                    f"mask file not found: {mask_path} (run with emit_masks = true)"
+                    f"token dump not found: {token_path} (run with emit_tokens = true)"
                 )
-            image = read_pgm(mask_path)
-            if image.shape != (grid.rows, grid.cols):
-                raise FrameError(
-                    "bad-dimensions",
-                    f"{mask_path}: mask is {image.shape}, expected "
-                    f"{(grid.rows, grid.cols)} (patch grid rows, cols)",
+            tokens = read_tensor(token_path).astype(np.float64)
+            if tokens.shape != token_shape:
+                raise TensorFormatError(
+                    "bad-shape",
+                    f"{token_path}: token dump is {tokens.shape}, expected "
+                    f"{token_shape} (patches, token_dim)",
                 )
-            mask = (image.ravel() > 0).astype(np.uint8)
-        items.append((tokens, mask))
+            if record["is_keyframe"]:
+                mask = np.ones(grid.patch_count, dtype=np.uint8)
+            else:
+                mask_path = os.path.join(run_dir, MASK_DIR, MASK_NAME.format(t))
+                if not os.path.exists(mask_path):
+                    raise FileNotFoundError(
+                        f"mask file not found: {mask_path} (run with emit_masks = true)"
+                    )
+                image = read_pgm(mask_path)
+                if image.shape != (grid.rows, grid.cols):
+                    raise FrameError(
+                        "bad-dimensions",
+                        f"{mask_path}: mask is {image.shape}, expected "
+                        f"{(grid.rows, grid.cols)} (patch grid rows, cols)",
+                    )
+                mask = (image.ravel() > 0).astype(np.uint8)
+            yield tokens, mask
+
     projections = ProjectionSet.generate(config["token_dim"], config["seed"])
-    checks = verify_equivalence(items, projections)
+    checks = verify_equivalence(pairs(), projections)
     return report, checks

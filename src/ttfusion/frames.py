@@ -135,7 +135,13 @@ class PatchGrid:
 
 def to_grayscale(frame: FrameObservation) -> GrayscaleImage:
     """Convert to luminance: (0.299 R + 0.587 G + 0.114 B) / 255 in float64."""
-    values = (frame.pixels.astype(np.float64) @ _LUMA_WEIGHTS) / _LUMA_SCALE
+    # The result outlives the call, the float64 copy of the pixels does not:
+    # allocating the result first leaves the copy on top of the heap, where
+    # the next frame's copy reuses it instead of the heap being trimmed and
+    # grown again every frame.
+    values = np.empty(frame.pixels.shape[:2])
+    np.matmul(frame.pixels.astype(np.float64), _LUMA_WEIGHTS, out=values)
+    values /= _LUMA_SCALE
     return GrayscaleImage(values)
 
 

@@ -9,6 +9,7 @@ recompute everything and reset reuse chains.  The rolling state stores the
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,33 +297,51 @@ def run_sequence(frames, encoder, config: FusionConfig) -> SequenceResult:
 
 
 def run_sequences(frames, encoder, configs) -> list[SequenceResult]:
-    """Drive one fusion loop per config over the same frames, in lockstep.
+    """Collect :func:`lockstep` into one :class:`SequenceResult` per config,
+    in order.  Every step is held, so memory grows with the episode; a
+    caller that needs each step only once consumes ``lockstep`` itself."""
+    configs = list(configs)
+    steps: list[list[StepResult]] = [[] for _ in configs]
+    for results in lockstep(frames, encoder, configs):
+        for config_steps, result in zip(steps, results):
+            config_steps.append(result)
+    return [SequenceResult(config_steps) for config_steps in steps]
+
+
+def lockstep(frames, encoder, configs) -> Iterator[list[StepResult]]:
+    """Drive one fusion loop per config over the same frames, in lockstep,
+    yielding each frame's step results, one per config, in order.
 
     Frames are the outer loop and configs the inner one, so every config
     takes its ``step`` on frame t before any takes frame t + 1.  All steps on
     a frame share one :class:`SharedObservation`, so the frame's grayscale
     and encoding are computed once, and its pixel diffs at most once, inside
     whichever step first needs them.  Frames are consumed as they arrive
-    and need not be a list.  Same frame rules as ``run_sequence``; one
-    result per config, in order.
+    and need not be a list; between frames only each config's
+    :class:`FusionState` is kept, so memory stays flat however long the
+    episode is.  Same frame rules as ``run_sequence``.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("no fusion configs to run")
     states = [FusionState() for _ in configs]
-    steps: list[list[StepResult]] = [[] for _ in configs]
+    index = -1
     for index, frame in enumerate(frames):
         if frame.timestep != index:
             raise ValueError(
                 f"timestep gap: frame at position {index} has timestep {frame.timestep}"
             )
         shared = SharedObservation(frame, encoder)
+        results = []
         for i, config in enumerate(configs):
             result, states[i] = step(states[i], frame, encoder, config, shared=shared)
-            steps[i].append(result)
-    if not steps[0]:
+            results.append(result)
+        # Only the states carry over: drop the frame and its shared
+        # observation before the caller handles this frame's steps.
+        del frame, shared
+        yield results
+    if index < 0:
         raise ValueError("sequence is empty: first frame missing")
-    return [SequenceResult(config_steps) for config_steps in steps]
 
 
 class SharedObservation:

@@ -43,17 +43,25 @@ class SplitMix64:
             raise ValueError("count must be non-negative")
         # State k steps ahead is seed + k*gamma mod 2**64, so the whole block
         # mixes independently; uint64 arithmetic wraps exactly like the
-        # scalar path.
-        steps = np.arange(1, count + 1, dtype=np.uint64)
+        # scalar path.  The mix runs in place with one spare array for the
+        # shifts, so a block allocates two arrays, not one per operation.
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        shifted = np.empty_like(z)
         with np.errstate(over="ignore"):
-            z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            z = z ^ (z >> np.uint64(31))
+            z *= np.uint64(_GAMMA)
+            z += np.uint64(self._state)
+            z ^= np.right_shift(z, np.uint64(30), out=shifted)
+            z *= np.uint64(_MIX1)
+            z ^= np.right_shift(z, np.uint64(27), out=shifted)
+            z *= np.uint64(_MIX2)
+            z ^= np.right_shift(z, np.uint64(31), out=shifted)
         self._state = (self._state + count * _GAMMA) & _MASK64
         return z
 
     def float_block(self, count: int) -> np.ndarray:
         """The next ``count`` floats in [0, 1) as a float64 array."""
-        block = self.u64_block(count) >> np.uint64(11)
-        return block.astype(np.float64) / 9007199254740992.0
+        block = self.u64_block(count)
+        block >>= np.uint64(11)
+        floats = block.astype(np.float64)
+        floats /= 9007199254740992.0
+        return floats

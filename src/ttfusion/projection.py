@@ -3,9 +3,10 @@
 Because the query matrix is the fused tokens times a fixed weight matrix,
 any token row reused from the previous step yields a projection row
 bit-identical to the previous step's, so the row can be copied instead of
-recomputed.  :func:`verify_equivalence` replays a run's fused tokens and
-fusion masks, counts the multiplications that copying avoids, and checks
-the shortcut against a full recomputation.  Equality is demanded
+recomputed.  :class:`ReuseChecker` takes a run's fused tokens and fusion
+masks one step at a time, counts the multiplications that copying avoids,
+and checks the shortcut against a full recomputation;
+:func:`verify_equivalence` runs it over a recorded run.  Equality is demanded
 bit-exact, which requires each output row to be a deterministic function
 of its own token row alone.  A plain batched ``x @ W`` does not qualify,
 because BLAS may sum a row in a different order depending on how many
@@ -90,7 +91,7 @@ class EquivalenceCheck:
         return max(self.query_error, self.key_error, self.value_error)
 
 
-def project_full(tokens, weights: np.ndarray) -> np.ndarray:
+def project_full(tokens, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Dense projection, output row i = token row i times the weight matrix.
 
     Every row goes through the same fixed-shape (32 x d) by (d x d) BLAS
@@ -100,7 +101,9 @@ def project_full(tokens, weights: np.ndarray) -> np.ndarray:
     as a ``(m // 32, 32, d)`` view; only the tail chunk is padded with zero
     rows, so no full padded copy of the input is made.  One batched
     ``values @ weights`` would not be row-invariant: its per-row summation
-    order can change with the row count (see the module docstring).
+    order can change with the row count (see the module docstring).  With
+    ``out`` given, a C-contiguous float64 (m, width) array, the product is
+    written there instead of a new array.
     """
     values = np.asarray(tokens, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -108,7 +111,10 @@ def project_full(tokens, weights: np.ndarray) -> np.ndarray:
         raise ValueError(f"shape mismatch: tokens {values.shape} vs weights {weights.shape}")
     values = np.ascontiguousarray(values)
     (m, d), width = values.shape, weights.shape[1]
-    out = np.empty((m, width))
+    if out is None:
+        out = np.empty((m, width))
+    elif out.shape != (m, width) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 {(m, width)} array")
     whole = m - m % CHUNK_ROWS
     if whole:
         np.matmul(
@@ -123,22 +129,43 @@ def project_full(tokens, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def verify_equivalence(pairs, projections: ProjectionSet) -> list[EquivalenceCheck]:
-    """Replay a recorded run, checking selective reuse against recomputation.
+class ReuseChecker:
+    """The Q/K/V reuse check of one run, fed one step at a time.
 
-    ``pairs`` yields one ``(tokens, mask)`` pair per step, in step order
-    from the sequence head: the step's fused token rows (n x d) and its
-    fusion mask (n entries, 1 = recomputed, 0 = reused from the previous
-    step).  For each step and each of the query, key and value matrices,
-    the selective projection (chained on the previous step's selective
-    projection) is compared bit-exactly to the full product; any gap is
-    reported with its step, matrix and worst row.  ``ValueError`` is raised
-    for a mask of the wrong length, or for reused rows with no previous
-    projection of the same shape to copy them from (so always at step 0).
+    Each :meth:`check` compares the selective projection of a step, chained
+    on the previous step's selective projection, bit-exactly with the full
+    product; only that previous projection is kept between steps, so a
+    stream of steps can be checked as it is produced.
+
+    The chained projections, one buffer for the full products and two for
+    the recomputed rows and their projection are allocated here, for
+    ``rows`` token rows, and reused by every step of that shape, so a check
+    allocates no rows x d array.  Allocating them before the run's first
+    frame also keeps them below the per-frame temporaries, which then reuse
+    the same heap pages frame after frame.
     """
-    checks: list[EquivalenceCheck] = []
-    previous: dict[str, np.ndarray | None] = {"query": None, "key": None, "value": None}
-    for t, (tokens, mask) in enumerate(pairs):
+
+    def __init__(self, projections: ProjectionSet, rows: int):
+        self.projections = projections
+        self.timestep = 0
+        self._allocate((rows, projections.dim))
+
+    def _allocate(self, shape: tuple[int, int]) -> None:
+        self._selective = {name: np.empty(shape) for name in ("query", "key", "value")}
+        self._reference = np.empty(shape)
+        self._rows = np.empty(shape)
+        self._projected = np.empty(shape)
+
+    def check(self, tokens, mask) -> EquivalenceCheck:
+        """Check the next step: its fused token rows (n x d) and fusion mask
+        (n entries, 1 = recomputed, 0 = reused from the previous step).
+
+        For each of the query, key and value matrices any gap is reported
+        with its step, matrix and worst row.  ``ValueError`` is raised for a
+        mask of the wrong length, or for reused rows with no previous
+        projection of the same shape to copy them from (so always at step 0).
+        """
+        t = self.timestep
         values = np.asarray(tokens, dtype=np.float64)
         mask = np.asarray(mask, dtype=np.uint8)
         n, d = values.shape
@@ -146,62 +173,71 @@ def verify_equivalence(pairs, projections: ProjectionSet) -> list[EquivalenceChe
             raise ValueError(f"step {t}: mask length {mask.shape} does not match {n} rows")
         recompute = np.flatnonzero(mask)
         reused = n - recompute.size
-        shape = getattr(previous["query"], "shape", None)
-        if reused and shape != (n, d):
+        previous = self._reference.shape if t else None
+        if reused and previous != (n, d):
             raise ValueError(
                 f"step {t}: {reused} rows marked for reuse, but the previous "
-                f"projection is {shape}, expected {(n, d)}"
+                f"projection is {previous}, expected {(n, d)}"
             )
-        rows = values[recompute] if reused else values
+        if self._reference.shape != (n, d):
+            self._allocate((n, d))
+        rows = values
+        if reused:
+            rows = np.take(values, recompute, axis=0, out=self._rows[: recompute.size])
         errors: dict[str, float] = {}
         worst_rows: dict[str, int] = {}
         for name in ("query", "key", "value"):
-            previous[name], errors[name], worst = _check_matrix(
-                values, recompute, rows, previous[name] if reused else None,
-                getattr(projections, name),
-            )
+            weights = getattr(self.projections, name)
+            selective = self._selective[name]
+            if not reused:
+                project_full(rows, weights, out=selective)
+            elif recompute.size:
+                # Only the recomputed rows are projected; the reused ones
+                # keep the previous step's values.
+                out = self._projected[: recompute.size]
+                selective[recompute] = project_full(rows, weights, out=out)
+            reference = project_full(values, weights, out=self._reference)
+            errors[name], worst = _gap(selective, reference)
             if worst is not None:
                 worst_rows[name] = worst
-        checks.append(
-            EquivalenceCheck(
-                timestep=t,
-                query_error=errors["query"],
-                key_error=errors["key"],
-                value_error=errors["value"],
-                reused_rows=reused,
-                saved_multiplications=3 * reused * d * d,
-                worst_rows=worst_rows,
-            )
+        self.timestep = t + 1
+        return EquivalenceCheck(
+            timestep=t,
+            query_error=errors["query"],
+            key_error=errors["key"],
+            value_error=errors["value"],
+            reused_rows=reused,
+            saved_multiplications=3 * reused * d * d,
+            worst_rows=worst_rows,
         )
+
+
+def verify_equivalence(pairs, projections: ProjectionSet) -> list[EquivalenceCheck]:
+    """Replay a recorded run, checking selective reuse against recomputation.
+
+    ``pairs`` yields one ``(tokens, mask)`` pair per step, in step order
+    from the sequence head, and may be a generator; each pair goes through
+    one :class:`ReuseChecker` as :meth:`ReuseChecker.check` describes.
+    """
+    checks: list[EquivalenceCheck] = []
+    checker = None
+    for tokens, mask in pairs:
+        if checker is None:
+            checker = ReuseChecker(projections, len(tokens))
+        checks.append(checker.check(tokens, mask))
     return checks
 
 
-def _check_matrix(
-    values: np.ndarray,
-    recompute: np.ndarray,
-    rows: np.ndarray,
-    previous: np.ndarray | None,
-    weights: np.ndarray,
-) -> tuple[np.ndarray, float, int | None]:
-    """One matrix of one step: the selective projection, its max-norm gap
-    to the full product of ``values``, and the row of that gap (None when
-    the gap is 0).  ``rows`` are the ``recompute`` rows of ``values``; with
-    ``previous`` given they are projected into it in place, without it
-    they are every row."""
-    if previous is None:
-        out = project_full(rows, weights)
-    else:
-        out = previous
-        if recompute.size:
-            out[recompute] = project_full(rows, weights)
-    reference = project_full(values, weights)
+def _gap(selective: np.ndarray, reference: np.ndarray) -> tuple[float, int | None]:
+    """The max-norm gap between a selective projection and the full one,
+    and the row of that gap (None when the gap is 0)."""
     # Equal arrays have gap 0 everywhere, except that an infinite entry
     # gives inf - inf = NaN; such arrays and every unequal one (NaN entries
     # included) take the full gap computation.
-    if np.array_equal(out, reference) and not np.isinf(out).any():
-        return out, 0.0, None
-    gaps = np.abs(out - reference)
-    return out, float(gaps.max()), int(gaps.max(axis=1).argmax())
+    if np.array_equal(selective, reference) and not np.isinf(selective).any():
+        return 0.0, None
+    gaps = np.abs(selective - reference)
+    return float(gaps.max()), int(gaps.max(axis=1).argmax())
 
 
 def equivalence_failures(checks: list[EquivalenceCheck]) -> list[str]:

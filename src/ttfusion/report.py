@@ -1,8 +1,10 @@
 """Run reports: a documented JSON shape with self-checking aggregates.
 
-The report body is deterministic (sorted keys, no timestamps), so identical
-runs serialize to identical bytes.  Aggregates are recomputed from the
-per-step records on load and must match exactly.
+Each step is reduced to a small record as it completes (:func:`step_record`),
+so a report needs none of the run's tokens or masks.  The report body is
+deterministic (sorted keys, no timestamps), so identical runs serialize to
+identical bytes.  Aggregates are recomputed from the per-step records on
+load and must match exactly.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 
-from .fusion import SequenceResult
+from .fusion import StepResult
 from .projection import EquivalenceCheck
 
 REPORT_FORMAT = "ttf-report-v1"
@@ -21,30 +23,29 @@ class InvariantError(RuntimeError):
     """A stored report or run result violates one of its invariants."""
 
 
-def build_report(
-    config_echo: dict,
-    sequence: SequenceResult,
-    checks: list[EquivalenceCheck],
-) -> dict:
-    """Assemble the report dict for one run from its steps and their
-    Q/K/V reuse checks, one check per step."""
-    steps = []
-    for step, check in zip(sequence.steps, checks, strict=True):
-        steps.append(
-            {
-                "t": step.timestep,
-                "is_keyframe": step.is_keyframe,
-                "pixel_updates": int(step.pixel_mask.sum()),
-                "attention_updates": int(step.attention_mask.sum()),
-                "fusion_updates": int(step.fusion_mask.sum()),
-                "fusion_rate": step.fusion_rate,
-                "reused_rows": check.reused_rows,
-                "saved_multiplications": check.saved_multiplications,
-                "query_error": check.query_error,
-                "key_error": check.key_error,
-                "value_error": check.value_error,
-            }
-        )
+def step_record(step: StepResult, check: EquivalenceCheck) -> dict:
+    """The report's record of one step and its Q/K/V reuse check."""
+    if check.timestep != step.timestep:
+        raise ValueError(f"check of step {check.timestep} paired with step {step.timestep}")
+    return {
+        "t": step.timestep,
+        "is_keyframe": step.is_keyframe,
+        "pixel_updates": int(step.pixel_mask.sum()),
+        "attention_updates": int(step.attention_mask.sum()),
+        "fusion_updates": int(step.fusion_mask.sum()),
+        "fusion_rate": step.fusion_rate,
+        "reused_rows": check.reused_rows,
+        "saved_multiplications": check.saved_multiplications,
+        "query_error": check.query_error,
+        "key_error": check.key_error,
+        "value_error": check.value_error,
+    }
+
+
+def build_report(config_echo: dict, records: list[dict]) -> dict:
+    """Assemble the report dict for one run from its step records
+    (:func:`step_record`), in step order."""
+    steps = list(records)
     report = {"format": REPORT_FORMAT, "config": dict(config_echo), "steps": steps}
     report["aggregates"] = _aggregates_from_steps(steps)
     return report

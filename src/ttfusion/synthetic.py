@@ -12,6 +12,7 @@ same bytes.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,14 +78,25 @@ def _choose_patches(stream: SplitMix64, n: int, count: int) -> np.ndarray:
     return indices[:count]
 
 
-def generate_frames(spec: SynthSpec) -> list[FrameObservation]:
-    """Materialise the episode as in-memory frames, timesteps 0..count-1."""
+def _add_noise(img: np.ndarray, draws: np.ndarray, amplitude: float) -> None:
+    """Add round(draw * amplitude * 255) to every channel of each pixel of
+    ``img`` in place, clipped to [0, 255]; ``draws`` holds one draw per
+    pixel, row-major, and is overwritten."""
+    draws *= amplitude
+    draws *= 255.0
+    delta = np.round(draws, out=draws).astype(np.int16).reshape(img.shape[:2])
+    noisy = img.astype(np.int16)
+    noisy += delta[:, :, None]
+    img[...] = np.clip(noisy, 0, 255, out=noisy)
+
+
+def iter_frames(spec: SynthSpec) -> Iterator[FrameObservation]:
+    """Yield the episode's frames, timesteps 0..count-1, one at a time."""
     grid = spec.grid
     n = grid.patch_count
     base = base_image(spec)
     stream = SplitMix64(spec.seed)
     changed = min(n, int(round(spec.change_fraction * n)))
-    frames: list[FrameObservation] = []
     for t in range(spec.frame_count):
         img = base.copy()
         if changed and t > 0:
@@ -96,20 +108,24 @@ def generate_frames(spec: SynthSpec) -> list[FrameObservation]:
             u0, v0, u1, v1 = grid.patch_region(walker_patch(grid, t))
             img[u0 : u1 + 1, v0 : v1 + 1, :] = 255
         if spec.noise_amplitude > 0.0:
-            draws = stream.float_block(spec.height * spec.width)
-            delta = np.round(draws * spec.noise_amplitude * 255.0).astype(np.int16)
-            delta = delta.reshape(spec.height, spec.width)
-            noisy = img.astype(np.int16) + delta[:, :, None]
-            img = np.clip(noisy, 0, 255).astype(np.uint8)
-        frames.append(FrameObservation(pixels=img, timestep=t))
-    return frames
+            _add_noise(img, stream.float_block(spec.height * spec.width), spec.noise_amplitude)
+        yield FrameObservation(pixels=img, timestep=t)
+        # Drop the frame before the next one is allocated, so a consumer
+        # that keeps no frame lets the next one take its memory.
+        del img
+
+
+def generate_frames(spec: SynthSpec) -> list[FrameObservation]:
+    """Materialise the episode as in-memory frames, timesteps 0..count-1."""
+    return list(iter_frames(spec))
 
 
 def write_sequence(spec: SynthSpec, out_dir: str | os.PathLike) -> list[str]:
-    """Write the episode as frame_%06d.ppm files; returns the paths."""
+    """Write the episode as frame_%06d.ppm files, each as it is generated;
+    returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for frame in generate_frames(spec):
+    for frame in iter_frames(spec):
         path = os.path.join(out_dir, FRAME_NAME.format(frame.timestep))
         write_ppm(path, frame.pixels)
         paths.append(path)

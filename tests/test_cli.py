@@ -210,15 +210,15 @@ class TestSweep:
     ):
         import ttfusion.experiment
 
-        original = ttfusion.experiment.verify_equivalence
+        class Tampered(ttfusion.experiment.ReuseChecker):
+            def check(self, tokens, mask):
+                check = super().check(tokens, mask)
+                if check.timestep == 5:  # the last of SMALL's six steps
+                    check.key_error = 0.25
+                    check.worst_rows["key"] = 2
+                return check
 
-        def tampered(steps, projections):
-            checks = original(steps, projections)
-            checks[-1].key_error = 0.25
-            checks[-1].worst_rows["key"] = 2
-            return checks
-
-        monkeypatch.setattr(ttfusion.experiment, "verify_equivalence", tampered)
+        monkeypatch.setattr(ttfusion.experiment, "ReuseChecker", Tampered)
         config = write_config(tmp_path, SMALL)
         out = tmp_path / "sweep"
         assert main(
@@ -246,6 +246,38 @@ class TestSweep:
         assert main(
             ["sweep", "--config", config, "--param", "width", "--values", "112"]
         ) == 2
+
+
+class TestFramesDirectory:
+    def test_frame_removed_mid_run_exits_3_without_a_report(self, tmp_path, capsys, monkeypatch):
+        import ttfusion.fusion
+
+        frames = tmp_path / "frames"
+        synth = write_config(tmp_path, SMALL, name="synth.cfg")
+        assert main(["synth", "--config", synth, "--out", str(frames)]) == 0
+        config = write_config(
+            tmp_path,
+            SMALL.replace("synth_frames = 6", f"frames_dir = {frames}")
+            + "emit_masks = true\nemit_tokens = true\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        assert main(["verify-qreuse", "--run", str(out)]) == 0
+        original = ttfusion.fusion.step
+
+        def removing(state, frame, *args, **kwargs):
+            # Frame 3 is listed before step 0 but read only when reached.
+            if frame.timestep == 1:
+                (frames / "frame_000003.ppm").unlink()
+            return original(state, frame, *args, **kwargs)
+
+        monkeypatch.setattr(ttfusion.fusion, "step", removing)
+        capsys.readouterr()
+        assert main(["run", "--config", config, "--out", str(out)]) == 3
+        assert "frame_000003.ppm" in capsys.readouterr().err
+        # report.json is written last: the earlier run's report is gone, so
+        # the directory does not pair an old report with new dumps.
+        assert not (out / "report.json").exists()
 
 
 class TestVerifyQReuse:
@@ -277,6 +309,26 @@ class TestVerifyQReuse:
         assert main(["verify-qreuse", "--run", str(out)]) == 4
         err = capsys.readouterr().err
         assert "reuse error" in err and f"row {reused_row}" in err
+
+    def test_dumps_are_read_as_the_check_reaches_them(self, tmp_path, capsys, monkeypatch):
+        import ttfusion.experiment
+
+        out = self.run_with_artifacts(tmp_path)
+        write_tensor(out / "tokens" / "fused_000002.ttft", np.zeros((4, 3), dtype=np.float32))
+        read = []
+        original = ttfusion.experiment.read_tensor
+
+        def recording(path):
+            read.append(path)
+            return original(path)
+
+        monkeypatch.setattr(ttfusion.experiment, "read_tensor", recording)
+        assert main(["verify-qreuse", "--run", str(out)]) == 3
+        assert "fused_000002.ttft" in capsys.readouterr().err
+        # Steps 0 and 1 were checked first; no later dump was opened.
+        assert [p.split("fused_")[-1] for p in map(str, read)] == [
+            "000000.ttft", "000001.ttft", "000002.ttft"
+        ]
 
     def test_tampered_report_exits_4(self, tmp_path):
         out = self.run_with_artifacts(tmp_path)

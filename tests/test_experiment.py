@@ -1,17 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import ttfusion.experiment
 import ttfusion.fusion
 from ttfusion.experiment import (
     TensorFileAttentionEncoder,
+    build_encoder,
     load_frames_dir,
-    materialize_frames,
+    open_frames,
     run_experiment,
+    run_points,
     run_sweep,
     write_run_outputs,
 )
-from ttfusion.runconfig import ConfigError, build_run_config
-from ttfusion.synthetic import SynthSpec, write_sequence
+from ttfusion.fusion import run_sequence
+from ttfusion.projection import ProjectionSet, verify_equivalence
+from ttfusion.report import build_report, serialize_report, step_record
+from ttfusion.runconfig import ConfigError, apply_parameter, build_run_config, config_echo
+from ttfusion.synthetic import SynthSpec, generate_frames, write_sequence
 from ttfusion.tensor_io import write_tensor
 from ttfusion.toy_encoder import EncoderSpec
 
@@ -28,6 +36,13 @@ def small_values(**overrides):
     }
     values.update(overrides)
     return values
+
+
+def run_steps(config):
+    """The run's steps, through the collector over the same frames and
+    encoder as ``run_experiment``."""
+    frames, count = open_frames(config)
+    return run_sequence(frames, build_encoder(config, count), config.fusion).steps
 
 
 def write_attention_files(path, frame_count, heads=2, text_tokens=2, patches=4, hot=3):
@@ -53,8 +68,7 @@ class TestTensorFileAttention:
                 heads=2,
             )
         )
-        result = run_experiment(config)
-        for step in result.sequence.steps[1:]:
+        for step in run_steps(config)[1:]:
             # File attention concentrates on patch 3; budget is 1.
             assert list(step.attention_mask) == [0, 0, 0, 1]
 
@@ -68,8 +82,7 @@ class TestTensorFileAttention:
                 attention_mode="action_to_vision",
             )
         )
-        result = run_experiment(config)
-        assert list(result.sequence.steps[2].attention_mask) == [0, 0, 1, 0]
+        assert list(run_steps(config)[2].attention_mask) == [0, 0, 1, 0]
 
     def test_missing_required_file_raises(self, tmp_path):
         attention_dir = tmp_path / "attn"
@@ -147,9 +160,7 @@ class TestTensorFileAttention:
             attention_dir=str(attention_dir),
             required="text",
         )
-        frames = materialize_frames(
-            build_run_config(small_values(synth_frames=1))
-        )
+        frames = generate_frames(build_run_config(small_values(synth_frames=1)).synth)
         _, slice_ = encoder(frames[0])
         assert slice_.text_rows.dtype == np.float64
         assert slice_.action_row is None
@@ -236,7 +247,67 @@ class TestSweep:
 class TestOutputs:
     def test_token_dumps_written_for_every_step(self, tmp_path):
         config = build_run_config(small_values(emit_tokens=True))
-        result = run_experiment(config)
-        write_run_outputs(result, tmp_path / "out")
+        run_experiment(config, out_dir=tmp_path / "out")
         names = sorted(p.name for p in (tmp_path / "out" / "tokens").iterdir())
         assert names == [f"fused_{t:06d}.ttft" for t in range(5)]
+
+
+class TestStreaming:
+    def sweep_configs(self, frames, size=224, top_k=70):
+        config = build_run_config(
+            small_values(
+                synth_frames=frames, width=size, height=size, token_dim=64, top_k=top_k,
+                synth_walker=True, synth_noise=0.02, synth_change_fraction=0.05,
+            )
+        )
+        return [apply_parameter(config, "K", k) for k in (1, 3, 6)]
+
+    def traced_peak(self, frames):
+        configs = self.sweep_configs(frames)
+        tracemalloc.start()
+        try:
+            run_points(configs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_does_not_grow_with_the_episode(self):
+        # Only each point's last step and its projections live between
+        # frames; what grows is the report's per-step records.
+        short, long = self.traced_peak(20), self.traced_peak(200)
+        assert long - short < 1_000_000, (short, long)
+
+    def test_streaming_matches_the_collectors(self):
+        configs = self.sweep_configs(13, size=56, top_k=2)
+        for config, result in zip(configs, run_points(configs)):
+            frames = generate_frames(config.synth)
+            encoder = build_encoder(config, len(frames))
+            steps = run_sequence(frames, encoder, config.fusion).steps
+            projections = ProjectionSet.generate(config.fusion.token_dim, config.seed)
+            checks = verify_equivalence(
+                [(s.fused_tokens.values, s.fusion_mask) for s in steps], projections
+            )
+            assert checks == result.checks
+            report = build_report(
+                config_echo(config), [step_record(s, c) for s, c in zip(steps, checks)]
+            )
+            assert serialize_report(report) == serialize_report(result.report)
+        assert configs[0].fusion.keyframe_interval == 1
+        assert result.report["aggregates"]["mean_fusion_rate_non_keyframe"] > 0.0
+
+    def test_frames_load_as_the_loop_reaches_them(self, tmp_path, monkeypatch):
+        write_sequence(SynthSpec(frame_count=4, width=28, height=28, seed=9), tmp_path / "f")
+        loaded = []
+        original = ttfusion.experiment.load_frame
+
+        def counting(path, t):
+            loaded.append(t)
+            return original(path, t)
+
+        monkeypatch.setattr(ttfusion.experiment, "load_frame", counting)
+        frames = load_frames_dir(tmp_path / "f")
+        assert len(frames) == 4 and loaded == []
+        it = iter(frames)
+        next(it)
+        assert loaded == [0]
+        assert [f.timestep for f in it] == [1, 2, 3]

@@ -6,6 +6,7 @@ from ttfusion.synthetic import (
     SynthSpec,
     base_image,
     generate_frames,
+    iter_frames,
     walker_patch,
     write_sequence,
 )
@@ -20,6 +21,18 @@ class TestGeneration:
         frames = generate_frames(SynthSpec(frame_count=5, width=28, height=28))
         for frame in frames[1:]:
             assert np.array_equal(frame.pixels, frames[0].pixels)
+
+    def test_frames_are_generated_one_at_a_time(self):
+        spec = SynthSpec(
+            frame_count=5, width=28, height=28, change_fraction=0.3, walker=True,
+            noise_amplitude=0.1, seed=4,
+        )
+        stream = iter_frames(spec)
+        first = next(stream)
+        frames = generate_frames(spec)
+        assert first.timestep == 0 and np.array_equal(first.pixels, frames[0].pixels)
+        for a, b in zip(stream, frames[1:], strict=True):
+            assert a.timestep == b.timestep and np.array_equal(a.pixels, b.pixels)
 
     def test_timesteps_are_contiguous(self):
         frames = generate_frames(SynthSpec(frame_count=4, width=28, height=28))
