@@ -80,14 +80,16 @@ def patch_diffs(gray_t: GrayscaleImage, gray_prev: GrayscaleImage, grid: PatchGr
     """Mean absolute luminance difference of each patch between two frames.
 
     Depends on the frame pair alone, so one result can serve every
-    threshold applied to it.
+    threshold applied to it.  The absolute value is taken in place, so the
+    call allocates one frame-sized temporary, not two.
     """
     a, b = gray_t.values, gray_prev.values
     if a.shape != b.shape:
         raise ValueError(f"grayscale shapes differ: {a.shape} vs {b.shape}")
     if a.shape != (grid.rows * PATCH_SIDE, grid.cols * PATCH_SIDE):
         raise ValueError(f"grayscale shape {a.shape} does not match grid {grid.rows}x{grid.cols}")
-    delta = np.abs(a - b)
+    delta = np.subtract(a, b)
+    np.abs(delta, out=delta)
     return (
         delta.reshape(grid.rows, PATCH_SIDE, grid.cols, PATCH_SIDE)
         .sum(axis=(1, 3))

@@ -29,7 +29,7 @@ from .fusion import StepResult, lockstep
 from .projection import EquivalenceCheck, ProjectionSet, ReuseChecker, verify_equivalence
 from .report import build_report, build_sweep_summary, load_report, step_record, write_report
 from .runconfig import ATTENTION_SOURCE_TENSOR_FILES, RunConfig, apply_parameter, config_echo
-from .synthetic import FRAME_NAME, iter_frames
+from .synthetic import FRAME_FILE, FRAME_NAME, iter_frames
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
 from .toy_encoder import EncoderSpec, ToyEncoder, encode
 
@@ -42,7 +42,6 @@ TOKEN_NAME = "fused_{:06d}.ttft"
 TEXT_ATTENTION_NAME = "attn_text_{:06d}.ttft"
 ACTION_ATTENTION_NAME = "attn_action_{:06d}.ttft"
 REPORT_NAME = "report.json"
-_FRAME_FILE = re.compile(r"frame_(\d{6,})\.ppm")
 _ATTENTION_FILE = re.compile(r"attn_(text|action)_(\d{6,})\.ttft")
 _ATTENTION_NAMES = {"text": TEXT_ATTENTION_NAME, "action": ACTION_ATTENTION_NAME}
 
@@ -92,7 +91,7 @@ def load_frames_dir(path: str | os.PathLike) -> FrameDirectory:
     if not count:
         raise FileNotFoundError(f"no frame_000000.ppm in {path}: first frame missing")
     # count is the first missing index; any higher index on disk is a gap.
-    indices = [int(m[1]) for m in map(_FRAME_FILE.fullmatch, names) if m]
+    indices = [int(m[1]) for m in map(FRAME_FILE.fullmatch, names) if m]
     if max(indices) > count:
         raise FileNotFoundError(
             f"frame gap in {path}: {FRAME_NAME.format(count)} (index {count}) is missing, "

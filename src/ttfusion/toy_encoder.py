@@ -62,8 +62,9 @@ def _projection_for(spec: "EncoderSpec") -> np.ndarray:
     return (2.0 * flat - 1.0).reshape(FEATURE_DIM, spec.token_dim)
 
 
-def _patch_blocks(frame: FrameObservation, gray: GrayscaleImage | None) -> np.ndarray:
-    """(N, 196) patch pixels row-major; ``gray`` defaults to the frame's."""
+def _patch_features(frame: FrameObservation, gray: GrayscaleImage | None) -> np.ndarray:
+    """(N, 198) features: patch pixels row-major, then row/rows, col/cols;
+    ``gray`` defaults to the frame's grayscale."""
     grid = PatchGrid.for_frame(frame)
     if gray is None:
         gray = to_grayscale(frame)
@@ -71,20 +72,35 @@ def _patch_blocks(frame: FrameObservation, gray: GrayscaleImage | None) -> np.nd
         raise ValueError(
             f"grayscale is {gray.values.shape}, frame is {frame.height}x{frame.width}"
         )
-    return (
-        gray.values.reshape(grid.rows, PATCH_SIDE, grid.cols, PATCH_SIDE)
-        .transpose(0, 2, 1, 3)
-        .reshape(grid.patch_count, PATCH_PIXELS)
+    features = np.empty((grid.patch_count, FEATURE_DIM))
+    # Splitting both axes of the pixel columns keeps them a view, so the
+    # patch layout is written straight into the matrix.
+    features[:, :PATCH_PIXELS].reshape(grid.rows, grid.cols, PATCH_SIDE, PATCH_SIDE)[...] = (
+        gray.values.reshape(grid.rows, PATCH_SIDE, grid.cols, PATCH_SIDE).transpose(0, 2, 1, 3)
     )
-
-
-def _patch_features(frame: FrameObservation, gray: GrayscaleImage | None) -> np.ndarray:
-    """(N, 198) features: patch pixels row-major, then row/rows, col/cols."""
-    grid = PatchGrid.for_frame(frame)
-    patches = _patch_blocks(frame, gray)
     rows, cols = np.divmod(np.arange(grid.patch_count), grid.cols)
-    position = np.stack([rows / grid.rows, cols / grid.cols], axis=1)
-    return np.concatenate([patches, position], axis=1)
+    np.divide(rows, grid.rows, out=features[:, PATCH_PIXELS])
+    np.divide(cols, grid.cols, out=features[:, PATCH_PIXELS + 1])
+    return features
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    weights = np.exp(shifted)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def _attention(features: np.ndarray, spec: EncoderSpec, timestep: int) -> AttentionSlice:
+    pixels = features[:, :PATCH_PIXELS]
+    luminance = pixels.mean(axis=1)
+    contrast = pixels.max(axis=1) - pixels.min(axis=1)
+
+    heads = np.arange(spec.head_count)[:, None, None]
+    tokens = np.arange(spec.text_token_count)[None, :, None]
+    text_logits = luminance[None, None, :] * (1.0 + 0.1 * heads) + 0.05 * tokens
+    text_rows = _softmax(text_logits)
+    action_row = np.broadcast_to(_softmax(contrast), (spec.head_count, len(features))).copy()
+    return AttentionSlice(text_rows=text_rows, action_row=action_row, source_timestep=timestep)
 
 
 def encode(
@@ -95,14 +111,7 @@ def encode(
     ``gray`` is the frame's grayscale if the caller already has it; by
     default it is computed here.
     """
-    features = _patch_features(frame, gray)
-    return TokenMatrix(features @ spec.projection())
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    return TokenMatrix(_patch_features(frame, gray) @ spec.projection())
 
 
 def synth_attention(
@@ -115,27 +124,16 @@ def synth_attention(
     (max minus min pixel), shared across heads.  ``gray`` is as in
     ``encode``.
     """
-    grid = PatchGrid.for_frame(frame)
-    blocks = _patch_blocks(frame, gray)
-    luminance = blocks.mean(axis=1)
-    contrast = blocks.max(axis=1) - blocks.min(axis=1)
-
-    heads = np.arange(spec.head_count)[:, None, None]
-    tokens = np.arange(spec.text_token_count)[None, :, None]
-    text_logits = luminance[None, None, :] * (1.0 + 0.1 * heads) + 0.05 * tokens
-    text_rows = _softmax(text_logits)
-    action_row = np.broadcast_to(_softmax(contrast), (spec.head_count, grid.patch_count)).copy()
-    return AttentionSlice(
-        text_rows=text_rows, action_row=action_row, source_timestep=frame.timestep
-    )
+    return _attention(_patch_features(frame, gray), spec, frame.timestep)
 
 
 @dataclass
 class ToyEncoder:
     """Callable encoder producing (tokens, attention) for the fusion loop.
 
-    Both come from one grayscale of the frame: ``gray`` if given (the
-    fusion loop passes the one it computed), else computed once here.
+    Both come from one feature matrix of the frame, built from ``gray`` if
+    given (the fusion loop passes the one it computed), else from a
+    grayscale computed once here.
     """
 
     spec: EncoderSpec = field(default_factory=EncoderSpec)
@@ -143,6 +141,6 @@ class ToyEncoder:
     def __call__(
         self, frame: FrameObservation, gray: GrayscaleImage | None = None
     ) -> tuple[TokenMatrix, AttentionSlice]:
-        if gray is None:
-            gray = to_grayscale(frame)
-        return encode(frame, self.spec, gray), synth_attention(frame, self.spec, gray)
+        features = _patch_features(frame, gray)
+        tokens = TokenMatrix(features @ self.spec.projection())
+        return tokens, _attention(features, self.spec, frame.timestep)

@@ -141,6 +141,24 @@ class TestSynth:
         for name in names:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
+    def test_shorter_episode_over_longer_one_exits_3_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        frames = tmp_path / "fr"
+        noisy = SMALL + "synth_noise = 0.1\n"
+        config = write_config(tmp_path, noisy.replace("synth_frames = 6", "synth_frames = 8"))
+        assert main(["synth", "--config", config, "--out", str(frames), "--seed", "3"]) == 0
+        before = {p.name: p.read_bytes() for p in frames.iterdir()}
+        capsys.readouterr()
+        config = write_config(tmp_path, noisy.replace("synth_frames = 6", "synth_frames = 4"))
+        assert main(["synth", "--config", config, "--out", str(frames), "--seed", "5"]) == 3
+        assert "frame_000004.ppm" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in frames.iterdir()} == before
+        # Rewriting an episode of the same length is allowed.
+        config = write_config(tmp_path, noisy.replace("synth_frames = 6", "synth_frames = 8"))
+        assert main(["synth", "--config", config, "--out", str(frames), "--seed", "5"]) == 0
+        assert {p.name: p.read_bytes() for p in frames.iterdir()} != before
+
     def test_requires_synth_spec(self, tmp_path, capsys):
         config = write_config(tmp_path, "frames_dir = somewhere\n")
         assert main(["synth", "--config", config, "--out", str(tmp_path / "f")]) == 2

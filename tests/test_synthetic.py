@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ttfusion.frames import PatchGrid
+import ttfusion.synthetic
+from ttfusion.frames import FrameObservation, PatchGrid
+from ttfusion.prng import SplitMix64
 from ttfusion.synthetic import (
     SynthSpec,
     base_image,
@@ -14,6 +16,127 @@ from ttfusion.synthetic import (
 
 def dir_bytes(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+# Reference generator: the scalar three-channel version that the one-plane
+# generator replaced.  Frames must stay byte-equal to it.
+def _reference_choose_patches(stream, n, count):
+    indices = np.arange(n)
+    for j in range(count):
+        r = j + int(stream.next_float() * (n - j))
+        indices[j], indices[r] = indices[r], indices[j]
+    return indices[:count]
+
+
+def _reference_add_noise(img, draws, amplitude):
+    draws *= amplitude
+    draws *= 255.0
+    delta = np.round(draws, out=draws).astype(np.int16).reshape(img.shape[:2])
+    noisy = img.astype(np.int16)
+    noisy += delta[:, :, None]
+    img[...] = np.clip(noisy, 0, 255, out=noisy)
+
+
+def reference_iter_frames(spec, stream_type=SplitMix64):
+    grid = spec.grid
+    n = grid.patch_count
+    base = base_image(spec)
+    stream = stream_type(spec.seed)
+    changed = min(n, int(round(spec.change_fraction * n)))
+    for t in range(spec.frame_count):
+        img = base.copy()
+        if changed and t > 0:
+            for index in _reference_choose_patches(stream, n, changed):
+                u0, v0, u1, v1 = grid.patch_region(int(index))
+                level = min(int(stream.next_float() * 256), 255)
+                img[u0 : u1 + 1, v0 : v1 + 1, :] = level
+        if spec.walker:
+            u0, v0, u1, v1 = grid.patch_region(walker_patch(grid, t))
+            img[u0 : u1 + 1, v0 : v1 + 1, :] = 255
+        if spec.noise_amplitude > 0.0:
+            _reference_add_noise(
+                img, stream.float_block(spec.height * spec.width), spec.noise_amplitude
+            )
+        yield FrameObservation(pixels=img, timestep=t)
+
+
+class CountingStream(SplitMix64):
+    """A splitmix64 stream that counts the outputs drawn from it."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.drawn = 0
+
+    def next_u64(self):
+        self.drawn += 1
+        return super().next_u64()
+
+    def u64_block(self, count):
+        self.drawn += count
+        return super().u64_block(count)
+
+
+def draws_per_frame(frames, streams):
+    """Outputs drawn for each frame of ``frames``, read from the one stream
+    the generator creates (appended to ``streams``)."""
+    counts, before = [], 0
+    for _ in frames:
+        (stream,) = streams
+        counts.append(stream.drawn - before)
+        before = stream.drawn
+    return counts
+
+
+# The last size spans two noise bands, the second one partial.
+PIN_SIZES = [(42, 28, 2**64 - 1), (70, 56, 7), (224, 98, 11)]
+
+
+class TestMatchesReferenceGenerator:
+    @pytest.mark.parametrize("noise", [0.0, 0.02, 1.0])
+    @pytest.mark.parametrize("change", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("walker", [False, True])
+    @pytest.mark.parametrize("width,height,seed", PIN_SIZES)
+    def test_frames_are_byte_equal(self, noise, change, walker, width, height, seed):
+        spec = SynthSpec(
+            frame_count=4, width=width, height=height, change_fraction=change,
+            walker=walker, noise_amplitude=noise, seed=seed,
+        )
+        for got, want in zip(iter_frames(spec), reference_iter_frames(spec), strict=True):
+            assert got.timestep == want.timestep
+            assert got.pixels.shape == want.pixels.shape
+            assert got.pixels.tobytes() == want.pixels.tobytes()
+
+    @pytest.mark.parametrize("width,height,seed", PIN_SIZES)
+    def test_stream_advances_by_the_same_draws_per_frame(
+        self, monkeypatch, width, height, seed
+    ):
+        spec = SynthSpec(
+            frame_count=4, width=width, height=height, change_fraction=0.5,
+            walker=True, noise_amplitude=0.3, seed=seed,
+        )
+        streams = []
+
+        def counting(seed):
+            streams.append(CountingStream(seed))
+            return streams[-1]
+
+        monkeypatch.setattr(ttfusion.synthetic, "SplitMix64", counting)
+        got = draws_per_frame(iter_frames(spec), streams)
+        streams.clear()
+        want = draws_per_frame(reference_iter_frames(spec, counting), streams)
+        changed = round(0.5 * spec.grid.patch_count)
+        assert want == [width * height] + [2 * changed + width * height] * 3
+        assert got == want
+
+    @pytest.mark.parametrize("band", [1, 100, 42 * 28 - 1, 42 * 28 + 1])
+    def test_band_size_does_not_change_the_bytes(self, monkeypatch, band):
+        spec = SynthSpec(
+            frame_count=3, width=42, height=28, change_fraction=0.5, walker=True,
+            noise_amplitude=0.4, seed=9,
+        )
+        want = [f.pixels.tobytes() for f in reference_iter_frames(spec)]
+        monkeypatch.setattr(ttfusion.synthetic, "NOISE_BAND_PIXELS", band)
+        assert [f.pixels.tobytes() for f in iter_frames(spec)] == want
 
 
 class TestGeneration:

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from ttfusion.frames import FrameObservation, GrayscaleImage, PatchGrid, to_grayscale
+import ttfusion.toy_encoder
+from ttfusion.frames import (
+    PATCH_PIXELS,
+    PATCH_SIDE,
+    FrameObservation,
+    GrayscaleImage,
+    PatchGrid,
+    to_grayscale,
+)
+from ttfusion.synthetic import SynthSpec, generate_frames
 from ttfusion.toy_encoder import EncoderSpec, ToyEncoder, encode, synth_attention
 
 
@@ -16,6 +25,49 @@ def frame_from_gray_levels(levels, width=28, height=28, timestep=0):
 
 
 SPEC = EncoderSpec(token_dim=16, seed=99, text_token_count=3, head_count=2)
+
+
+# Reference path: the block matrix copied out of the grayscale and then
+# concatenated with the positions, as the encoder built its features before
+# it wrote them into one matrix.  Tokens and attention must stay bit-equal.
+def _reference_blocks(frame, gray):
+    grid = PatchGrid.for_frame(frame)
+    if gray is None:
+        gray = to_grayscale(frame)
+    return (
+        gray.values.reshape(grid.rows, PATCH_SIDE, grid.cols, PATCH_SIDE)
+        .transpose(0, 2, 1, 3)
+        .reshape(grid.patch_count, PATCH_PIXELS)
+    )
+
+
+def reference_encode(frame, spec, gray=None):
+    grid = PatchGrid.for_frame(frame)
+    patches = _reference_blocks(frame, gray)
+    rows, cols = np.divmod(np.arange(grid.patch_count), grid.cols)
+    position = np.stack([rows / grid.rows, cols / grid.cols], axis=1)
+    return np.concatenate([patches, position], axis=1) @ spec.projection()
+
+
+def _reference_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    weights = np.exp(shifted)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def reference_attention(frame, spec, gray=None):
+    grid = PatchGrid.for_frame(frame)
+    blocks = _reference_blocks(frame, gray)
+    luminance = blocks.mean(axis=1)
+    contrast = blocks.max(axis=1) - blocks.min(axis=1)
+    heads = np.arange(spec.head_count)[:, None, None]
+    tokens = np.arange(spec.text_token_count)[None, :, None]
+    text_logits = luminance[None, None, :] * (1.0 + 0.1 * heads) + 0.05 * tokens
+    action_row = _reference_softmax(contrast)
+    return (
+        _reference_softmax(text_logits),
+        np.broadcast_to(action_row, (spec.head_count, grid.patch_count)),
+    )
 
 
 class TestEncode:
@@ -123,6 +175,50 @@ class TestSynthAttention:
         slice_ = synth_attention(frame, SPEC)
         assert slice_.text_rows.shape == (2, 3, 4)
         assert slice_.action_row.shape == (2, 4)
+
+
+class TestMatchesReferencePath:
+    @pytest.mark.parametrize("width,height", [(28, 28), (224, 224), (42, 28)])
+    @pytest.mark.parametrize("given_gray", [False, True])
+    def test_tokens_and_attention_are_bit_equal(self, width, height, given_gray):
+        spec = EncoderSpec(token_dim=24, seed=5, text_token_count=4, head_count=3)
+        frames = generate_frames(
+            SynthSpec(
+                frame_count=3, width=width, height=height, change_fraction=0.3,
+                walker=True, noise_amplitude=0.2, seed=8,
+            )
+        )
+        for frame in frames:
+            gray = to_grayscale(frame) if given_gray else None
+            want_tokens = reference_encode(frame, spec, gray)
+            want_text, want_action = reference_attention(frame, spec, gray)
+            for tokens, attention in (
+                ToyEncoder(spec)(frame, gray),
+                (encode(frame, spec, gray), synth_attention(frame, spec, gray)),
+            ):
+                assert tokens.values.tobytes() == want_tokens.tobytes()
+                assert attention.text_rows.tobytes() == want_text.tobytes()
+                assert attention.action_row.tobytes() == want_action.tobytes()
+                assert attention.source_timestep == frame.timestep
+
+    def test_one_call_builds_the_patch_layout_once(self, monkeypatch):
+        calls = {"features": 0, "grayscale": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        module = ttfusion.toy_encoder
+        monkeypatch.setattr(module, "_patch_features", counted("features", module._patch_features))
+        monkeypatch.setattr(module, "to_grayscale", counted("grayscale", module.to_grayscale))
+        frame = frame_from_gray_levels([10, 80, 160, 250])
+        ToyEncoder(SPEC)(frame)
+        assert calls == {"features": 1, "grayscale": 1}
+        ToyEncoder(SPEC)(frame, to_grayscale(frame))
+        assert calls == {"features": 2, "grayscale": 1}
 
 
 class TestToyEncoder:
