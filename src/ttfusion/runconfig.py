@@ -8,6 +8,7 @@ exactly one of the two must be present.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -41,9 +42,14 @@ def _parse_int(raw: str) -> int:
 
 def _parse_float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"expected number, got {raw!r}") from exc
+    # float() also reads nan and inf; NaN compares false with every bound,
+    # so the range checks downstream would let it through.
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 _PARSERS = {
@@ -197,12 +203,22 @@ def apply_parameter(config: RunConfig, name: str, value) -> RunConfig:
 
 
 def parse_sweep_values(name: str, raw_values: str) -> list:
-    """Parse a comma-separated sweep value list for the given parameter."""
+    """Parse a comma-separated sweep value list for the given parameter.
+
+    Every value must be distinct once parsed (``3`` and ``03`` are one
+    value): each names its own output directory and summary row.
+    """
     parser = _PARSERS[_sweep_key(name)]
     parts = [part.strip() for part in raw_values.split(",") if part.strip()]
     if not parts:
         raise ConfigError("sweep values list is empty")
-    return [parser(part) for part in parts]
+    values = []
+    for part in parts:
+        value = parser(part)
+        if value in values:
+            raise ConfigError(f"sweep value {value!r} is listed twice")
+        values.append(value)
+    return values
 
 
 def config_echo(config: RunConfig) -> dict:

@@ -23,8 +23,8 @@ from .prng import SplitMix64
 
 FRAME_NAME = "frame_{:06d}.ppm"
 FRAME_FILE = re.compile(r"frame_(\d{6,})\.ppm")
-# Noise is drawn and added this many pixels at a time, so its float64
-# draws stay a small temporary whatever the frame size.
+# Noise is drawn and added this many pixels at a time, so its buffers
+# stay small whatever the frame size.
 NOISE_BAND_PIXELS = 16384
 
 
@@ -88,26 +88,37 @@ def _choose_patches(stream: SplitMix64, n: int, count: int) -> list[int]:
     return indices[:count]
 
 
-def _add_noise(plane: np.ndarray, stream: SplitMix64, amplitude: float) -> None:
+def _noise_bands(pixels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The buffers of ``_add_noise`` for frames of ``pixels`` pixels, one
+    band of NOISE_BAND_PIXELS each: the draws, the uint8 delta and the
+    headroom ``255 - pixel``."""
+    band = min(NOISE_BAND_PIXELS, pixels)
+    return np.empty(band), np.empty(band, dtype=np.uint8), np.empty(band, dtype=np.uint8)
+
+
+def _add_noise(plane: np.ndarray, stream: SplitMix64, amplitude: float, bands) -> None:
     """Add round(draw * amplitude * 255) to each pixel of ``plane`` in place,
-    saturating at 255: one draw per pixel, row-major, drawn and added a band
-    of NOISE_BAND_PIXELS at a time."""
+    saturating at 255: one draw per pixel, row-major, drawn and added one
+    band at a time in the buffers of ``_noise_bands``."""
     flat = plane.reshape(-1)
-    for start in range(0, flat.size, NOISE_BAND_PIXELS):
-        pixels = flat[start : start + NOISE_BAND_PIXELS]
-        draws = stream.float_block(pixels.size)
-        draws *= amplitude
+    band_draws, band_delta, band_room = bands
+    for start in range(0, flat.size, band_draws.size):
+        pixels = flat[start : start + band_draws.size]
+        size = pixels.size
+        draws = stream.float_block(size, amplitude, out=band_draws[:size])
         draws *= 255.0
-        delta = np.round(draws, out=draws).astype(np.uint8)
-        np.minimum(delta, 255 - pixels, out=delta)
+        delta = band_delta[:size]
+        np.copyto(delta, np.round(draws, out=draws), casting="unsafe")
+        np.minimum(delta, np.subtract(255, pixels, out=band_room[:size]), out=delta)
         pixels += delta
 
 
 def iter_frames(spec: SynthSpec) -> Iterator[FrameObservation]:
     """Yield the episode's frames, timesteps 0..count-1, one at a time.
 
-    Each frame is painted on one (height, width) uint8 plane that becomes
-    all three channels, so R = G = B in every pixel.  After the first frame,
+    Each frame is painted on one (height, width) uint8 plane, and its pixels
+    are a read-only (height, width, 3) view that shows the plane as all
+    three channels, so R = G = B in every pixel.  After the first frame,
     each frame draws from the stream, in order: the repaint picks, their
     gray levels, then one noise draw per pixel, row-major.
     """
@@ -116,6 +127,7 @@ def iter_frames(spec: SynthSpec) -> Iterator[FrameObservation]:
     base = _base_plane(spec)
     stream = SplitMix64(spec.seed)
     changed = min(n, int(round(spec.change_fraction * n)))
+    bands = _noise_bands(base.size) if spec.noise_amplitude > 0.0 else None
     for t in range(spec.frame_count):
         plane = base.copy()
         patches = plane.reshape(grid.rows, PATCH_SIDE, grid.cols, PATCH_SIDE)
@@ -126,13 +138,13 @@ def iter_frames(spec: SynthSpec) -> Iterator[FrameObservation]:
         if spec.walker:
             row, col = divmod(walker_patch(grid, t), grid.cols)
             patches[row, :, col, :] = 255
-        if spec.noise_amplitude > 0.0:
-            _add_noise(plane, stream, spec.noise_amplitude)
-        img = np.stack([plane] * 3, axis=2)
-        yield FrameObservation(pixels=img, timestep=t)
+        if bands is not None:
+            _add_noise(plane, stream, spec.noise_amplitude, bands)
+        pixels = np.broadcast_to(plane[..., None], (*plane.shape, 3))
+        yield FrameObservation(pixels=pixels, timestep=t)
         # Drop the frame before the next one is allocated, so a consumer
         # that keeps no frame lets the next one take its memory.
-        del img
+        del plane, patches, pixels
 
 
 def generate_frames(spec: SynthSpec) -> list[FrameObservation]:

@@ -66,6 +66,14 @@ class TestRun:
         assert main(["run", "--config", config]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["pixel_threshold", "synth_noise", "target_reuse_rate"])
+    def test_non_finite_float_exits_2_without_output(self, tmp_path, capsys, key):
+        config = write_config(tmp_path, SMALL + f"{key} = nan\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert f"{key}: expected a finite number, got 'nan'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_emit_masks_writes_one_pgm_per_non_keyframe_step(self, tmp_path):
         config = write_config(tmp_path, SMALL + "emit_masks = true\n")
         out = tmp_path / "out"
@@ -258,6 +266,26 @@ class TestSweep:
             ["sweep", "--config", config, "--param", "K", "--values", " , "]
         ) == 2
         assert "empty" in capsys.readouterr().err
+
+    def test_duplicate_values_exit_2_naming_the_value(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL)
+        out = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", config, "--out", str(out), "--param", "K",
+             "--values", "3,3"]
+        ) == 2
+        assert "sweep value 3 is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_value_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL)
+        out = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", config, "--out", str(out), "--param", "tau_pixel",
+             "--values", "0.01,nan"]
+        ) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_parameter_exit_2(self, tmp_path):
         config = write_config(tmp_path, SMALL)

@@ -172,6 +172,14 @@ class TestAttentionScores:
         with pytest.raises(ValueError):
             AttentionSlice(text_rows=np.array([[[-0.1, 0.5]]]), action_row=None, source_timestep=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        rows = np.array([[0.1, 0.1, bad, 0.1]])
+        with pytest.raises(ValueError, match="finite"):
+            AttentionSlice(text_rows=rows[None], action_row=None, source_timestep=0)
+        with pytest.raises(ValueError, match="finite"):
+            AttentionSlice(text_rows=None, action_row=rows, source_timestep=0)
+
     def test_row_sums_above_one_rejected(self):
         with pytest.raises(ValueError):
             AttentionSlice(text_rows=np.array([[[0.7, 0.7]]]), action_row=None, source_timestep=0)

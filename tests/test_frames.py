@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ttfusion.frames import (
+    PATCH_SIDE,
     FrameError,
     FrameObservation,
     PatchGrid,
@@ -123,6 +124,63 @@ class TestGrayscale:
             u0, v0, u1, v1 = grid.patch_region(i)
             piece = FrameObservation(pixels=pixels[u0 : u1 + 1, v0 : v1 + 1], timestep=0)
             assert np.array_equal(to_grayscale(piece).values, whole[u0 : u1 + 1, v0 : v1 + 1])
+
+
+def float64_grayscale(pixels):
+    """The float64 formula the integer luma replaced: weighted sum of the
+    float64 channels, then one division."""
+    return pixels.astype(np.float64) @ np.array([299.0, 587.0, 114.0]) / 255000.0
+
+
+class TestIntegerGrayscale:
+    def test_every_rgb_triple_matches_the_float64_formula(self):
+        # 2**24 triples in slabs of 2**18 (four red levels), laid out in a
+        # 518 x 518 frame whose pixels past the slab stay black.
+        side = 37 * PATCH_SIDE
+        slab = 1 << 18
+        green_blue = np.arange(1 << 16)
+        pixels = np.zeros((side * side, 3), dtype=np.uint8)
+        frame = FrameObservation(pixels=pixels.reshape(side, side, 3), timestep=0)
+        out = np.empty((side, side))
+        for red in range(0, 256, 4):
+            pixels[:slab, 0] = np.repeat(np.arange(red, red + 4), 1 << 16)
+            pixels[:slab, 1] = np.tile(green_blue >> 8, 4)
+            pixels[:slab, 2] = np.tile(green_blue & 255, 4)
+            got = to_grayscale(frame, out=out).values
+            assert np.array_equal(got, float64_grayscale(frame.pixels))
+
+    def test_one_plane_viewed_as_three_channels(self):
+        plane = (np.arange(14 * 28) % 256).astype(np.uint8).reshape(14, 28)
+        view = np.broadcast_to(plane[..., None], (14, 28, 3))
+        assert view.strides[2] == 0
+        got = to_grayscale(FrameObservation(pixels=view, timestep=0)).values
+        assert np.array_equal(got, float64_grayscale(np.ascontiguousarray(view)))
+        assert np.array_equal(got, plane / 255.0)
+
+    def test_strided_pixels(self):
+        rng = np.random.default_rng(4)
+        wide = rng.integers(0, 256, size=(28, 84, 3), dtype=np.uint8)
+        pixels = wide[:, ::2]
+        got = to_grayscale(FrameObservation(pixels=pixels, timestep=0)).values
+        assert np.array_equal(got, float64_grayscale(pixels))
+
+    def test_out_receives_the_values(self):
+        frame = solid_frame(28, 14, (10, 20, 30))
+        out = np.full((14, 28), -1.0)
+        gray = to_grayscale(frame, out=out)
+        assert gray.values is out
+        assert np.array_equal(out, to_grayscale(frame).values)
+
+    def test_without_out_each_call_returns_a_new_array(self):
+        frame = solid_frame(14, 14, (10, 20, 30))
+        assert not np.shares_memory(to_grayscale(frame).values, to_grayscale(frame).values)
+
+    @pytest.mark.parametrize(
+        "out", [np.empty((14, 14)), np.empty((14, 28), dtype=np.float32)]
+    )
+    def test_out_of_wrong_shape_or_dtype_rejected(self, out):
+        with pytest.raises(ValueError, match="out must be"):
+            to_grayscale(solid_frame(28, 14, (1, 2, 3)), out=out)
 
 
 class TestPatchGrid:

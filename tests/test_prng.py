@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from ttfusion import prng
 from ttfusion.prng import SplitMix64
 
 # Reference splitmix64 outputs for seed 0.
@@ -60,3 +62,66 @@ def test_float_block_matches_scalar_floats():
 
 def test_seed_wraps_to_64_bits():
     assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
+
+
+def test_ramp_is_shared_read_only_and_left_unchanged():
+    before = prng._RAMP.copy()
+    assert not prng._RAMP.flags.writeable
+    SplitMix64(1).u64_block(prng.RAMP_LENGTH + 5)
+    SplitMix64(2).float_block(3, 0.5)
+    assert np.array_equal(prng._RAMP, before)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        [0, 1, 2],
+        [prng.RAMP_LENGTH - 1, 1, prng.RAMP_LENGTH],
+        [prng.RAMP_LENGTH + 1, 3],
+        [2 * prng.RAMP_LENGTH + 3, prng.RAMP_LENGTH - 2],
+    ],
+)
+def test_blocks_across_ramp_tails_match_the_scalar_path(counts):
+    # Blocks of these sizes, one scalar draw after each, from a state near
+    # the top of the 64-bit range so the additions wrap.
+    scalar = SplitMix64(2**64 - 3)
+    block = SplitMix64(2**64 - 3)
+    for count in counts:
+        expected = np.array([scalar.next_u64() for _ in range(count)], dtype=np.uint64)
+        assert np.array_equal(block.u64_block(count), expected)
+        assert block.next_u64() == scalar.next_u64()
+
+
+def test_float_blocks_across_ramp_tails_match_scalar_floats():
+    scalar = SplitMix64(77)
+    block = SplitMix64(77)
+    for count in (prng.RAMP_LENGTH - 1, 2, prng.RAMP_LENGTH + 1):
+        expected = np.array([scalar.next_float() for _ in range(count)])
+        assert np.array_equal(block.float_block(count), expected)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.02, 0.1, 1 / 3, 255.0, 0.0, 1e-300, 5e-324])
+def test_scaled_floats_are_next_float_times_scale(scale):
+    # 5e-324 / 2**53 underflows, so that scale takes the unfolded path.
+    scalar = SplitMix64(13)
+    block = SplitMix64(13)
+    expected = np.array([scalar.next_float() * scale for _ in range(3000)])
+    assert np.array_equal(block.float_block(3000, scale), expected)
+
+
+def test_out_receives_the_block():
+    out = np.full(100, -1.0)
+    got = SplitMix64(4).float_block(100, 0.5, out=out)
+    assert got is out
+    assert np.array_equal(out, SplitMix64(4).float_block(100, 0.5))
+    raw = np.zeros(100, dtype=np.uint64)
+    assert SplitMix64(4).u64_block(100, out=raw) is raw
+    assert np.array_equal(raw, SplitMix64(4).u64_block(100))
+
+
+@pytest.mark.parametrize(
+    "out", [np.empty(99), np.empty(100, dtype=np.float32), np.empty((10, 10))]
+)
+def test_out_of_wrong_shape_or_dtype_rejected(out):
+    with pytest.raises(ValueError, match="out must be"):
+        SplitMix64(4).float_block(100, out=out)

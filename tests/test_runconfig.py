@@ -68,6 +68,11 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config_text("synth_frames = six\n")
 
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_float_rejected(self, raw):
+        with pytest.raises(ConfigError, match="line 2: pixel_threshold: expected a finite"):
+            parse_config_text(f"synth_frames = 6\npixel_threshold = {raw}\n")
+
 
 class TestValidation:
     def test_both_sources_rejected(self):
@@ -128,6 +133,18 @@ class TestSweepParameters:
     def test_empty_values_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             parse_sweep_values("K", " , ")
+
+    @pytest.mark.parametrize(
+        "name,raw,value",
+        [("K", "3,3", "3"), ("K", "2,3,03", "3"), ("tau_pixel", "0.1,0.2,0.10", "0.1")],
+    )
+    def test_duplicate_values_rejected(self, name, raw, value):
+        with pytest.raises(ConfigError, match=f"sweep value {value} is listed twice"):
+            parse_sweep_values(name, raw)
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_sweep_values("tau_pixel", "0.01,nan")
 
 
 class TestEcho:

@@ -71,9 +71,9 @@ class CountingStream(SplitMix64):
         self.drawn += 1
         return super().next_u64()
 
-    def u64_block(self, count):
+    def u64_block(self, count, out=None):
         self.drawn += count
-        return super().u64_block(count)
+        return super().u64_block(count, out=out)
 
 
 def draws_per_frame(frames, streams):
@@ -156,6 +156,24 @@ class TestGeneration:
         assert first.timestep == 0 and np.array_equal(first.pixels, frames[0].pixels)
         for a, b in zip(stream, frames[1:], strict=True):
             assert a.timestep == b.timestep and np.array_equal(a.pixels, b.pixels)
+
+    def test_pixels_are_read_only_views_whose_bytes_stay_put(self):
+        spec = SynthSpec(
+            frame_count=5, width=42, height=28, change_fraction=0.3, walker=True,
+            noise_amplitude=0.1, seed=6,
+        )
+        frames, taken = [], []
+        for frame in iter_frames(spec):
+            assert frame.pixels.shape == (28, 42, 3)
+            assert not frame.pixels.flags.writeable
+            with pytest.raises(ValueError):
+                frame.pixels[0, 0, 0] = 1
+            frames.append(frame)
+            taken.append(frame.pixels.tobytes())
+        # Later frames are painted on planes of their own.
+        assert [f.pixels.tobytes() for f in frames] == taken
+        want = [f.pixels.tobytes() for f in reference_iter_frames(spec)]
+        assert taken == want
 
     def test_timesteps_are_contiguous(self):
         frames = generate_frames(SynthSpec(frame_count=4, width=28, height=28))
