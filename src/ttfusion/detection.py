@@ -79,25 +79,19 @@ def _check_rows(rows: np.ndarray) -> None:
         raise ValueError("attention rows must sum to at most 1")
 
 
-def patch_diffs(
-    gray_t: GrayscaleImage,
-    gray_prev: GrayscaleImage,
-    grid: PatchGrid,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
+def patch_diffs(gray_t: GrayscaleImage, gray_prev: GrayscaleImage, grid: PatchGrid) -> np.ndarray:
     """Mean absolute luminance difference of each patch between two frames.
 
     Depends on the frame pair alone, so one result can serve every
-    threshold applied to it.  The per-pixel differences are taken in
-    ``scratch``, a float64 array of the frames' shape, if given, else in
-    one new frame-sized temporary; the absolute value is taken in place.
+    threshold applied to it.  The absolute value is taken in place, so the
+    call allocates one frame-sized temporary, not two.
     """
     a, b = gray_t.values, gray_prev.values
     if a.shape != b.shape:
         raise ValueError(f"grayscale shapes differ: {a.shape} vs {b.shape}")
     if a.shape != (grid.rows * PATCH_SIDE, grid.cols * PATCH_SIDE):
         raise ValueError(f"grayscale shape {a.shape} does not match grid {grid.rows}x{grid.cols}")
-    delta = np.subtract(a, b, out=scratch)
+    delta = np.subtract(a, b)
     np.abs(delta, out=delta)
     return (
         delta.reshape(grid.rows, PATCH_SIDE, grid.cols, PATCH_SIDE)

@@ -15,11 +15,9 @@ import numpy as np
 PATCH_SIDE = 14
 PATCH_PIXELS = PATCH_SIDE * PATCH_SIDE
 
-# Integer luminance weights.  The weighted sum of three uint8 channels is at
-# most 255000, so it is exact in uint32; dividing it once by the scale keeps
+# Integer luminance weights; dividing the exact integer-valued sum once keeps
 # every value correctly rounded and inside [0, 1].
-_LUMA_WEIGHTS = (np.uint32(299), np.uint32(587), np.uint32(114))
-_LUMA_GRAY_WEIGHT = 1000.0
+_LUMA_WEIGHTS = np.array([299.0, 587.0, 114.0])
 _LUMA_SCALE = 255000.0
 
 
@@ -135,29 +133,22 @@ class PatchGrid:
         return u0, v0, u0 + PATCH_SIDE - 1, v0 + PATCH_SIDE - 1
 
 
-def to_grayscale(frame: FrameObservation, out: np.ndarray | None = None) -> GrayscaleImage:
-    """Convert to luminance: (0.299 R + 0.587 G + 0.114 B) / 255 in float64.
-
-    The sum 299 R + 587 G + 114 B is computed exactly in uint32 and divided
-    once by 255000, so each value is the correctly rounded quotient, bit for
-    bit what the float64 formula gives.  The values are written into ``out``,
-    a float64 (height, width) array, if given, else into a new array.
-    """
+def to_grayscale(frame: FrameObservation) -> GrayscaleImage:
+    """Convert to luminance: (0.299 R + 0.587 G + 0.114 B) / 255 in float64."""
     pixels = frame.pixels
-    if out is None:
-        out = np.empty(pixels.shape[:2])
-    elif out.shape != pixels.shape[:2] or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of shape {pixels.shape[:2]}")
+    # The result outlives the call, the float64 copy of the pixels does not:
+    # allocating the result first leaves the copy on top of the heap, where
+    # the next frame's copy reuses it instead of the heap being trimmed and
+    # grown again every frame.
+    values = np.empty(pixels.shape[:2])
     if pixels.strides[2] == 0:
-        # One plane in memory is all three channels (R = G = B), so the sum
-        # is 1000 times it, exact in float64 too: no temporary is needed.
-        luma = np.multiply(pixels[..., 0], _LUMA_GRAY_WEIGHT, out=out)
+        # One plane in memory is all three channels (R = G = B), so the
+        # weighted sum is exactly 1000 times it and no copy is needed.
+        np.multiply(pixels[..., 0], _LUMA_WEIGHTS.sum(), out=values, dtype=np.float64)
     else:
-        luma = np.multiply(pixels[..., 0], _LUMA_WEIGHTS[0])
-        luma += np.multiply(pixels[..., 1], _LUMA_WEIGHTS[1])
-        luma += np.multiply(pixels[..., 2], _LUMA_WEIGHTS[2])
-    np.divide(luma, _LUMA_SCALE, out=out)
-    return GrayscaleImage(out)
+        np.matmul(pixels.astype(np.float64), _LUMA_WEIGHTS, out=values)
+    values /= _LUMA_SCALE
+    return GrayscaleImage(values)
 
 
 def _parse_netpbm_header(data: bytes, magic: bytes, path: str) -> tuple[int, int, int]:

@@ -325,19 +325,13 @@ def lockstep(frames, encoder, configs) -> Iterator[list[StepResult]]:
     if not configs:
         raise ValueError("no fusion configs to run")
     states = [FusionState() for _ in configs]
-    # Frame t's grayscale goes into slot t % 2 of a two-slot ring: the
-    # states hold frame t - 1's until every config has stepped frame t, and
-    # nothing holds frame t - 2's.  The pixel-diff scratch is reused alike.
-    shape = (configs[0].height, configs[0].width)
-    grays = (np.empty(shape), np.empty(shape))
-    diff_scratch = np.empty(shape)
     index = -1
     for index, frame in enumerate(frames):
         if frame.timestep != index:
             raise ValueError(
                 f"timestep gap: frame at position {index} has timestep {frame.timestep}"
             )
-        shared = SharedObservation(frame, encoder, grays[index % 2], diff_scratch)
+        shared = SharedObservation(frame, encoder)
         results = []
         for i, config in enumerate(configs):
             result, states[i] = step(states[i], frame, encoder, config, shared=shared)
@@ -357,23 +351,12 @@ class SharedObservation:
 
     None of the three reads a ``FusionConfig`` field, so every config's step
     on the frame can use the same results.  The diffs are read-only because
-    every config's ``StepResult`` holds the same array.  ``gray_out`` and
-    ``diff_scratch``, float64 arrays of the frame's shape, receive the
-    grayscale and the per-pixel differences if given; the caller must not
-    reuse ``gray_out`` while a state still holds this frame's grayscale.
+    every config's ``StepResult`` holds the same array.
     """
 
-    def __init__(
-        self,
-        frame: FrameObservation,
-        encoder,
-        gray_out: np.ndarray | None = None,
-        diff_scratch: np.ndarray | None = None,
-    ):
+    def __init__(self, frame: FrameObservation, encoder):
         self.frame = frame
         self._encoder = encoder
-        self._gray_out = gray_out
-        self._diff_scratch = diff_scratch
         self._gray: GrayscaleImage | None = None
         self._encoded = None
         self._diffs: np.ndarray | None = None
@@ -382,7 +365,7 @@ class SharedObservation:
     @property
     def gray(self) -> GrayscaleImage:
         if self._gray is None:
-            self._gray = to_grayscale(self.frame, self._gray_out)
+            self._gray = to_grayscale(self.frame)
         return self._gray
 
     def encoded(self):
@@ -395,7 +378,8 @@ class SharedObservation:
         """``detection.patch_diffs`` of this frame against ``prev_gray``,
         computed again only when asked against another grayscale."""
         if self._diffs_base is not prev_gray:
-            diffs = detection.patch_diffs(self.gray, prev_gray, grid, self._diff_scratch)
+            diffs = detection.patch_diffs(self.gray, prev_gray, grid)
             diffs.flags.writeable = False
             self._diffs, self._diffs_base = diffs, prev_gray
         return self._diffs
+

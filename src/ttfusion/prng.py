@@ -76,26 +76,12 @@ class SplitMix64:
             self._state = (self._state + chunk.size * _GAMMA) & _MASK64
         return z
 
-    def float_block(
-        self, count: int, scale: float = 1.0, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """The next ``count`` floats in [0, 1), each multiplied by ``scale``,
-        as float64; written into ``out`` (a float64 array of shape
-        ``(count,)``) if given.
-
-        Each value is ``next_float() * scale``: the top 53 bits u of an
-        output over 2**53, which is exact, times ``scale``, rounded once.
-        """
+    def float_block(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The next ``count`` floats in [0, 1) as float64; written into
+        ``out`` (a float64 array of shape ``(count,)``) if given."""
         values = _block_out(count, out, np.float64)
         bits = self.u64_block(count, out=values.view(np.uint64))
         bits >>= np.uint64(11)
-        # u < 2**53, so its int64 view converts to float64 exactly.  When
-        # scale / 2**53 is exact, u * (scale / 2**53) is the same single
-        # rounding of u * scale * 2**-53 as (u / 2**53) * scale, in one pass.
-        folded = scale / _TWO_53
-        if folded * _TWO_53 == scale:
-            np.multiply(bits.view(np.int64), folded, out=values)
-        else:
-            np.divide(bits.view(np.int64), _TWO_53, out=values)
-            values *= scale
+        # u < 2**53, so its int64 view converts to float64 exactly.
+        np.divide(bits.view(np.int64), _TWO_53, out=values)
         return values

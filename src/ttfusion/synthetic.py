@@ -105,7 +105,8 @@ def _add_noise(plane: np.ndarray, stream: SplitMix64, amplitude: float, bands) -
     for start in range(0, flat.size, band_draws.size):
         pixels = flat[start : start + band_draws.size]
         size = pixels.size
-        draws = stream.float_block(size, amplitude, out=band_draws[:size])
+        draws = stream.float_block(size, out=band_draws[:size])
+        draws *= amplitude
         draws *= 255.0
         delta = band_delta[:size]
         np.copyto(delta, np.round(draws, out=draws), casting="unsafe")
@@ -148,7 +149,8 @@ def iter_frames(spec: SynthSpec) -> Iterator[FrameObservation]:
 
 
 def generate_frames(spec: SynthSpec) -> list[FrameObservation]:
-    """Materialise the episode as in-memory frames, timesteps 0..count-1."""
+    """Materialise the episode as in-memory frames, timesteps 0..count-1;
+    their pixels are read-only views, as ``iter_frames`` yields them."""
     return list(iter_frames(spec))
 
 

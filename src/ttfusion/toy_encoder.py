@@ -62,12 +62,9 @@ def _projection_for(spec: "EncoderSpec") -> np.ndarray:
     return (2.0 * flat - 1.0).reshape(FEATURE_DIM, spec.token_dim)
 
 
-def _patch_features(
-    frame: FrameObservation, gray: GrayscaleImage | None, out: np.ndarray | None = None
-) -> np.ndarray:
+def _patch_features(frame: FrameObservation, gray: GrayscaleImage | None) -> np.ndarray:
     """(N, 198) features: patch pixels row-major, then row/rows, col/cols;
-    ``gray`` defaults to the frame's grayscale.  They are written into
-    ``out``, an (N, 198) float64 array, if given, else into a new array."""
+    ``gray`` defaults to the frame's grayscale."""
     grid = PatchGrid.for_frame(frame)
     if gray is None:
         gray = to_grayscale(frame)
@@ -75,7 +72,7 @@ def _patch_features(
         raise ValueError(
             f"grayscale is {gray.values.shape}, frame is {frame.height}x{frame.width}"
         )
-    features = np.empty((grid.patch_count, FEATURE_DIM)) if out is None else out
+    features = np.empty((grid.patch_count, FEATURE_DIM))
     # Splitting both axes of the pixel columns keeps them a view, so the
     # patch layout is written straight into the matrix.
     features[:, :PATCH_PIXELS].reshape(grid.rows, grid.cols, PATCH_SIDE, PATCH_SIDE)[...] = (
@@ -136,20 +133,14 @@ class ToyEncoder:
 
     Both come from one feature matrix of the frame, built from ``gray`` if
     given (the fusion loop passes the one it computed), else from a
-    grayscale computed once here.  The matrix is kept and refilled by the
-    next call on a frame of the same size; tokens and attention are new
-    arrays on every call.
+    grayscale computed once here.
     """
 
     spec: EncoderSpec = field(default_factory=EncoderSpec)
-    _features: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(
         self, frame: FrameObservation, gray: GrayscaleImage | None = None
     ) -> tuple[TokenMatrix, AttentionSlice]:
-        shape = (PatchGrid.for_frame(frame).patch_count, FEATURE_DIM)
-        if self._features is None or self._features.shape != shape:
-            self._features = np.empty(shape)
-        features = _patch_features(frame, gray, self._features)
+        features = _patch_features(frame, gray)
         tokens = TokenMatrix(features @ self.spec.projection())
         return tokens, _attention(features, self.spec, frame.timestep)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ttfusion.frames import (
-    PATCH_SIDE,
     FrameError,
     FrameObservation,
     PatchGrid,
@@ -127,28 +126,12 @@ class TestGrayscale:
 
 
 def float64_grayscale(pixels):
-    """The float64 formula the integer luma replaced: weighted sum of the
-    float64 channels, then one division."""
+    """The float64 formula: weighted sum of the float64 channels, then one
+    division."""
     return pixels.astype(np.float64) @ np.array([299.0, 587.0, 114.0]) / 255000.0
 
 
-class TestIntegerGrayscale:
-    def test_every_rgb_triple_matches_the_float64_formula(self):
-        # 2**24 triples in slabs of 2**18 (four red levels), laid out in a
-        # 518 x 518 frame whose pixels past the slab stay black.
-        side = 37 * PATCH_SIDE
-        slab = 1 << 18
-        green_blue = np.arange(1 << 16)
-        pixels = np.zeros((side * side, 3), dtype=np.uint8)
-        frame = FrameObservation(pixels=pixels.reshape(side, side, 3), timestep=0)
-        out = np.empty((side, side))
-        for red in range(0, 256, 4):
-            pixels[:slab, 0] = np.repeat(np.arange(red, red + 4), 1 << 16)
-            pixels[:slab, 1] = np.tile(green_blue >> 8, 4)
-            pixels[:slab, 2] = np.tile(green_blue & 255, 4)
-            got = to_grayscale(frame, out=out).values
-            assert np.array_equal(got, float64_grayscale(frame.pixels))
-
+class TestGrayscaleLayouts:
     def test_one_plane_viewed_as_three_channels(self):
         plane = (np.arange(14 * 28) % 256).astype(np.uint8).reshape(14, 28)
         view = np.broadcast_to(plane[..., None], (14, 28, 3))
@@ -163,24 +146,6 @@ class TestIntegerGrayscale:
         pixels = wide[:, ::2]
         got = to_grayscale(FrameObservation(pixels=pixels, timestep=0)).values
         assert np.array_equal(got, float64_grayscale(pixels))
-
-    def test_out_receives_the_values(self):
-        frame = solid_frame(28, 14, (10, 20, 30))
-        out = np.full((14, 28), -1.0)
-        gray = to_grayscale(frame, out=out)
-        assert gray.values is out
-        assert np.array_equal(out, to_grayscale(frame).values)
-
-    def test_without_out_each_call_returns_a_new_array(self):
-        frame = solid_frame(14, 14, (10, 20, 30))
-        assert not np.shares_memory(to_grayscale(frame).values, to_grayscale(frame).values)
-
-    @pytest.mark.parametrize(
-        "out", [np.empty((14, 14)), np.empty((14, 28), dtype=np.float32)]
-    )
-    def test_out_of_wrong_shape_or_dtype_rejected(self, out):
-        with pytest.raises(ValueError, match="out must be"):
-            to_grayscale(solid_frame(28, 14, (1, 2, 3)), out=out)
 
 
 class TestPatchGrid:

@@ -399,13 +399,13 @@ class TestRunSequences:
         original = ttfusion.fusion.to_grayscale
         original_diffs = ttfusion.detection.patch_diffs
 
-        def counting(frame, *rest):
+        def counting(frame):
             calls.append(frame.timestep)
-            return original(frame, *rest)
+            return original(frame)
 
-        def counting_diffs(gray_t, gray_prev, grid, *rest):
+        def counting_diffs(gray_t, gray_prev, grid):
             diff_calls.append(calls[-1])
-            return original_diffs(gray_t, gray_prev, grid, *rest)
+            return original_diffs(gray_t, gray_prev, grid)
 
         monkeypatch.setattr(ttfusion.fusion, "to_grayscale", counting)
         monkeypatch.setattr(ttfusion.toy_encoder, "to_grayscale", counting)
@@ -421,38 +421,6 @@ class TestRunSequences:
         # K = 1, 3, 6 those are the frames off multiples of 6.
         assert calls == list(range(len(frames)))
         assert diff_calls == [t for t in range(len(frames)) if t % 6]
-
-    def test_recycled_buffers_give_the_results_of_fresh_steps(self):
-        # run_sequences recycles its grayscale ring, its pixel-diff scratch
-        # and the encoder's feature matrix; every step it held must still
-        # equal a step taken with new arrays throughout, after the run.
-        frames = small_frames(
-            13, walker=True, change_fraction=0.25, noise_amplitude=0.05, seed=12
-        )
-        configs = self.configs() + [small_config(keyframe_interval=4, pixel_threshold=0.001)]
-        together = run_sequences(frames, small_encoder(), configs)
-        for config, sequence in zip(configs, together, strict=True):
-            state = FusionState()
-            for frame, held in zip(frames, sequence.steps, strict=True):
-                fresh, state = step(state, frame, small_encoder(), config)
-                assert held.is_keyframe == fresh.is_keyframe
-                assert np.array_equal(held.pixel_mask, fresh.pixel_mask)
-                assert np.array_equal(held.attention_mask, fresh.attention_mask)
-                assert np.array_equal(held.fusion_mask, fresh.fusion_mask)
-                assert np.array_equal(held.diffs, fresh.diffs)
-                assert np.array_equal(held.fused_tokens.values, fresh.fused_tokens.values)
-        # The pixel detector had work to do: some non-keyframe flagged a patch.
-        assert any(s.pixel_mask.any() and not s.is_keyframe for s in together[3].steps)
-
-    def test_shared_observation_writes_into_given_buffers(self):
-        frame = small_frames(1, noise_amplitude=0.1, seed=3)[0]
-        gray_out, scratch = np.empty((28, 28)), np.full((28, 28), np.nan)
-        shared = SharedObservation(frame, small_encoder(), gray_out, scratch)
-        assert shared.gray.values is gray_out
-        prev = SharedObservation(frame, small_encoder()).gray
-        diffs = shared.diffs(prev, small_config().grid)
-        assert np.array_equal(diffs, np.zeros(4))
-        assert np.array_equal(scratch, np.zeros((28, 28)))
 
     def test_frames_may_be_an_iterator(self):
         frames = self.walker_frames()

@@ -68,7 +68,7 @@ def test_ramp_is_shared_read_only_and_left_unchanged():
     before = prng._RAMP.copy()
     assert not prng._RAMP.flags.writeable
     SplitMix64(1).u64_block(prng.RAMP_LENGTH + 5)
-    SplitMix64(2).float_block(3, 0.5)
+    SplitMix64(2).float_block(3)
     assert np.array_equal(prng._RAMP, before)
 
 
@@ -100,20 +100,11 @@ def test_float_blocks_across_ramp_tails_match_scalar_floats():
         assert np.array_equal(block.float_block(count), expected)
 
 
-@pytest.mark.parametrize("scale", [1.0, 0.02, 0.1, 1 / 3, 255.0, 0.0, 1e-300, 5e-324])
-def test_scaled_floats_are_next_float_times_scale(scale):
-    # 5e-324 / 2**53 underflows, so that scale takes the unfolded path.
-    scalar = SplitMix64(13)
-    block = SplitMix64(13)
-    expected = np.array([scalar.next_float() * scale for _ in range(3000)])
-    assert np.array_equal(block.float_block(3000, scale), expected)
-
-
 def test_out_receives_the_block():
     out = np.full(100, -1.0)
-    got = SplitMix64(4).float_block(100, 0.5, out=out)
+    got = SplitMix64(4).float_block(100, out=out)
     assert got is out
-    assert np.array_equal(out, SplitMix64(4).float_block(100, 0.5))
+    assert np.array_equal(out, SplitMix64(4).float_block(100))
     raw = np.zeros(100, dtype=np.uint64)
     assert SplitMix64(4).u64_block(100, out=raw) is raw
     assert np.array_equal(raw, SplitMix64(4).u64_block(100))

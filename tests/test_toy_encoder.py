@@ -244,20 +244,6 @@ class TestToyEncoder:
         with pytest.raises(ValueError, match="grayscale is"):
             synth_attention(frame, SPEC, wrong)
 
-    def test_kept_feature_matrix_leaves_earlier_results_alone(self):
-        encoder = ToyEncoder(SPEC)
-        frames = [
-            frame_from_gray_levels([10, 80, 160, 250]),
-            frame_from_gray_levels([250, 3, 99, 40], timestep=1),
-            frame_from_gray_levels([7, 7, 200, 120, 60, 30], width=42, timestep=2),
-        ]
-        results = [encoder(frame) for frame in frames]
-        for frame, (tokens, attention) in zip(frames, results, strict=True):
-            assert np.array_equal(tokens.values, encode(frame, SPEC).values)
-            fresh = synth_attention(frame, SPEC)
-            assert np.array_equal(attention.text_rows, fresh.text_rows)
-            assert np.array_equal(attention.action_row, fresh.action_row)
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             EncoderSpec(token_dim=0)
