@@ -3,30 +3,25 @@
 A projection row is the token row times a fixed weight matrix.  When the
 fusion mask keeps a token row bit-identical to the previous step, copying
 the previous projection row gives exactly the same bits as recomputing it,
-so the multiplications for that row are saved outright.  This replays a
-short run, checks the equality for all three matrices on every step, and
-totals the avoided work.
+so the multiplications for that row are saved outright.  This checks the
+equality for all three matrices on every step of a short run, as each step
+completes, and totals the avoided work.
 """
 
-from ttfusion import (
-    FusionConfig,
-    ProjectionSet,
-    SynthSpec,
-    generate_frames,
-    run_sequence,
-    verify_equivalence,
-)
+from ttfusion import FusionConfig, ProjectionSet, ReuseChecker, SynthSpec, iter_frames, lockstep
 from ttfusion.toy_encoder import EncoderSpec, ToyEncoder
 
-frames = generate_frames(
+frames = iter_frames(
     SynthSpec(frame_count=30, width=224, height=224, walker=True, noise_amplitude=0.05, seed=5)
 )
 config = FusionConfig(keyframe_interval=3, token_dim=64)
-sequence = run_sequence(frames, ToyEncoder(EncoderSpec(token_dim=64, seed=5)), config)
+checker = ReuseChecker(ProjectionSet.generate(dim=64, seed=5), rows=256)
 
-projections = ProjectionSet.generate(dim=64, seed=5)
-pairs = [(step.fused_tokens.values, step.fusion_mask) for step in sequence.steps]
-checks = verify_equivalence(pairs, projections)
+checks, rates_match = [], True
+for [step] in lockstep(frames, ToyEncoder(EncoderSpec(token_dim=64, seed=5)), [config]):
+    check = checker.check(step.fused_tokens.values, step.fusion_mask)
+    checks.append(check)
+    rates_match = rates_match and check.reused_rows / 256 == step.fusion_rate
 
 print(f"{'t':>3} {'reused rows':>11} {'saved mults':>12} {'max |selective - full|':>23}")
 for check in checks[:10]:
@@ -43,5 +38,4 @@ print(f"\nworst error across {len(checks)} steps and 3 matrices: {worst}")
 assert worst == 0.0
 print(f"saved multiplications: {total_saved:,} of {full_cost:,} "
       f"({100 * total_saved / full_cost:.1f}% of projection work)")
-print("reuse fraction per step equals the fusion rate:",
-      all(c.reused_rows / 256 == s.fusion_rate for c, s in zip(checks, sequence.steps)))
+print("reuse fraction per step equals the fusion rate:", rates_match)

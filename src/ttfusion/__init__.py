@@ -34,23 +34,15 @@ from .frames import (
 from .fusion import (
     FusionConfig,
     FusionState,
-    SequenceResult,
     StepResult,
     TokenMatrix,
     combine_masks,
     fuse_tokens,
     is_keyframe,
     lockstep,
-    run_sequence,
     step,
 )
-from .projection import (
-    EquivalenceCheck,
-    ProjectionSet,
-    ReuseChecker,
-    project_full,
-    verify_equivalence,
-)
+from .projection import EquivalenceCheck, ProjectionSet, ReuseChecker, project_full
 from .prng import SplitMix64
 from .runconfig import ConfigError, RunConfig, load_config_file
 from .synthetic import SynthSpec, generate_frames, iter_frames, walker_patch, write_sequence
@@ -76,7 +68,6 @@ __all__ = [
     "ProjectionSet",
     "ReuseChecker",
     "RunConfig",
-    "SequenceResult",
     "SplitMix64",
     "StepResult",
     "SynthSpec",
@@ -98,7 +89,6 @@ __all__ = [
     "project_full",
     "rate_target_mask",
     "read_tensor",
-    "run_sequence",
     "save_frame",
     "step",
     "synth_attention",
@@ -106,7 +96,6 @@ __all__ = [
     "threshold_diffs",
     "to_grayscale",
     "top_k_mask",
-    "verify_equivalence",
     "walker_patch",
     "write_sequence",
     "write_tensor",

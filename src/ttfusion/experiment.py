@@ -26,7 +26,7 @@ from .frames import (
     write_pgm,
 )
 from .fusion import StepResult, lockstep
-from .projection import EquivalenceCheck, ProjectionSet, ReuseChecker, verify_equivalence
+from .projection import EquivalenceCheck, ProjectionSet, ReuseChecker
 from .report import build_report, build_sweep_summary, load_report, step_record, write_report
 from .runconfig import ATTENTION_SOURCE_TENSOR_FILES, RunConfig, apply_parameter, config_echo
 from .synthetic import FRAME_FILE, FRAME_NAME, iter_frames
@@ -44,6 +44,11 @@ ACTION_ATTENTION_NAME = "attn_action_{:06d}.ttft"
 REPORT_NAME = "report.json"
 _ATTENTION_FILE = re.compile(r"attn_(text|action)_(\d{6,})\.ttft")
 _ATTENTION_NAMES = {"text": TEXT_ATTENTION_NAME, "action": ACTION_ATTENTION_NAME}
+# Each dump directory and the names of the files a run writes there.
+_DUMP_FILES = (
+    (MASK_DIR, re.compile(r"mask_\d{6,}\.pgm")),
+    (TOKEN_DIR, re.compile(r"fused_\d{6,}\.ttft")),
+)
 
 
 @dataclass
@@ -204,6 +209,14 @@ class _Point:
                 os.remove(os.path.join(out_dir, REPORT_NAME))
             except FileNotFoundError:
                 pass
+            # Nor may an earlier run's dumps outlive it: verify-qreuse would
+            # replay them as this run's.
+            for name, pattern in _DUMP_FILES:
+                folder = os.path.join(out_dir, name)
+                if os.path.isdir(folder):
+                    for entry in os.listdir(folder):
+                        if pattern.fullmatch(entry):
+                            os.remove(os.path.join(folder, entry))
             for wanted, name in ((config.emit_masks, MASK_DIR), (config.emit_tokens, TOKEN_DIR)):
                 if wanted:
                     os.makedirs(os.path.join(out_dir, name), exist_ok=True)
@@ -241,27 +254,22 @@ class _Point:
         return result
 
 
-def run_points(
-    configs: list[RunConfig],
-    frames: list[FrameObservation] | None = None,
-    out_dirs: list | None = None,
-) -> list[ExperimentResult]:
+def run_points(configs: list[RunConfig], out_dirs: list | None = None) -> list[ExperimentResult]:
     """Run the same frames once per config, in one streaming pass.
 
-    Frames come from the first config unless given, and so does the encoder
-    (configs may differ only in fusion knobs the encoder does not read).
-    Every config advances through the frames in lockstep
-    (``fusion.lockstep``).  Right after its step, each config's Q/K/V reuse
-    check runs and the step is reduced to its report record; its fused
-    tokens live on only as the next step's history, so memory does not grow
-    with the episode.  With ``out_dirs``, one directory per config, each
-    config's mask and token dumps are written as its steps complete and its
-    report.json after the last step.
+    Frames and the encoder come from the first config (configs may differ
+    only in fusion knobs neither reads); an empty ``configs`` raises
+    ``ValueError`` before any frame is opened.  Every config advances
+    through the frames in lockstep (``fusion.lockstep``).  Right after its
+    step, each config's Q/K/V reuse check runs and the step is reduced to
+    its report record; its fused tokens live on only as the next step's
+    history, so memory does not grow with the episode.  With ``out_dirs``,
+    one directory per config, each config's mask and token dumps are
+    written as its steps complete and its report.json after the last step.
     """
-    if frames is None:
-        frames, count = open_frames(configs[0])
-    else:
-        count = len(frames)
+    if not configs:
+        raise ValueError("no fusion configs to run")
+    frames, count = open_frames(configs[0])
     encoder = build_encoder(configs[0], count)
     if out_dirs is None:
         out_dirs = [None] * len(configs)
@@ -272,14 +280,10 @@ def run_points(
     return [point.finish() for point in points]
 
 
-def run_experiment(
-    config: RunConfig,
-    frames: list[FrameObservation] | None = None,
-    out_dir: str | os.PathLike | None = None,
-) -> ExperimentResult:
+def run_experiment(config: RunConfig, out_dir: str | os.PathLike | None = None) -> ExperimentResult:
     """One full run: fusion loop plus Q/K/V reuse verification, writing its
     outputs to ``out_dir`` when given (see ``run_points``)."""
-    return run_points([config], frames, None if out_dir is None else [out_dir])[0]
+    return run_points([config], None if out_dir is None else [out_dir])[0]
 
 
 def write_run_outputs(result: ExperimentResult, out_dir: str | os.PathLike) -> str:
@@ -295,7 +299,6 @@ def run_sweep(
     config: RunConfig,
     parameter: str,
     values: list,
-    frames: list[FrameObservation] | None = None,
     out_dir: str | os.PathLike | None = None,
 ) -> tuple[dict, list[ExperimentResult]]:
     """Run the same frames once per parameter value, through ``run_points``.
@@ -314,7 +317,7 @@ def run_sweep(
     out_dirs = None
     if out_dir is not None:
         out_dirs = [os.path.join(out_dir, f"{parameter}_{value}") for value in values]
-    results = run_points(varied, frames, out_dirs)
+    results = run_points(varied, out_dirs)
     points = []
     for value, result in zip(values, results):
         aggregates = result.report["aggregates"]
@@ -333,49 +336,48 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[EquivalenceCh
 
     The run must have been written with ``emit_tokens`` (and ``emit_masks``
     unless every step was a keyframe); projection weights are regenerated
-    from the config echo.  A token dump that is not (patches, token_dim)
-    raises ``TensorFormatError`` and a mask that is not the patch grid
-    raises ``FrameError``, each naming the file and both shapes.  Each
-    step's dump and mask are read as the check reaches the step.
+    from the config echo, and one ``ReuseChecker`` checks the steps in
+    order.  A token dump that is not (patches, token_dim) raises
+    ``TensorFormatError`` and a mask that is not the patch grid raises
+    ``FrameError``, each naming the file and both shapes.  Each step's dump
+    and mask are read as the check reaches the step.
     """
     report = load_report(os.path.join(run_dir, REPORT_NAME))
     config = report["config"]
     grid = PatchGrid.from_dims(config["width"], config["height"])
     token_shape = (grid.patch_count, config["token_dim"])
-
-    def pairs():
-        for record in report["steps"]:
-            t = record["t"]
-            token_path = os.path.join(run_dir, TOKEN_DIR, TOKEN_NAME.format(t))
-            if not os.path.exists(token_path):
-                raise FileNotFoundError(
-                    f"token dump not found: {token_path} (run with emit_tokens = true)"
-                )
-            tokens = read_tensor(token_path).astype(np.float64)
-            if tokens.shape != token_shape:
-                raise TensorFormatError(
-                    "bad-shape",
-                    f"{token_path}: token dump is {tokens.shape}, expected "
-                    f"{token_shape} (patches, token_dim)",
-                )
-            if record["is_keyframe"]:
-                mask = np.ones(grid.patch_count, dtype=np.uint8)
-            else:
-                mask_path = os.path.join(run_dir, MASK_DIR, MASK_NAME.format(t))
-                if not os.path.exists(mask_path):
-                    raise FileNotFoundError(
-                        f"mask file not found: {mask_path} (run with emit_masks = true)"
-                    )
-                image = read_pgm(mask_path)
-                if image.shape != (grid.rows, grid.cols):
-                    raise FrameError(
-                        "bad-dimensions",
-                        f"{mask_path}: mask is {image.shape}, expected "
-                        f"{(grid.rows, grid.cols)} (patch grid rows, cols)",
-                    )
-                mask = (image.ravel() > 0).astype(np.uint8)
-            yield tokens, mask
-
     projections = ProjectionSet.generate(config["token_dim"], config["seed"])
-    checks = verify_equivalence(pairs(), projections)
+    checker = ReuseChecker(projections, grid.patch_count)
+    checks = []
+    for record in report["steps"]:
+        t = record["t"]
+        token_path = os.path.join(run_dir, TOKEN_DIR, TOKEN_NAME.format(t))
+        if not os.path.exists(token_path):
+            raise FileNotFoundError(
+                f"token dump not found: {token_path} (run with emit_tokens = true)"
+            )
+        tokens = read_tensor(token_path).astype(np.float64)
+        if tokens.shape != token_shape:
+            raise TensorFormatError(
+                "bad-shape",
+                f"{token_path}: token dump is {tokens.shape}, expected "
+                f"{token_shape} (patches, token_dim)",
+            )
+        if record["is_keyframe"]:
+            mask = np.ones(grid.patch_count, dtype=np.uint8)
+        else:
+            mask_path = os.path.join(run_dir, MASK_DIR, MASK_NAME.format(t))
+            if not os.path.exists(mask_path):
+                raise FileNotFoundError(
+                    f"mask file not found: {mask_path} (run with emit_masks = true)"
+                )
+            image = read_pgm(mask_path)
+            if image.shape != (grid.rows, grid.cols):
+                raise FrameError(
+                    "bad-dimensions",
+                    f"{mask_path}: mask is {image.shape}, expected "
+                    f"{(grid.rows, grid.cols)} (patch grid rows, cols)",
+                )
+            mask = (image.ravel() > 0).astype(np.uint8)
+        checks.append(checker.check(tokens, mask))
     return report, checks

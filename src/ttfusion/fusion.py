@@ -106,9 +106,9 @@ class FusionState:
 class StepResult:
     """Outcome of one fusion step.
 
-    On keyframes the three masks are one shared read-only all-ones array,
-    ``diffs`` is zero, and the fusion rate is 0.  ``fusion_rate`` counts the
-    fraction of patches whose token was reused from history.
+    On keyframes the three masks are one shared read-only all-ones array
+    and the fusion rate is 0.  ``fusion_rate`` counts the fraction of
+    patches whose token was reused from history.
     """
 
     timestep: int
@@ -118,33 +118,6 @@ class StepResult:
     attention_mask: np.ndarray
     fusion_mask: np.ndarray
     fusion_rate: float
-    diffs: np.ndarray
-
-
-@dataclass
-class SequenceResult:
-    """Per-step results of one fusion loop, and their two fusion-rate means.
-
-    ``mean_fusion_rate_all`` includes keyframes (which contribute 0);
-    ``mean_fusion_rate_non_keyframe`` averages the remaining steps and is
-    0.0 when every step was a keyframe.
-    """
-
-    steps: list[StepResult]
-
-    @property
-    def fusion_rates(self) -> list[float]:
-        return [s.fusion_rate for s in self.steps]
-
-    @property
-    def mean_fusion_rate_all(self) -> float:
-        rates = self.fusion_rates
-        return sum(rates) / len(rates)
-
-    @property
-    def mean_fusion_rate_non_keyframe(self) -> float:
-        rates = [s.fusion_rate for s in self.steps if not s.is_keyframe]
-        return sum(rates) / len(rates) if rates else 0.0
 
 
 def is_keyframe(t: int, state: FusionState, keyframe_interval: int) -> bool:
@@ -250,7 +223,6 @@ def step(
             attention_mask=ones,
             fusion_mask=ones,
             fusion_rate=0.0,
-            diffs=np.zeros(n),
         )
     else:
         if config.enable_pixel:
@@ -259,7 +231,7 @@ def step(
             diffs = shared.diffs(state.prev_gray, grid)
             pixel_mask = detection.threshold_diffs(diffs, config.pixel_threshold)
         else:
-            pixel_mask, diffs = np.zeros(n, dtype=np.uint8), np.zeros(n)
+            pixel_mask = np.zeros(n, dtype=np.uint8)
         if config.enable_attention:
             attention_mask = _attention_mask(state.prev_attention, n, config)
         else:
@@ -275,7 +247,6 @@ def step(
             attention_mask=attention_mask,
             fusion_mask=fusion_mask,
             fusion_rate=int(np.count_nonzero(fusion_mask == 0)) / n,
-            diffs=diffs,
         )
 
     new_state = FusionState(
@@ -285,27 +256,6 @@ def step(
         timestep=t + 1,
     )
     return result, new_state
-
-
-def run_sequence(frames, encoder, config: FusionConfig) -> SequenceResult:
-    """Drive the fusion loop over an episode of contiguous frames.
-
-    Frames must start at timestep 0 and increase by 1; gaps or an empty
-    sequence are rejected.
-    """
-    return run_sequences(frames, encoder, [config])[0]
-
-
-def run_sequences(frames, encoder, configs) -> list[SequenceResult]:
-    """Collect :func:`lockstep` into one :class:`SequenceResult` per config,
-    in order.  Every step is held, so memory grows with the episode; a
-    caller that needs each step only once consumes ``lockstep`` itself."""
-    configs = list(configs)
-    steps: list[list[StepResult]] = [[] for _ in configs]
-    for results in lockstep(frames, encoder, configs):
-        for config_steps, result in zip(steps, results):
-            config_steps.append(result)
-    return [SequenceResult(config_steps) for config_steps in steps]
 
 
 def lockstep(frames, encoder, configs) -> Iterator[list[StepResult]]:
@@ -319,7 +269,14 @@ def lockstep(frames, encoder, configs) -> Iterator[list[StepResult]]:
     whichever step first needs them.  Frames are consumed as they arrive
     and need not be a list; between frames only each config's
     :class:`FusionState` is kept, so memory stays flat however long the
-    episode is.  Same frame rules as ``run_sequence``.
+    episode is.
+
+    Frame t must have timestep t: a frame off its position raises
+    ``ValueError`` ("timestep gap") when the loop reaches it, and a stream
+    that ends before its first frame raises ``ValueError`` ("first frame
+    missing").  An empty ``configs`` raises ``ValueError`` too.  Being a
+    generator, the loop raises each of these on the ``next`` call that
+    meets it, not when ``lockstep`` is called.
     """
     configs = list(configs)
     if not configs:
@@ -351,7 +308,7 @@ class SharedObservation:
 
     None of the three reads a ``FusionConfig`` field, so every config's step
     on the frame can use the same results.  The diffs are read-only because
-    every config's ``StepResult`` holds the same array.
+    every config's step on the frame reads the same array.
     """
 
     def __init__(self, frame: FrameObservation, encoder):

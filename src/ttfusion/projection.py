@@ -5,8 +5,7 @@ any token row reused from the previous step yields a projection row
 bit-identical to the previous step's, so the row can be copied instead of
 recomputed.  :class:`ReuseChecker` takes a run's fused tokens and fusion
 masks one step at a time, counts the multiplications that copying avoids,
-and checks the shortcut against a full recomputation;
-:func:`verify_equivalence` runs it over a recorded run.  Equality is demanded
+and checks the shortcut against a full recomputation.  Equality is demanded
 bit-exact, which requires each output row to be a deterministic function
 of its own token row alone.  A plain batched ``x @ W`` does not qualify,
 because BLAS may sum a row in a different order depending on how many
@@ -210,22 +209,6 @@ class ReuseChecker:
             saved_multiplications=3 * reused * d * d,
             worst_rows=worst_rows,
         )
-
-
-def verify_equivalence(pairs, projections: ProjectionSet) -> list[EquivalenceCheck]:
-    """Replay a recorded run, checking selective reuse against recomputation.
-
-    ``pairs`` yields one ``(tokens, mask)`` pair per step, in step order
-    from the sequence head, and may be a generator; each pair goes through
-    one :class:`ReuseChecker` as :meth:`ReuseChecker.check` describes.
-    """
-    checks: list[EquivalenceCheck] = []
-    checker = None
-    for tokens, mask in pairs:
-        if checker is None:
-            checker = ReuseChecker(projections, len(tokens))
-        checks.append(checker.check(tokens, mask))
-    return checks
 
 
 def _gap(selective: np.ndarray, reference: np.ndarray) -> tuple[float, int | None]:

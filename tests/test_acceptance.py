@@ -13,8 +13,8 @@ import ttfusion.detection
 from ttfusion.cli import main
 from ttfusion.detection import patch_diffs, threshold_diffs, top_k_mask
 from ttfusion.frames import FrameObservation, PatchGrid, to_grayscale
-from ttfusion.fusion import FusionConfig, run_sequence
-from ttfusion.projection import ProjectionSet, verify_equivalence
+from ttfusion.fusion import FusionConfig, lockstep
+from ttfusion.projection import ProjectionSet, ReuseChecker
 from ttfusion.synthetic import SynthSpec, generate_frames, walker_patch
 from ttfusion.toy_encoder import EncoderSpec, ToyEncoder
 
@@ -40,6 +40,15 @@ def brute_force_diffs(a, b, grid):
 
 def toy(seed, token_dim=64):
     return ToyEncoder(EncoderSpec(token_dim=token_dim, seed=seed))
+
+
+def run_steps(frames, encoder, config):
+    """One config's steps over the frames, from ``lockstep``."""
+    return [step for [step] in lockstep(frames, encoder, [config])]
+
+
+def mean(values):
+    return sum(values) / len(values)
 
 
 def test_c1_pixel_diff_matches_brute_force_oracle():
@@ -80,8 +89,7 @@ def test_c2_keyframe_schedule_across_intervals_and_seeds():
         encoder = toy(seed)
         for interval in (2, 3, 5, 10):
             config = FusionConfig(width=168, height=168, keyframe_interval=interval)
-            sequence = run_sequence(frames, encoder, config)
-            for t, result in enumerate(sequence.steps):
+            for t, result in enumerate(run_steps(frames, encoder, config)):
                 if t % interval == 0 or t == 0:
                     if result.fusion_rate != 0.0 or not result.is_keyframe:
                         violations += 1
@@ -106,8 +114,8 @@ def test_c3_top_k_matches_sort_oracle():
 def test_c4_static_sequence_fusion_rate_is_exactly_186_over_256():
     frames = generate_frames(SynthSpec(frame_count=10, seed=104))
     config = FusionConfig(keyframe_interval=100, pixel_threshold=0.03, top_k=70)
-    sequence = run_sequence(frames, toy(104), config)
-    non_keyframe = [s.fusion_rate for s in sequence.steps if not s.is_keyframe]
+    steps = run_steps(frames, toy(104), config)
+    non_keyframe = [s.fusion_rate for s in steps if not s.is_keyframe]
     ok = len(non_keyframe) == 9 and all(rate == 186 / 256 for rate in non_keyframe)
     print(f"  [c4] non-keyframe rates: {sorted(set(non_keyframe))}")
     report_line("C4 static-sequence fusion rate = 186/256 exactly", ok)
@@ -128,21 +136,17 @@ def test_c5_or_combination_is_conservative_on_every_sequence():
         frames = generate_frames(spec)
         encoder = toy(spec.seed)
         base = dict(width=168, height=168, keyframe_interval=5)
-        dual = run_sequence(frames, encoder, FusionConfig(**base))
-        pixel_only = run_sequence(
-            frames, encoder, FusionConfig(enable_attention=False, **base)
-        )
-        attention_only = run_sequence(
-            frames, encoder, FusionConfig(enable_pixel=False, **base)
-        )
-        if not (
-            dual.mean_fusion_rate_all
-            <= min(pixel_only.mean_fusion_rate_all, attention_only.mean_fusion_rate_all)
-        ):
+        configs = [
+            FusionConfig(**base),
+            FusionConfig(enable_attention=False, **base),
+            FusionConfig(enable_pixel=False, **base),
+        ]
+        # Each frame's three steps: dual, pixel-only, attention-only.
+        rates = [[s.fusion_rate for s in steps] for steps in lockstep(frames, encoder, configs)]
+        dual, pixel_only, attention_only = zip(*rates)
+        if not mean(dual) <= min(mean(pixel_only), mean(attention_only)):
             exceptions += 1
-        for d, p, a in zip(
-            dual.fusion_rates, pixel_only.fusion_rates, attention_only.fusion_rates
-        ):
+        for d, p, a in rates:
             if d > min(p, a):
                 exceptions += 1
     report_line("C5 dual-dimension fusion rate <= min(pixel-only, attention-only)", exceptions == 0)
@@ -155,11 +159,13 @@ def test_c6_keyframe_interval_sweep_is_monotone():
             frame_count=120, change_fraction=0.02, walker=True, noise_amplitude=0.08, seed=1
         )
     )
-    encoder = toy(1)
-    means = []
-    for interval in (2, 3, 5, 10, 15, 20, 30, 50, 100):
-        sequence = run_sequence(frames, encoder, FusionConfig(keyframe_interval=interval))
-        means.append(sequence.mean_fusion_rate_all)
+    configs = [
+        FusionConfig(keyframe_interval=interval)
+        for interval in (2, 3, 5, 10, 15, 20, 30, 50, 100)
+    ]
+    # One pass runs all nine intervals; column i holds interval i's rates.
+    columns = zip(*lockstep(frames, toy(1), configs))
+    means = [mean([s.fusion_rate for s in steps]) for steps in columns]
     elapsed = time.perf_counter() - started
     monotone = all(a <= b for a, b in zip(means, means[1:]))
     ok = monotone and means[-1] > means[0] and elapsed < 30.0
@@ -174,14 +180,12 @@ def test_c7_kqv_reuse_is_bit_exact_over_100_frame_runs():
         frames = generate_frames(
             SynthSpec(frame_count=100, noise_amplitude=0.05, walker=True, seed=seed)
         )
-        sequence = run_sequence(frames, toy(seed), FusionConfig())
-        pairs = [(s.fused_tokens.values, s.fusion_mask) for s in sequence.steps]
-        checks = verify_equivalence(pairs, ProjectionSet.generate(64, seed))
+        checker = ReuseChecker(ProjectionSet.generate(64, seed), rows=256)
+        checks, recount = [], 0
+        for [step] in lockstep(frames, toy(seed), [FusionConfig()]):
+            checks.append(checker.check(step.fused_tokens.values, step.fusion_mask))
+            recount += int(np.count_nonzero(step.fusion_mask == 0)) * 64 * 64 * 3
         worst = max(worst, max(c.max_error for c in checks))
-        recount = sum(
-            int(np.count_nonzero(step.fusion_mask == 0)) * 64 * 64 * 3
-            for step in sequence.steps
-        )
         if sum(c.saved_multiplications for c in checks) != recount:
             ledger_ok = False
     ok = worst == 0.0 and ledger_ok
@@ -196,13 +200,13 @@ def test_c8_walker_pixel_mask_matches_analytic_ground_truth():
     config = FusionConfig(
         keyframe_interval=1000, pixel_threshold=0.01, enable_attention=False
     )
-    sequence = run_sequence(frames, toy(108), config)
+    steps = run_steps(frames, toy(108), config)
     mismatches = 0
     for t in range(1, 101):
         expected = np.zeros(grid.patch_count, dtype=np.uint8)
         expected[walker_patch(grid, t - 1)] = 1
         expected[walker_patch(grid, t)] = 1
-        step = sequence.steps[t]
+        step = steps[t]
         if not np.array_equal(step.pixel_mask, expected):
             mismatches += 1
         if not np.array_equal(step.fusion_mask, expected):
@@ -232,7 +236,8 @@ def test_c9_run_command_is_byte_deterministic(tmp_path):
 def test_c10_throughput_and_d_independent_detection(monkeypatch):
     frames = generate_frames(SynthSpec(frame_count=500, walker=True, seed=110))
     started = time.perf_counter()
-    run_sequence(frames, toy(110), FusionConfig())
+    for _ in lockstep(frames, toy(110), [FusionConfig()]):
+        pass
     run_seconds = time.perf_counter() - started
 
     spot_frames = generate_frames(
@@ -262,11 +267,10 @@ def test_c10_throughput_and_d_independent_detection(monkeypatch):
 
     def record_detection_calls(token_dim):
         samples.update(per_call[token_dim])
-        run_sequence(
-            spot_frames,
-            toy(111, token_dim=token_dim),
-            FusionConfig(token_dim=token_dim),
-        )
+        for _ in lockstep(
+            spot_frames, toy(111, token_dim=token_dim), [FusionConfig(token_dim=token_dim)]
+        ):
+            pass
 
     # Five trials per width, the widths alternating so that a drift in
     # machine speed reaches both alike.  Medians of the per-call times

@@ -410,6 +410,33 @@ class TestVerifyQReuse:
         err = capsys.readouterr().err
         assert "mask_000002.pgm" in err and "(2, 3)" in err and "(2, 2)" in err
 
+    def test_earlier_runs_dumps_are_not_replayed(self, tmp_path, capsys):
+        # Run 2 writes into run 1's directory without masks: verify-qreuse
+        # must not check run 2's tokens against run 1's masks.
+        walker = "synth_frames = 8\nwidth = 56\nheight = 56\nsynth_walker = true\n"
+        first = write_config(
+            tmp_path, walker + "top_k = 12\nemit_masks = true\nemit_tokens = true\n",
+            name="first.cfg",
+        )
+        second = write_config(
+            tmp_path, walker + "top_k = 2\nemit_masks = false\nemit_tokens = true\n",
+            name="second.cfg",
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", first, "--out", str(out)]) == 0
+        assert sorted(p.name for p in (out / "masks").iterdir())
+        (out / "masks" / "notes.txt").write_text("not a dump")
+        (out / "tokens" / "fused_000001.ttft.bak").write_text("not a dump")
+        assert main(["run", "--config", second, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify-qreuse", "--run", str(out)]) == 3
+        assert "mask file not found" in capsys.readouterr().err
+        # Only the names a run writes were removed.
+        assert sorted(p.name for p in (out / "masks").iterdir()) == ["notes.txt"]
+        assert sorted(p.name for p in (out / "tokens").iterdir()) == sorted(
+            ["fused_000001.ttft.bak"] + [f"fused_{t:06d}.ttft" for t in range(8)]
+        )
+
     def test_missing_token_dumps_exit_3(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL)
         out = tmp_path / "out"

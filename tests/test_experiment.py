@@ -15,8 +15,8 @@ from ttfusion.experiment import (
     run_sweep,
     write_run_outputs,
 )
-from ttfusion.fusion import run_sequence
-from ttfusion.projection import ProjectionSet, verify_equivalence
+from ttfusion.fusion import lockstep
+from ttfusion.projection import ProjectionSet, ReuseChecker
 from ttfusion.report import build_report, serialize_report, step_record
 from ttfusion.runconfig import ConfigError, apply_parameter, build_run_config, config_echo
 from ttfusion.synthetic import SynthSpec, generate_frames, write_sequence
@@ -39,10 +39,10 @@ def small_values(**overrides):
 
 
 def run_steps(config):
-    """The run's steps, through the collector over the same frames and
-    encoder as ``run_experiment``."""
+    """The run's steps, from ``lockstep`` over the same frames and encoder
+    as ``run_experiment``."""
     frames, count = open_frames(config)
-    return run_sequence(frames, build_encoder(config, count), config.fusion).steps
+    return [step for [step] in lockstep(frames, build_encoder(config, count), [config.fusion])]
 
 
 def write_attention_files(path, frame_count, heads=2, text_tokens=2, patches=4, hot=3):
@@ -271,22 +271,41 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
 
+    def test_no_configs_fails_before_any_frame_is_opened(self, monkeypatch):
+        opened = []
+        monkeypatch.setattr(ttfusion.experiment, "open_frames", opened.append)
+        with pytest.raises(ValueError, match="no fusion configs to run"):
+            run_points([])
+        assert opened == []
+
+    def test_loop_looks_up_step_through_the_module(self, monkeypatch):
+        # Code that wraps ttfusion.fusion.step (a step timer, say) sees
+        # every step of every point.
+        calls = []
+        original = ttfusion.fusion.step
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].timestep)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ttfusion.fusion, "step", counting)
+        configs = self.sweep_configs(7, size=56, top_k=2)
+        run_points(configs)
+        assert calls == [t for t in range(7) for _ in configs]
+
     def test_memory_does_not_grow_with_the_episode(self):
         # Only each point's last step and its projections live between
         # frames; what grows is the report's per-step records.
         short, long = self.traced_peak(20), self.traced_peak(200)
         assert long - short < 1_000_000, (short, long)
 
-    def test_streaming_matches_the_collectors(self):
+    def test_streaming_matches_one_point_at_a_time(self):
         configs = self.sweep_configs(13, size=56, top_k=2)
         for config, result in zip(configs, run_points(configs)):
-            frames = generate_frames(config.synth)
-            encoder = build_encoder(config, len(frames))
-            steps = run_sequence(frames, encoder, config.fusion).steps
+            steps = run_steps(config)
             projections = ProjectionSet.generate(config.fusion.token_dim, config.seed)
-            checks = verify_equivalence(
-                [(s.fused_tokens.values, s.fusion_mask) for s in steps], projections
-            )
+            checker = ReuseChecker(projections, config.fusion.grid.patch_count)
+            checks = [checker.check(s.fused_tokens.values, s.fusion_mask) for s in steps]
             assert checks == result.checks
             report = build_report(
                 config_echo(config), [step_record(s, c) for s, c in zip(steps, checks)]

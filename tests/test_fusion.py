@@ -5,7 +5,7 @@ import ttfusion.detection
 import ttfusion.fusion
 import ttfusion.toy_encoder
 from ttfusion.detection import AttentionSlice
-from ttfusion.frames import FrameObservation
+from ttfusion.frames import FrameObservation, to_grayscale
 from ttfusion.fusion import (
     FusionConfig,
     FusionState,
@@ -13,9 +13,8 @@ from ttfusion.fusion import (
     combine_masks,
     fuse_tokens,
     is_keyframe,
-    run_sequence,
+    lockstep,
     SharedObservation,
-    run_sequences,
     step,
 )
 from ttfusion.synthetic import SynthSpec, generate_frames
@@ -35,6 +34,15 @@ def small_frames(count, **synth):
 
 def small_encoder(seed=0):
     return ToyEncoder(EncoderSpec(token_dim=8, seed=seed, text_token_count=2, head_count=2))
+
+
+def run_steps(frames, encoder, config):
+    """One config's steps over the frames, from ``lockstep``."""
+    return [result for [result] in lockstep(frames, encoder, [config])]
+
+
+def rates_of(steps):
+    return [s.fusion_rate for s in steps]
 
 
 class StubEncoder:
@@ -181,16 +189,25 @@ class TestStep:
             assert not result.attention_mask.any()
             assert np.array_equal(result.fusion_mask, result.pixel_mask)
 
-    def test_attention_only_mode_fusion_mask_equals_attention_mask(self):
+    def test_attention_only_mode_fusion_mask_equals_attention_mask(self, monkeypatch):
         config = small_config(keyframe_interval=100, top_k=1, enable_pixel=False)
         assert any(r.pixel_mask.any() for r in self.non_keyframe_steps(
             small_config(keyframe_interval=100, top_k=1)
         ))
+        diff_calls = []
+        original_diffs = ttfusion.detection.patch_diffs
+
+        def counting_diffs(*args):
+            diff_calls.append(1)
+            return original_diffs(*args)
+
+        monkeypatch.setattr(ttfusion.detection, "patch_diffs", counting_diffs)
         for result in self.non_keyframe_steps(config):
             assert not result.pixel_mask.any()
-            assert not result.diffs.any()
             assert result.attention_mask.sum() == 1
             assert np.array_equal(result.fusion_mask, result.attention_mask)
+        # With the pixel dimension off no pixel diff is ever computed.
+        assert diff_calls == []
 
     def test_missing_prev_attention_recomputes_everything(self):
         tokens = {0: np.zeros((4, 8)), 1: np.ones((4, 8))}
@@ -248,14 +265,19 @@ class TestStep:
             step(state, frames[2], encoder, config)
 
     def test_diffs_recorded_on_non_keyframes(self):
+        # The step thresholds the diffs its shared observation records.
         frames = small_frames(2, walker=True)
         config = small_config(keyframe_interval=100)
         encoder = small_encoder()
         _, state = step(FusionState(), frames[0], encoder, config)
-        result, _ = step(state, frames[1], encoder, config)
-        assert result.diffs.shape == (4,)
-        assert result.diffs.max() > 0.0
-
+        shared = SharedObservation(frames[1], encoder)
+        result, _ = step(state, frames[1], encoder, config, shared=shared)
+        diffs = shared.diffs(state.prev_gray, config.grid)
+        assert diffs.shape == (4,)
+        assert diffs.max() > 0.0
+        assert np.array_equal(
+            result.pixel_mask, ttfusion.detection.threshold_diffs(diffs, config.pixel_threshold)
+        )
 
     def test_shared_observation_diffs_follow_each_previous_grayscale(self):
         # Two histories reach frame 1 with different previous grayscales;
@@ -269,39 +291,39 @@ class TestStep:
             _, state = step(FusionState(), first, encoder, config)
             alone, _ = step(state, frames[1], encoder, config)
             together, _ = step(state, frames[1], encoder, config, shared=shared)
-            assert np.array_equal(together.diffs, alone.diffs)
+            expected = ttfusion.detection.patch_diffs(
+                to_grayscale(frames[1]), state.prev_gray, config.grid
+            )
+            assert np.array_equal(shared.diffs(state.prev_gray, config.grid), expected)
+            assert np.array_equal(together.pixel_mask, alone.pixel_mask)
         with pytest.raises(ValueError, match="another frame"):
             step(state, small_frames(2, seed=7)[1], encoder, config, shared=shared)
 
 
-class TestRunSequence:
+class TestLockstepOneConfig:
     def test_single_frame_sequence(self):
-        sequence = run_sequence(small_frames(1), small_encoder(), small_config())
-        assert len(sequence.steps) == 1
-        assert sequence.steps[0].is_keyframe
-        assert sequence.mean_fusion_rate_all == 0.0
-        assert sequence.mean_fusion_rate_non_keyframe == 0.0
+        steps = run_steps(small_frames(1), small_encoder(), small_config())
+        assert len(steps) == 1
+        assert steps[0].is_keyframe
+        assert steps[0].fusion_rate == 0.0
 
     def test_budget_covering_all_patches_pins_rate_to_zero(self):
         config = small_config(keyframe_interval=3, top_k=4)
-        sequence = run_sequence(small_frames(6), small_encoder(), config)
-        assert sequence.fusion_rates == [0.0] * 6
+        steps = run_steps(small_frames(6), small_encoder(), config)
+        assert rates_of(steps) == [0.0] * 6
 
     def test_detection_disabled_reuses_after_single_keyframe(self):
         config = small_config(
             keyframe_interval=100, enable_pixel=False, enable_attention=False
         )
-        sequence = run_sequence(small_frames(6), small_encoder(), config)
-        assert sequence.fusion_rates == [0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
-        assert sequence.mean_fusion_rate_all == 5 / 6
-        assert sequence.mean_fusion_rate_non_keyframe == 1.0
+        steps = run_steps(small_frames(6), small_encoder(), config)
+        assert rates_of(steps) == [0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
 
     def test_keyframe_periodicity(self):
         for k in (2, 3, 5):
             config = small_config(keyframe_interval=k)
             frames = small_frames(20, noise_amplitude=0.05, seed=k)
-            sequence = run_sequence(frames, small_encoder(), config)
-            for t, result in enumerate(sequence.steps):
+            for t, result in enumerate(run_steps(frames, small_encoder(), config)):
                 assert result.is_keyframe == (t % k == 0)
                 if t % k == 0:
                     assert result.fusion_rate == 0.0
@@ -310,53 +332,47 @@ class TestRunSequence:
         frames = small_frames(12, noise_amplitude=0.08, walker=True, seed=5)
         config = small_config(keyframe_interval=4, top_k=1)
         encoder = small_encoder()
-        sequence = run_sequence(frames, encoder, config)
-        for t, result in enumerate(sequence.steps):
+        steps = run_steps(frames, encoder, config)
+        for t, result in enumerate(steps):
             fresh = encoder(frames[t])[0].values
             for i in range(4):
                 if result.fusion_mask[i]:
                     assert np.array_equal(result.fused_tokens.values[i], fresh[i])
                 else:
-                    previous = sequence.steps[t - 1].fused_tokens.values[i]
+                    previous = steps[t - 1].fused_tokens.values[i]
                     assert np.array_equal(result.fused_tokens.values[i], previous)
 
     def test_or_conservatism_dual_rate_never_exceeds_single(self):
         frames = small_frames(15, noise_amplitude=0.1, walker=True, seed=6)
         encoder = small_encoder()
         kwargs = dict(keyframe_interval=4, top_k=1)
-        dual = run_sequence(frames, encoder, small_config(**kwargs))
-        pixel_only = run_sequence(
-            frames, encoder, small_config(enable_attention=False, **kwargs)
-        )
-        attention_only = run_sequence(
-            frames, encoder, small_config(enable_pixel=False, **kwargs)
-        )
-        for d, p, a in zip(
-            dual.fusion_rates, pixel_only.fusion_rates, attention_only.fusion_rates
-        ):
+        dual = run_steps(frames, encoder, small_config(**kwargs))
+        pixel_only = run_steps(frames, encoder, small_config(enable_attention=False, **kwargs))
+        attention_only = run_steps(frames, encoder, small_config(enable_pixel=False, **kwargs))
+        for d, p, a in zip(rates_of(dual), rates_of(pixel_only), rates_of(attention_only)):
             assert d <= min(p, a)
 
     def test_determinism_same_inputs_bitwise_identical(self):
         frames = small_frames(10, noise_amplitude=0.05, seed=8)
         config = small_config()
-        first = run_sequence(frames, small_encoder(3), config)
-        second = run_sequence(frames, small_encoder(3), config)
-        assert first.fusion_rates == second.fusion_rates
-        for a, b in zip(first.steps, second.steps):
+        first = run_steps(frames, small_encoder(3), config)
+        second = run_steps(frames, small_encoder(3), config)
+        assert rates_of(first) == rates_of(second)
+        for a, b in zip(first, second):
             assert np.array_equal(a.fused_tokens.values, b.fused_tokens.values)
             assert np.array_equal(a.fusion_mask, b.fusion_mask)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="first frame missing"):
-            run_sequence([], small_encoder(), small_config())
+            run_steps([], small_encoder(), small_config())
 
     def test_timestep_gap_rejected(self):
         frames = small_frames(3)
         with pytest.raises(ValueError, match="timestep gap"):
-            run_sequence([frames[0], frames[2]], small_encoder(), small_config())
+            run_steps([frames[0], frames[2]], small_encoder(), small_config())
 
 
-class TestRunSequences:
+class TestLockstep:
     def walker_frames(self):
         return small_frames(13, walker=True, noise_amplitude=0.08, seed=11)
 
@@ -372,27 +388,25 @@ class TestRunSequences:
             return inner(frame, gray)
 
         frames = self.walker_frames()
-        run_sequences(frames, counting, self.configs())
+        for _ in lockstep(frames, counting, self.configs()):
+            pass
         assert calls == list(range(len(frames)))
 
-    def test_each_config_matches_its_own_run_sequence(self):
+    def test_each_config_matches_its_own_loop(self):
         frames = self.walker_frames()
         encoder = small_encoder()
-        together = run_sequences(frames, encoder, self.configs())
-        for config, sequence in zip(self.configs(), together):
-            alone = run_sequence(frames, encoder, config)
-            assert sequence.fusion_rates == alone.fusion_rates
-            assert sequence.mean_fusion_rate_all == alone.mean_fusion_rate_all
-            assert sequence.mean_fusion_rate_non_keyframe == alone.mean_fusion_rate_non_keyframe
-            for a, b in zip(sequence.steps, alone.steps):
+        together = list(zip(*lockstep(frames, encoder, self.configs())))
+        for config, steps in zip(self.configs(), together):
+            alone = run_steps(frames, encoder, config)
+            assert rates_of(steps) == rates_of(alone)
+            for a, b in zip(steps, alone):
                 assert a.is_keyframe == b.is_keyframe
                 assert np.array_equal(a.pixel_mask, b.pixel_mask)
                 assert np.array_equal(a.attention_mask, b.attention_mask)
                 assert np.array_equal(a.fusion_mask, b.fusion_mask)
-                assert np.array_equal(a.diffs, b.diffs)
                 assert np.array_equal(a.fused_tokens.values, b.fused_tokens.values)
         # K = 1 recomputes every patch, K = 6 reuses some: the points differ.
-        assert together[0].fusion_rates != together[2].fusion_rates
+        assert rates_of(together[0]) != rates_of(together[2])
 
     def test_one_grayscale_per_step(self, monkeypatch):
         calls, diff_calls = [], []
@@ -411,11 +425,12 @@ class TestRunSequences:
         monkeypatch.setattr(ttfusion.toy_encoder, "to_grayscale", counting)
         monkeypatch.setattr(ttfusion.detection, "patch_diffs", counting_diffs)
         frames = self.walker_frames()
-        run_sequence(frames, small_encoder(), self.configs()[0])
+        run_steps(frames, small_encoder(), self.configs()[0])
         assert calls == list(range(len(frames)))
         assert diff_calls == []
         calls.clear()
-        run_sequences(frames, small_encoder(), self.configs())
+        for _ in lockstep(frames, small_encoder(), self.configs()):
+            pass
         # One grayscale per frame for all three points, and one pixel-diff
         # computation per frame that is a non-keyframe for some point: with
         # K = 1, 3, 6 those are the frames off multiples of 6.
@@ -424,14 +439,14 @@ class TestRunSequences:
 
     def test_frames_may_be_an_iterator(self):
         frames = self.walker_frames()
-        streamed = run_sequences(iter(frames), small_encoder(), self.configs())
-        assert [s.fusion_rates for s in streamed] == [
-            s.fusion_rates for s in run_sequences(frames, small_encoder(), self.configs())
-        ]
+        streamed = lockstep(iter(frames), small_encoder(), self.configs())
+        listed = lockstep(frames, small_encoder(), self.configs())
+        for a, b in zip(streamed, listed, strict=True):
+            assert rates_of(a) == rates_of(b)
 
     def test_no_configs_rejected(self):
         with pytest.raises(ValueError, match="no fusion configs"):
-            run_sequences(small_frames(2), small_encoder(), [])
+            next(lockstep(small_frames(2), small_encoder(), []))
 
 
 class TestConfigValidation:

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from ttfusion.fusion import FusionConfig
+from ttfusion.fusion import FusionConfig, lockstep
 from ttfusion.projection import (
     EquivalenceCheck,
     ProjectionSet,
+    ReuseChecker,
     equivalence_failures,
     project_full,
-    verify_equivalence,
 )
 from ttfusion.synthetic import SynthSpec, generate_frames
 from ttfusion.toy_encoder import EncoderSpec, ToyEncoder
@@ -90,11 +90,17 @@ class TestProjectFull:
         assert project_full(np.empty((0, d)), weights).shape == (0, d)
 
 
-def pairs_of(sequence):
-    return [(s.fused_tokens.values, s.fusion_mask) for s in sequence.steps]
+def pairs_of(steps):
+    return [(s.fused_tokens.values, s.fusion_mask) for s in steps]
 
 
-class TestVerifyEquivalence:
+def check_pairs(pairs, projections):
+    """Feed (tokens, mask) pairs, in step order, through one ReuseChecker."""
+    checker = ReuseChecker(projections, len(pairs[0][0]))
+    return [checker.check(tokens, mask) for tokens, mask in pairs]
+
+
+class TestReuseCheckerOverRuns:
     @staticmethod
     def run_small_sequence(frame_count=12, keyframe_interval=4, seed=9):
         spec = SynthSpec(
@@ -109,49 +115,47 @@ class TestVerifyEquivalence:
             width=28, height=28, token_dim=8, top_k=2, keyframe_interval=keyframe_interval
         )
         encoder = ToyEncoder(EncoderSpec(token_dim=8, seed=seed, text_token_count=2, head_count=2))
-        from ttfusion.fusion import run_sequence
-
-        return run_sequence(generate_frames(spec), encoder, config)
+        return [step for [step] in lockstep(generate_frames(spec), encoder, [config])]
 
     def test_full_run_is_bit_exact(self):
-        sequence = self.run_small_sequence()
+        steps = self.run_small_sequence()
         projections = ProjectionSet.generate(8, 9)
-        checks = verify_equivalence(pairs_of(sequence), projections)
+        checks = check_pairs(pairs_of(steps), projections)
         assert max(c.max_error for c in checks) == 0.0
         assert equivalence_failures(checks) == []
 
     def test_keyframe_steps_recompute_all_rows(self):
-        sequence = self.run_small_sequence()
-        checks = verify_equivalence(pairs_of(sequence), ProjectionSet.generate(8, 9))
-        for result, check in zip(sequence.steps, checks):
+        steps = self.run_small_sequence()
+        checks = check_pairs(pairs_of(steps), ProjectionSet.generate(8, 9))
+        for result, check in zip(steps, checks):
             if result.is_keyframe:
                 assert check.reused_rows == 0
                 assert check.max_error == 0.0
 
     def test_reused_rows_match_fusion_rate(self):
-        sequence = self.run_small_sequence()
-        checks = verify_equivalence(pairs_of(sequence), ProjectionSet.generate(8, 9))
-        for result, check in zip(sequence.steps, checks):
+        steps = self.run_small_sequence()
+        checks = check_pairs(pairs_of(steps), ProjectionSet.generate(8, 9))
+        for result, check in zip(steps, checks):
             assert check.reused_rows / 4 == result.fusion_rate
 
     def test_savings_match_independent_recount(self):
-        sequence = self.run_small_sequence()
-        checks = verify_equivalence(pairs_of(sequence), ProjectionSet.generate(8, 9))
+        steps = self.run_small_sequence()
+        checks = check_pairs(pairs_of(steps), ProjectionSet.generate(8, 9))
         recount = sum(
             int(np.count_nonzero(step.fusion_mask == 0)) * 8 * 8 * 3
-            for step in sequence.steps
+            for step in steps
         )
         assert sum(c.saved_multiplications for c in checks) == recount
 
     def test_accepts_token_mask_pairs(self):
-        sequence = self.run_small_sequence(frame_count=6)
-        pairs = [(s.fused_tokens.values, s.fusion_mask) for s in sequence.steps]
-        checks = verify_equivalence(pairs, ProjectionSet.generate(8, 9))
+        steps = self.run_small_sequence(frame_count=6)
+        pairs = [(s.fused_tokens.values, s.fusion_mask) for s in steps]
+        checks = check_pairs(pairs, ProjectionSet.generate(8, 9))
         assert max(c.max_error for c in checks) == 0.0
 
     def test_corruption_is_reported_with_row_and_matrix(self):
-        sequence = self.run_small_sequence(frame_count=6, keyframe_interval=100)
-        pairs = [[s.fused_tokens.values.copy(), s.fusion_mask.copy()] for s in sequence.steps]
+        steps = self.run_small_sequence(frame_count=6, keyframe_interval=100)
+        pairs = [[s.fused_tokens.values.copy(), s.fusion_mask.copy()] for s in steps]
         # Corrupt a reused token row at step 2: the recorded fused row no
         # longer equals the previous row, so the copied projection row is
         # stale there.
@@ -159,7 +163,7 @@ class TestVerifyEquivalence:
         assert reused_rows.size
         target = int(reused_rows[0])
         pairs[2][0][target] += 0.5
-        checks = verify_equivalence(pairs, ProjectionSet.generate(8, 9))
+        checks = check_pairs(pairs, ProjectionSet.generate(8, 9))
         failures = equivalence_failures(checks)
         assert failures
         assert any(f"row {target}" in failure for failure in failures)
@@ -170,7 +174,7 @@ class TestVerifyEquivalence:
         rng = np.random.default_rng(2)
         ones = np.ones(6, dtype=np.uint8)
         pairs = [(rng.standard_normal((6, 8)), ones) for _ in range(3)]
-        checks = verify_equivalence(pairs, ProjectionSet.generate(8, 2))
+        checks = check_pairs(pairs, ProjectionSet.generate(8, 2))
         assert [(c.reused_rows, c.saved_multiplications) for c in checks] == [(0, 0)] * 3
         assert [c.max_error for c in checks] == [0.0] * 3
         assert all(c.worst_rows == {} for c in checks)
@@ -178,7 +182,7 @@ class TestVerifyEquivalence:
     def test_all_zeros_mask_with_unchanged_tokens_copies_previous_rows(self):
         tokens = np.random.default_rng(3).standard_normal((6, 8))
         pairs = [(tokens, np.ones(6, dtype=np.uint8)), (tokens, np.zeros(6, dtype=np.uint8))]
-        checks = verify_equivalence(pairs, ProjectionSet.generate(8, 3))
+        checks = check_pairs(pairs, ProjectionSet.generate(8, 3))
         assert checks[1].reused_rows == 6
         assert checks[1].max_error == 0.0
         assert equivalence_failures(checks) == []
@@ -188,7 +192,7 @@ class TestVerifyEquivalence:
         mask = np.ones(256, dtype=np.uint8)
         mask[:110] = 0
         pairs = [(tokens, np.ones(256, dtype=np.uint8)), (tokens, mask)]
-        checks = verify_equivalence(pairs, ProjectionSet.generate(64, 4))
+        checks = check_pairs(pairs, ProjectionSet.generate(64, 4))
         assert checks[1].saved_multiplications == 3 * 110 * 64 * 64 == 1351680
         assert checks[1].max_error == 0.0
 
@@ -198,7 +202,7 @@ class TestVerifyEquivalence:
         changed[3, 2] += 1.0
         pairs = [(tokens, np.ones(6, dtype=np.uint8)), (changed, np.zeros(6, dtype=np.uint8))]
         projections = ProjectionSet.generate(8, 5)
-        check = verify_equivalence(pairs, projections)[1]
+        check = check_pairs(pairs, projections)[1]
         # The copied row 3 misses exactly token entry 2 times weight row 2.
         for name in ("query", "key", "value"):
             weights = getattr(projections, name)
@@ -209,13 +213,13 @@ class TestVerifyEquivalence:
     def test_reuse_at_first_step_rejected(self):
         pairs = [(np.zeros((4, 4)), np.array([0, 1, 1, 1], dtype=np.uint8))]
         with pytest.raises(ValueError, match="step 0: 1 rows marked for reuse"):
-            verify_equivalence(pairs, ProjectionSet.generate(4, 0))
+            check_pairs(pairs, ProjectionSet.generate(4, 0))
 
     def test_mask_length_mismatch_rejected(self):
         tokens = np.zeros((4, 4))
         pairs = [(tokens, np.ones(4, dtype=np.uint8)), (tokens, np.ones(5, dtype=np.uint8))]
         with pytest.raises(ValueError, match="step 1: mask length"):
-            verify_equivalence(pairs, ProjectionSet.generate(4, 0))
+            check_pairs(pairs, ProjectionSet.generate(4, 0))
 
 
 def reference_project_selective(tokens, prev_projection, fusion_mask, weights):
@@ -265,8 +269,8 @@ def reference_verify(pairs, projections):
     return checks
 
 
-class TestVerifyMatchesPerMatrixChain:
-    """verify_equivalence against a per-matrix selective-projection chain,
+class TestCheckerMatchesPerMatrixChain:
+    """ReuseChecker against a per-matrix selective-projection chain,
     on clean and tampered runs."""
 
     ROWS, DIM = 12, 8
@@ -288,7 +292,7 @@ class TestVerifyMatchesPerMatrixChain:
 
     def assert_same(self, pairs):
         projections = ProjectionSet.generate(self.DIM, 4)
-        checks = verify_equivalence(pairs, projections)
+        checks = check_pairs(pairs, projections)
         # repr compares NaN errors as equal and tells 0.0 from -0.0.
         assert repr(checks) == repr(reference_verify(pairs, projections))
         return checks

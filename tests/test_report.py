@@ -60,6 +60,21 @@ class TestReportShape:
             s["saved_multiplications"] for s in steps
         )
 
+    def test_single_keyframe_run_means_are_zero(self):
+        # No non-keyframe step: that mean is 0.0, not a division by zero.
+        aggregates = small_result(frames=1).report["aggregates"]
+        assert aggregates["mean_fusion_rate_all"] == 0.0
+        assert aggregates["mean_fusion_rate_non_keyframe"] == 0.0
+
+    def test_detection_disabled_means(self):
+        # One keyframe, then five steps that reuse every patch.
+        result = small_result(
+            keyframe_interval=100, enable_pixel=False, enable_attention=False
+        )
+        aggregates = result.report["aggregates"]
+        assert aggregates["mean_fusion_rate_all"] == 5 / 6
+        assert aggregates["mean_fusion_rate_non_keyframe"] == 1.0
+
     def test_config_echo_embedded(self):
         result = small_result()
         assert result.report["config"]["synth_frames"] == 6
