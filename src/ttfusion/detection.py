@@ -21,6 +21,8 @@ ACTION_TO_VISION = "action_to_vision"
 ATTENTION_MODES = (TEXT_TO_VISION, ACTION_TO_VISION)
 
 _ROW_SUM_TOLERANCE = 1e-6
+# Pixels per band of patch rows in patch_diffs.
+DIFF_BAND_PIXELS = 16384
 
 
 @dataclass
@@ -79,26 +81,49 @@ def _check_rows(rows: np.ndarray) -> None:
         raise ValueError("attention rows must sum to at most 1")
 
 
+def binary_mask(mask, name: str = "mask") -> np.ndarray:
+    """``mask`` as a uint8 array, after checking that every entry is 0 or 1
+    (a bool mask always is); any other entry raises ``ValueError`` starting
+    with ``name``, where a cast would silently read 0.5 or 256 as 0."""
+    values = np.asarray(mask)
+    if values.dtype == np.uint8:
+        binary = values.size == 0 or values.max() <= 1
+    else:
+        binary = values.dtype == np.bool_ or ((values == 0) | (values == 1)).all()
+    if not binary:
+        raise ValueError(f"{name} entries must be 0 or 1")
+    return values.astype(np.uint8, copy=False)
+
+
 def patch_diffs(gray_t: GrayscaleImage, gray_prev: GrayscaleImage, grid: PatchGrid) -> np.ndarray:
     """Mean absolute luminance difference of each patch between two frames.
 
     Depends on the frame pair alone, so one result can serve every
-    threshold applied to it.  The absolute value is taken in place, so the
-    call allocates one frame-sized temporary, not two.
+    threshold applied to it.  The differences are taken a band of whole
+    patch rows at a time, about ``DIFF_BAND_PIXELS`` pixels, in one small
+    reused buffer: a frame-sized temporary, freed at once, would leave the
+    heap to be trimmed and grown again frame after frame.  Each patch sums
+    its pixels in the same order as over the whole frame, so the result
+    does not depend on the band size.
     """
     a, b = gray_t.values, gray_prev.values
     if a.shape != b.shape:
         raise ValueError(f"grayscale shapes differ: {a.shape} vs {b.shape}")
     if a.shape != (grid.rows * PATCH_SIDE, grid.cols * PATCH_SIDE):
         raise ValueError(f"grayscale shape {a.shape} does not match grid {grid.rows}x{grid.cols}")
-    delta = np.subtract(a, b)
-    np.abs(delta, out=delta)
-    return (
-        delta.reshape(grid.rows, PATCH_SIDE, grid.cols, PATCH_SIDE)
-        .sum(axis=(1, 3))
-        .ravel()
-        / PATCH_PIXELS
-    )
+    band = max(1, DIFF_BAND_PIXELS // (PATCH_SIDE * a.shape[1]))
+    sums = np.empty((grid.rows, grid.cols))
+    delta = np.empty((min(band, grid.rows) * PATCH_SIDE, a.shape[1]))
+    for r0 in range(0, grid.rows, band):
+        r1 = min(r0 + band, grid.rows)
+        pixels = slice(r0 * PATCH_SIDE, r1 * PATCH_SIDE)
+        d = delta[: (r1 - r0) * PATCH_SIDE]
+        np.subtract(a[pixels], b[pixels], out=d)
+        np.abs(d, out=d)
+        d.reshape(r1 - r0, PATCH_SIDE, grid.cols, PATCH_SIDE).sum(axis=(1, 3), out=sums[r0:r1])
+    sums = sums.ravel()
+    sums /= PATCH_PIXELS
+    return sums
 
 
 def threshold_diffs(diffs: np.ndarray, threshold: float | None) -> np.ndarray:

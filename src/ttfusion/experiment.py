@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import TEXT_TO_VISION, AttentionSlice
+from .detection import ACTION_TO_VISION, TEXT_TO_VISION, AttentionSlice
 from .frames import (
     FrameError,
     FrameObservation,
-    GrayscaleImage,
     PatchGrid,
     load_frame,
     read_pgm,
@@ -31,7 +30,7 @@ from .report import build_report, build_sweep_summary, load_report, step_record,
 from .runconfig import ATTENTION_SOURCE_TENSOR_FILES, RunConfig, apply_parameter, config_echo
 from .synthetic import FRAME_FILE, FRAME_NAME, iter_frames
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
-from .toy_encoder import EncoderSpec, ToyEncoder, encode
+from .toy_encoder import EncoderSpec, ToyEncoder
 
 logger = logging.getLogger("ttfusion")
 
@@ -44,6 +43,7 @@ ACTION_ATTENTION_NAME = "attn_action_{:06d}.ttft"
 REPORT_NAME = "report.json"
 _ATTENTION_FILE = re.compile(r"attn_(text|action)_(\d{6,})\.ttft")
 _ATTENTION_NAMES = {"text": TEXT_ATTENTION_NAME, "action": ACTION_ATTENTION_NAME}
+_ATTENTION_KINDS = {TEXT_TO_VISION: "text", ACTION_TO_VISION: "action"}
 # Each dump directory and the names of the files a run writes there.
 _DUMP_FILES = (
     (MASK_DIR, re.compile(r"mask_\d{6,}\.pgm")),
@@ -105,8 +105,8 @@ def load_frames_dir(path: str | os.PathLike) -> FrameDirectory:
     return FrameDirectory(os.fspath(path), count)
 
 
-@dataclass
-class TensorFileAttentionEncoder:
+@dataclass(kw_only=True)
+class TensorFileAttentionEncoder(ToyEncoder):
     """Toy tokens with attention slices read from tensor files.
 
     Each timestep t reads one file under the attention directory, of the
@@ -115,23 +115,24 @@ class TensorFileAttentionEncoder:
     other kind are never read.
     """
 
-    spec: EncoderSpec
     attention_dir: str
     required: str  # "text" or "action"
 
-    def __call__(self, frame: FrameObservation, gray: GrayscaleImage | None = None):
-        tokens = encode(frame, self.spec, gray)
+    def attention(self, frame: FrameObservation, features, mode: str) -> AttentionSlice:
+        if _ATTENTION_KINDS.get(mode) != self.required:
+            raise ValueError(
+                f"{mode!r} attention asked of a run that reads attn_{self.required} files"
+            )
         name = _ATTENTION_NAMES[self.required].format(frame.timestep)
         # The file was checked before step 0; read_tensor names it if it has
         # gone since.
         rows = read_tensor(os.path.join(self.attention_dir, name))
         text = self.required == "text"
-        slice_ = AttentionSlice(
+        return AttentionSlice(
             text_rows=rows if text else None,
             action_row=None if text else rows,
             source_timestep=frame.timestep,
         )
-        return tokens, slice_
 
     def check_file_set(self, frame_count: int) -> None:
         """Check the required kind's files against the frames before any
@@ -169,9 +170,10 @@ def build_encoder(config: RunConfig, frame_count: int):
         head_count=config.heads,
     )
     if config.attention_source == ATTENTION_SOURCE_TENSOR_FILES:
-        required = "text" if config.fusion.attention_mode == TEXT_TO_VISION else "action"
         encoder = TensorFileAttentionEncoder(
-            spec=spec, attention_dir=config.attention_dir, required=required
+            spec=spec,
+            attention_dir=config.attention_dir,
+            required=_ATTENTION_KINDS[config.fusion.attention_mode],
         )
         encoder.check_file_set(frame_count)
         return encoder

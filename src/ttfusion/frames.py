@@ -80,6 +80,14 @@ class GrayscaleImage:
         if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
             raise ValueError("grayscale values must lie in [0, 1]")
 
+    @classmethod
+    def _of_valid(cls, values: np.ndarray) -> "GrayscaleImage":
+        """Wrap a 2-D float64 array whose values lie in [0, 1] by
+        construction, without scanning them again."""
+        image = object.__new__(cls)
+        image.values = values
+        return image
+
     @property
     def width(self) -> int:
         return self.values.shape[1]
@@ -148,7 +156,9 @@ def to_grayscale(frame: FrameObservation) -> GrayscaleImage:
     else:
         np.matmul(pixels.astype(np.float64), _LUMA_WEIGHTS, out=values)
     values /= _LUMA_SCALE
-    return GrayscaleImage(values)
+    # An integer sum in [0, 255000] over 255000 lies in [0, 1], so the
+    # range scan of GrayscaleImage would find nothing.
+    return GrayscaleImage._of_valid(values)
 
 
 def _parse_netpbm_header(data: bytes, magic: bytes, path: str) -> tuple[int, int, int]:

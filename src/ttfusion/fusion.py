@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,10 @@ from .frames import FrameObservation, GrayscaleImage, PatchGrid, to_grayscale
 SELECTION_TOP_K = "top_k"
 SELECTION_RATE_TARGET = "rate_target"
 SELECTION_MODES = (SELECTION_TOP_K, SELECTION_RATE_TARGET)
+# A frame of which a step asks for at least this share of the tokens, none
+# encoded yet, is encoded whole: encoding a row subset means gathering its
+# features and scattering its tokens, which outweighs the few rows saved.
+WHOLE_FRAME_SHARE = 0.9
 
 
 @dataclass
@@ -35,6 +40,14 @@ class TokenMatrix:
             raise ValueError("token matrix must be 2-D")
         if not np.isfinite(self.values).all():
             raise ValueError("token matrix contains non-finite values")
+
+    @classmethod
+    def _of_finite(cls, values: np.ndarray) -> "TokenMatrix":
+        """Wrap a 2-D float64 array whose rows were each checked finite when
+        they were made, without scanning them again."""
+        tokens = object.__new__(cls)
+        tokens.values = values
+        return tokens
 
     @property
     def patch_count(self) -> int:
@@ -128,9 +141,12 @@ def is_keyframe(t: int, state: FusionState, keyframe_interval: int) -> bool:
 
 
 def combine_masks(pixel_mask: np.ndarray, attention_mask: np.ndarray) -> np.ndarray:
-    """OR the two masks (``step`` passes all zeros for a disabled dimension)."""
-    pixel_mask = np.asarray(pixel_mask, dtype=np.uint8)
-    attention_mask = np.asarray(attention_mask, dtype=np.uint8)
+    """OR the two masks (``step`` passes all zeros for a disabled dimension).
+
+    An entry other than 0 or 1 in either mask raises ``ValueError``.
+    """
+    pixel_mask = detection.binary_mask(pixel_mask, "pixel mask")
+    attention_mask = detection.binary_mask(attention_mask, "attention mask")
     if pixel_mask.shape != attention_mask.shape:
         raise ValueError(f"mask lengths differ: {pixel_mask.shape} vs {attention_mask.shape}")
     return (pixel_mask | attention_mask).astype(np.uint8)
@@ -141,17 +157,23 @@ def fuse_tokens(
 ) -> TokenMatrix:
     """Row-wise hard selection: mask 1 takes the current row, 0 the previous.
 
-    Rows are copied bit-exactly; no blending.
+    Rows are copied bit-exactly; no blending.  Only the rows of ``current``
+    under mask 1 are read, so ``step`` can pass the frame's tokens with
+    just those rows encoded.  A mask entry other than 0 or 1 raises
+    ``ValueError``.
     """
     if current.values.shape != previous.values.shape:
         raise ValueError(
             f"token shapes differ: {current.values.shape} vs {previous.values.shape}"
         )
-    mask = np.asarray(fusion_mask, dtype=np.uint8)
+    mask = np.asarray(fusion_mask)
     if mask.shape != (current.patch_count,):
         raise ValueError(f"mask length {mask.shape} does not match {current.patch_count} patches")
-    fused = np.where(mask[:, None] == 1, current.values, previous.values)
-    return TokenMatrix(fused)
+    rows = np.flatnonzero(detection.binary_mask(mask, "fusion mask"))
+    fused = previous.values.copy()
+    fused[rows] = current.values[rows]
+    # Both inputs were checked finite when they were made.
+    return TokenMatrix._of_finite(fused)
 
 
 def _attention_mask(
@@ -178,16 +200,22 @@ def step(
 ) -> tuple[StepResult, FusionState]:
     """Run one timestep of the fusion loop.
 
-    ``encoder`` is any callable ``encoder(frame, gray)`` returning
-    ``(TokenMatrix, AttentionSlice | None)``, where ``gray`` is the frame's
-    grayscale, computed once here and shared by pixel detection and the
-    encoder.  ``shared``, when given, is this frame's
-    :class:`SharedObservation` (built from ``frame`` and ``encoder``), so
-    steps of several configs on one frame compute its grayscale, encoding
-    and pixel diffs once; without it the step builds its own.  The returned
-    state carries the fused tokens, this frame's grayscale, and the
-    attention captured this step (consumed by the next step, which rejects
-    it unless it came from timestep t - 1).
+    ``encoder`` provides ``features``, ``tokens`` and ``attention`` as
+    :class:`SharedObservation` calls them (``toy_encoder.ToyEncoder`` is
+    one).  The step settles its fusion mask first, from the grayscale, the
+    pixel diffs and the previous step's attention, and then has the encoder
+    encode only the token rows that mask recomputes: every row on a
+    keyframe, the flagged rows otherwise (or the whole frame when they are
+    most of it; see :meth:`SharedObservation.tokens`).  ``shared``, when
+    given, is this frame's :class:`SharedObservation` (built from ``frame``
+    and ``encoder``), so steps of several configs on one frame compute its
+    grayscale, features, attention of each mode, token rows and pixel diffs
+    once; without it the step builds its own.  The returned state carries
+    the fused tokens, this frame's grayscale, and the attention of the
+    config's mode captured this step (consumed by the next step, which
+    rejects it unless it came from timestep t - 1).  The attention is None,
+    and never computed, when no step reads it: with attention detection
+    off, or when the next step is a keyframe.
     """
     t = frame.timestep
     if t != state.timestep:
@@ -207,10 +235,11 @@ def step(
         raise ValueError(f"shared observation is of another frame than timestep {t}")
     grid = config.grid
     n = grid.patch_count
-
-    tokens, attention = shared.encoded()
-    if tokens.patch_count != n:
-        raise ValueError(f"encoder produced {tokens.patch_count} tokens, expected {n}")
+    # Only the next step reads this frame's attention, and only if it is no
+    # keyframe.
+    attention = None
+    if config.enable_attention and (t + 1) % config.keyframe_interval:
+        attention = shared.attention(config.attention_mode)
 
     if is_keyframe(t, state, config.keyframe_interval):
         ones = np.ones(n, dtype=np.uint8)
@@ -218,7 +247,7 @@ def step(
         result = StepResult(
             timestep=t,
             is_keyframe=True,
-            fused_tokens=tokens,
+            fused_tokens=shared.tokens(None),
             pixel_mask=ones,
             attention_mask=ones,
             fusion_mask=ones,
@@ -238,7 +267,8 @@ def step(
             attention_mask = np.zeros(n, dtype=np.uint8)
         fusion_mask = combine_masks(pixel_mask, attention_mask)
 
-        fused = fuse_tokens(tokens, state.prev_tokens, fusion_mask)
+        current = shared.tokens(np.flatnonzero(fusion_mask))
+        fused = fuse_tokens(current, state.prev_tokens, fusion_mask)
         result = StepResult(
             timestep=t,
             is_keyframe=False,
@@ -265,7 +295,8 @@ def lockstep(frames, encoder, configs) -> Iterator[list[StepResult]]:
     Frames are the outer loop and configs the inner one, so every config
     takes its ``step`` on frame t before any takes frame t + 1.  All steps on
     a frame share one :class:`SharedObservation`, so the frame's grayscale
-    and encoding are computed once, and its pixel diffs at most once, inside
+    and features are computed once, its attention once per attention mode,
+    each token row at most once and its pixel diffs at most once, inside
     whichever step first needs them.  Frames are consumed as they arrive
     and need not be a list; between frames only each config's
     :class:`FusionState` is kept, so memory stays flat however long the
@@ -303,33 +334,82 @@ def lockstep(frames, encoder, configs) -> Iterator[list[StepResult]]:
 
 class SharedObservation:
     """What the fusion loop derives from one frame, each part computed on
-    first request: the grayscale, the encoder result, and the per-patch
-    pixel diffs against the previous frame's grayscale.
+    first request: the grayscale, the encoder's features, its attention of
+    each mode asked for, its token rows, and the per-patch pixel diffs
+    against the previous frame's grayscale.
 
-    None of the three reads a ``FusionConfig`` field, so every config's step
-    on the frame can use the same results.  The diffs are read-only because
+    None of these reads a ``FusionConfig`` field, so every config's step on
+    the frame can use the same results.  The diffs are read-only because
     every config's step on the frame reads the same array.
+
+    The encoder provides three methods.  ``features(frame, gray)`` returns
+    whatever the other two need of the frame; it is called once.
+    ``attention(frame, features, mode)`` returns the frame's
+    ``AttentionSlice`` for one attention mode, or None; it is called once
+    per mode a step asks for.  ``tokens(features, rows)`` returns the
+    (len(rows), d) token rows of the patches in the index array ``rows``,
+    or all N rows when ``rows`` is None; each row's bits must not depend on
+    which other rows are asked for with it.
     """
 
     def __init__(self, frame: FrameObservation, encoder):
         self.frame = frame
         self._encoder = encoder
-        self._gray: GrayscaleImage | None = None
-        self._encoded = None
+        self._attention: dict[str, AttentionSlice | None] = {}
+        self._tokens: TokenMatrix | None = None
+        self._unset: np.ndarray | None = None
         self._diffs: np.ndarray | None = None
         self._diffs_base: GrayscaleImage | None = None
 
-    @property
+    @cached_property
     def gray(self) -> GrayscaleImage:
-        if self._gray is None:
-            self._gray = to_grayscale(self.frame)
-        return self._gray
+        return to_grayscale(self.frame)
 
-    def encoded(self):
-        """``encoder(frame, gray)``, run on the first call only."""
-        if self._encoded is None:
-            self._encoded = self._encoder(self.frame, self.gray)
-        return self._encoded
+    @cached_property
+    def features(self):
+        return self._encoder.features(self.frame, self.gray)
+
+    def attention(self, mode: str) -> AttentionSlice | None:
+        """The encoder's attention of ``mode``, asked for once per mode."""
+        if mode not in self._attention:
+            self._attention[mode] = self._encoder.attention(self.frame, self.features, mode)
+        return self._attention[mode]
+
+    def tokens(self, rows: np.ndarray | None) -> TokenMatrix:
+        """The frame's N tokens, of which at least ``rows`` (an index array,
+        or None for every row) are encoded.
+
+        Rows no earlier call asked for are encoded now, in one encoder call,
+        checked finite and kept; a row no call has asked for holds zeros,
+        and no caller may read it.  When no row is encoded yet and at least
+        ``WHOLE_FRAME_SHARE`` of them are asked for, the whole frame is
+        encoded instead and the encoder's output kept as it is, with no
+        copy.
+        """
+        if self._unset is None:
+            self._unset = np.ones(PatchGrid.for_frame(self.frame).patch_count, dtype=bool)
+        n = len(self._unset)
+        missing = np.flatnonzero(self._unset) if rows is None else rows[self._unset[rows]]
+        if self._tokens is None and missing.size >= WHOLE_FRAME_SHARE * n:
+            self._tokens = TokenMatrix._of_finite(self._encode(None))
+            self._unset[:] = False
+        elif missing.size or self._tokens is None:
+            new = self._encode(missing)
+            if self._tokens is None:
+                self._tokens = TokenMatrix._of_finite(np.zeros((n, new.shape[1])))
+            self._tokens.values[missing] = new
+            self._unset[missing] = False
+        return self._tokens
+
+    def _encode(self, rows: np.ndarray | None) -> np.ndarray:
+        new = np.asarray(self._encoder.tokens(self.features, rows), dtype=np.float64)
+        count = len(self._unset) if rows is None else len(rows)
+        t = self.frame.timestep
+        if new.ndim != 2 or len(new) != count:
+            raise ValueError(f"encoder produced {new.shape} tokens for {count} patches of timestep {t}")
+        if not np.isfinite(new).all():
+            raise ValueError(f"encoder produced non-finite tokens at timestep {t}")
+        return new
 
     def diffs(self, prev_gray: GrayscaleImage, grid: PatchGrid) -> np.ndarray:
         """``detection.patch_diffs`` of this frame against ``prev_gray``,
@@ -339,4 +419,3 @@ class SharedObservation:
             diffs.flags.writeable = False
             self._diffs, self._diffs_base = diffs, prev_gray
         return self._diffs
-

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .detection import binary_mask
 from .prng import SplitMix64
 
 # Rows per fixed-shape product in project_full.
@@ -161,15 +162,17 @@ class ReuseChecker:
 
         For each of the query, key and value matrices any gap is reported
         with its step, matrix and worst row.  ``ValueError`` is raised for a
-        mask of the wrong length, or for reused rows with no previous
-        projection of the same shape to copy them from (so always at step 0).
+        mask of the wrong length or with an entry other than 0 or 1, or for
+        reused rows with no previous projection of the same shape to copy
+        them from (so always at step 0).
         """
         t = self.timestep
         values = np.asarray(tokens, dtype=np.float64)
-        mask = np.asarray(mask, dtype=np.uint8)
+        mask = np.asarray(mask)
         n, d = values.shape
         if mask.shape != (n,):
             raise ValueError(f"step {t}: mask length {mask.shape} does not match {n} rows")
+        mask = binary_mask(mask, f"step {t}: mask")
         recompute = np.flatnonzero(mask)
         reused = n - recompute.size
         previous = self._reference.shape if t else None

@@ -2,7 +2,10 @@
 
 Tokens are a fixed linear projection of per-patch features (the 196 patch
 luminance values plus the normalized grid position), so a patch's token
-depends only on that patch.  Attention is synthesized from luminance so
+depends only on that patch.  The product goes through
+``projection.project_full``, so a token is the same bits whether its patch
+is encoded alone or with every other one, and the fusion loop encodes only
+the patches it recomputes.  Attention is synthesized from luminance so
 that bright or high-contrast patches score as relevant.  Everything is a
 pure function of the frame and the seeded spec.
 """
@@ -14,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detection import AttentionSlice
+from .detection import ACTION_TO_VISION, TEXT_TO_VISION, AttentionSlice
 from .frames import (
     PATCH_PIXELS,
     PATCH_SIDE,
@@ -24,6 +27,7 @@ from .frames import (
     to_grayscale,
 )
 from .fusion import TokenMatrix
+from .projection import project_full
 from .prng import SplitMix64
 
 FEATURE_DIM = PATCH_PIXELS + 2
@@ -90,17 +94,27 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def _attention(features: np.ndarray, spec: EncoderSpec, timestep: int) -> AttentionSlice:
-    pixels = features[:, :PATCH_PIXELS]
-    luminance = pixels.mean(axis=1)
-    contrast = pixels.max(axis=1) - pixels.min(axis=1)
-
+def _text_rows(features: np.ndarray, spec: EncoderSpec) -> np.ndarray:
+    luminance = features[:, :PATCH_PIXELS].mean(axis=1)
     heads = np.arange(spec.head_count)[:, None, None]
     tokens = np.arange(spec.text_token_count)[None, :, None]
     text_logits = luminance[None, None, :] * (1.0 + 0.1 * heads) + 0.05 * tokens
-    text_rows = _softmax(text_logits)
-    action_row = np.broadcast_to(_softmax(contrast), (spec.head_count, len(features))).copy()
-    return AttentionSlice(text_rows=text_rows, action_row=action_row, source_timestep=timestep)
+    return _softmax(text_logits)
+
+
+def _action_row(features: np.ndarray, spec: EncoderSpec) -> np.ndarray:
+    pixels = features[:, :PATCH_PIXELS]
+    contrast = pixels.max(axis=1) - pixels.min(axis=1)
+    return np.broadcast_to(_softmax(contrast), (spec.head_count, len(features))).copy()
+
+
+def _token_rows(features: np.ndarray, spec: EncoderSpec, rows: np.ndarray | None) -> np.ndarray:
+    """Tokens of patches ``rows`` (all patches when None), through
+    ``project_full``, so each row is the same bits however many rows are
+    encoded with it."""
+    if rows is not None:
+        features = features[rows]
+    return project_full(features, spec.projection())
 
 
 def encode(
@@ -111,7 +125,7 @@ def encode(
     ``gray`` is the frame's grayscale if the caller already has it; by
     default it is computed here.
     """
-    return TokenMatrix(_patch_features(frame, gray) @ spec.projection())
+    return TokenMatrix(_token_rows(_patch_features(frame, gray), spec, None))
 
 
 def synth_attention(
@@ -121,26 +135,48 @@ def synth_attention(
 
     Text logits for head h and token j are ``mean_luminance * (1 + 0.1 h) +
     0.05 j``; the action row is a softmax over per-patch luminance contrast
-    (max minus min pixel), shared across heads.  ``gray`` is as in
-    ``encode``.
+    (max minus min pixel), shared across heads.  Both kinds are built;
+    ``ToyEncoder.attention`` builds the one a run asks for.  ``gray`` is as
+    in ``encode``.
     """
-    return _attention(_patch_features(frame, gray), spec, frame.timestep)
+    features = _patch_features(frame, gray)
+    return AttentionSlice(
+        text_rows=_text_rows(features, spec),
+        action_row=_action_row(features, spec),
+        source_timestep=frame.timestep,
+    )
 
 
 @dataclass
 class ToyEncoder:
-    """Callable encoder producing (tokens, attention) for the fusion loop.
+    """The fusion loop's encoder: tokens and attention of ``spec``, both read
+    from one (patches, 198) feature matrix per frame.
 
-    Both come from one feature matrix of the frame, built from ``gray`` if
-    given (the fusion loop passes the one it computed), else from a
-    grayscale computed once here.
+    The loop calls ``features`` once per frame, then ``attention`` once per
+    attention mode its steps use and ``tokens`` for the rows they recompute
+    (see :class:`ttfusion.fusion.SharedObservation`).
     """
 
     spec: EncoderSpec = field(default_factory=EncoderSpec)
 
-    def __call__(
-        self, frame: FrameObservation, gray: GrayscaleImage | None = None
-    ) -> tuple[TokenMatrix, AttentionSlice]:
-        features = _patch_features(frame, gray)
-        tokens = TokenMatrix(features @ self.spec.projection())
-        return tokens, _attention(features, self.spec, frame.timestep)
+    def features(self, frame: FrameObservation, gray: GrayscaleImage | None = None) -> np.ndarray:
+        """The frame's (patches, 198) feature matrix, built from ``gray`` if
+        given, else from a grayscale computed here."""
+        return _patch_features(frame, gray)
+
+    def tokens(self, features: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+        """The (len(rows), d) token rows of patches ``rows``, an index array,
+        or all patches when None; a row's bits do not depend on the other
+        rows asked for."""
+        return _token_rows(features, self.spec, rows)
+
+    def attention(self, frame: FrameObservation, features: np.ndarray, mode: str) -> AttentionSlice:
+        """The slice of one kind: text rows for ``text_to_vision``, the action
+        row for ``action_to_vision`` (as in ``synth_attention``)."""
+        if mode == TEXT_TO_VISION:
+            text, action = _text_rows(features, self.spec), None
+        elif mode == ACTION_TO_VISION:
+            text, action = None, _action_row(features, self.spec)
+        else:
+            raise ValueError(f"unknown attention mode {mode!r}")
+        return AttentionSlice(text_rows=text, action_row=action, source_timestep=frame.timestep)

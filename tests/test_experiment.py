@@ -161,9 +161,11 @@ class TestTensorFileAttention:
             required="text",
         )
         frames = generate_frames(build_run_config(small_values(synth_frames=1)).synth)
-        _, slice_ = encoder(frames[0])
+        slice_ = encoder.attention(frames[0], encoder.features(frames[0]), "text_to_vision")
         assert slice_.text_rows.dtype == np.float64
         assert slice_.action_row is None
+        with pytest.raises(ValueError, match="reads attn_text files"):
+            encoder.attention(frames[0], encoder.features(frames[0]), "action_to_vision")
 
     @pytest.mark.parametrize("content", ["three_heads", "junk"])
     def test_other_kind_of_attention_file_is_never_read(self, tmp_path, content):

@@ -4,6 +4,7 @@ import pytest
 from ttfusion.frames import (
     FrameError,
     FrameObservation,
+    GrayscaleImage,
     PatchGrid,
     load_frame,
     save_frame,
@@ -123,6 +124,16 @@ class TestGrayscale:
             u0, v0, u1, v1 = grid.patch_region(i)
             piece = FrameObservation(pixels=pixels[u0 : u1 + 1, v0 : v1 + 1], timestep=0)
             assert np.array_equal(to_grayscale(piece).values, whole[u0 : u1 + 1, v0 : v1 + 1])
+
+
+    @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, -3.0, 2.0])
+    def test_direct_construction_still_checks_the_range(self, bad):
+        # to_grayscale builds its result without the range scan; an image
+        # made from outside values is still scanned.
+        values = np.full((14, 14), 0.5)
+        values[3, 7] = bad
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            GrayscaleImage(values)
 
 
 def float64_grayscale(pixels):

@@ -7,6 +7,7 @@ import ttfusion.toy_encoder
 from ttfusion.detection import AttentionSlice
 from ttfusion.frames import FrameObservation, to_grayscale
 from ttfusion.fusion import (
+    WHOLE_FRAME_SHARE,
     FusionConfig,
     FusionState,
     TokenMatrix,
@@ -18,7 +19,7 @@ from ttfusion.fusion import (
     step,
 )
 from ttfusion.synthetic import SynthSpec, generate_frames
-from ttfusion.toy_encoder import EncoderSpec, ToyEncoder
+from ttfusion.toy_encoder import EncoderSpec, ToyEncoder, encode
 
 
 def small_config(**overrides):
@@ -50,10 +51,48 @@ class StubEncoder:
 
     def __init__(self, tokens_by_step, attention=None):
         self.tokens_by_step = tokens_by_step
-        self.attention = attention
+        self.slice_ = attention
 
-    def __call__(self, frame, gray):
-        return TokenMatrix(self.tokens_by_step[frame.timestep]), self.attention
+    def features(self, frame, gray):
+        return self.tokens_by_step[frame.timestep]
+
+    def tokens(self, features, rows):
+        return features if rows is None else features[rows]
+
+    def attention(self, frame, features, mode):
+        return self.slice_
+
+
+class CountingEncoder:
+    """Wraps an encoder, recording each call: the timestep of every
+    ``features`` call, the (timestep, rows) of every ``tokens`` call (rows
+    None for the whole frame) and the (timestep, mode) of every
+    ``attention`` call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.feature_calls, self.token_calls, self.attention_calls = [], [], []
+
+    def features(self, frame, gray):
+        self.feature_calls.append(frame.timestep)
+        return frame.timestep, self.inner.features(frame, gray)
+
+    def tokens(self, features, rows):
+        t, inner = features
+        self.token_calls.append((t, None if rows is None else rows.copy()))
+        return self.inner.tokens(inner, rows)
+
+    def attention(self, frame, features, mode):
+        self.attention_calls.append((frame.timestep, mode))
+        return self.inner.attention(frame, features[1], mode)
+
+    def rows_by_frame(self, n=4):
+        """Timestep -> every row index encoded for it, in call order, for
+        frames of ``n`` patches."""
+        rows = {}
+        for t, encoded in self.token_calls:
+            rows.setdefault(t, []).extend(range(n) if encoded is None else encoded.tolist())
+        return rows
 
 
 class TestIsKeyframe:
@@ -91,6 +130,21 @@ class TestCombineMasks:
         with pytest.raises(ValueError):
             combine_masks(np.zeros(4, dtype=np.uint8), np.zeros(5, dtype=np.uint8))
 
+    def test_non_binary_entries_rejected(self):
+        ones = np.ones(3, dtype=np.uint8)
+        for bad in (np.array([0.5, 0.0, 256.0]), np.array([0, 2, 1]), np.array([0, -1, 1])):
+            with pytest.raises(ValueError, match="pixel mask entries must be 0 or 1"):
+                combine_masks(bad, ones)
+            with pytest.raises(ValueError, match="attention mask entries must be 0 or 1"):
+                combine_masks(ones, bad)
+
+    def test_bool_masks_accepted(self):
+        pixel = np.array([True, False, False])
+        attention = np.array([0.0, 0.0, 1.0])
+        combined = combine_masks(pixel, attention)
+        assert combined.dtype == np.uint8
+        assert list(combined) == [1, 0, 1]
+
 
 class TestFuseTokens:
     def test_all_ones_returns_current(self):
@@ -120,6 +174,13 @@ class TestFuseTokens:
             fuse_tokens(
                 TokenMatrix(np.zeros((2, 4))), TokenMatrix(np.zeros((2, 4))), np.array([1, 0, 1])
             )
+
+    def test_non_binary_mask_rejected(self):
+        current = TokenMatrix(np.zeros((3, 2)))
+        previous = TokenMatrix(np.ones((3, 2)))
+        for bad in (np.array([0.5, 0.0, 256.0]), np.array([1, 2, 0])):
+            with pytest.raises(ValueError, match="fusion mask entries must be 0 or 1"):
+                fuse_tokens(current, previous, bad)
 
     def test_rows_are_exact_copies(self):
         rng = np.random.default_rng(4)
@@ -244,11 +305,43 @@ class TestStep:
             step(FusionState(), frame, small_encoder(), FusionConfig())
 
     def test_encoder_failure_propagates(self):
-        def broken(frame, gray):
-            raise RuntimeError("encoder down")
+        class Broken(StubEncoder):
+            def features(self, frame, gray):
+                raise RuntimeError("encoder down")
 
         with pytest.raises(RuntimeError, match="encoder down"):
-            step(FusionState(), small_frames(1)[0], broken, small_config())
+            step(FusionState(), small_frames(1)[0], Broken({}), small_config())
+
+    @pytest.mark.parametrize("keyframe_interval", [1, 100])
+    def test_non_finite_recomputed_row_rejected(self, keyframe_interval):
+        # Step 1 recomputes rows 0 and 2 (top_k = 2, no pixel change);
+        # a NaN there fails the step, as one in a keyframe's rows does.
+        tokens = {0: np.zeros((4, 8)), 1: np.ones((4, 8))}
+        tokens[1][2, 5] = np.nan
+        text = np.array([[[0.4, 0.1, 0.3, 0.2]]] * 2)
+        encoder = StubEncoder(tokens)
+        config = small_config(keyframe_interval=keyframe_interval, enable_pixel=False)
+        frames = small_frames(2)
+        encoder.slice_ = AttentionSlice(text_rows=text, action_row=None, source_timestep=0)
+        _, state = step(FusionState(), frames[0], encoder, config)
+        with pytest.raises(ValueError, match="non-finite"):
+            step(state, frames[1], encoder, config)
+
+    def test_non_finite_reused_row_is_never_read(self):
+        # Row 1 is reused at step 1, so its NaN is never encoded or checked.
+        tokens = {0: np.zeros((4, 8)), 1: np.ones((4, 8))}
+        tokens[1][1, 0] = np.nan
+        text = np.array([[[0.4, 0.1, 0.3, 0.2]]] * 2)
+        encoder = CountingEncoder(StubEncoder(tokens))
+        encoder.inner.slice_ = AttentionSlice(text_rows=text, action_row=None, source_timestep=0)
+        config = small_config(keyframe_interval=100, enable_pixel=False)
+        frames = small_frames(2)
+        _, state = step(FusionState(), frames[0], encoder, config)
+        result, _ = step(state, frames[1], encoder, config)
+        assert list(result.fusion_mask) == [1, 0, 1, 0]
+        assert encoder.rows_by_frame()[1] == [0, 2]
+        assert np.array_equal(result.fused_tokens.values[[0, 2]], np.ones((2, 8)))
+        assert np.array_equal(result.fused_tokens.values[[1, 3]], np.zeros((2, 8)))
 
     def test_stale_attention_rejected(self):
         # Every step hands back attention from timestep 0; step 2 must not
@@ -334,7 +427,7 @@ class TestLockstepOneConfig:
         encoder = small_encoder()
         steps = run_steps(frames, encoder, config)
         for t, result in enumerate(steps):
-            fresh = encoder(frames[t])[0].values
+            fresh = encode(frames[t], encoder.spec).values
             for i in range(4):
                 if result.fusion_mask[i]:
                     assert np.array_equal(result.fused_tokens.values[i], fresh[i])
@@ -380,17 +473,39 @@ class TestLockstep:
         return [small_config(keyframe_interval=k, top_k=1) for k in (1, 3, 6)]
 
     def test_encoder_runs_once_per_frame(self):
-        inner = small_encoder()
-        calls = []
-
-        def counting(frame, gray):
-            calls.append(frame.timestep)
-            return inner(frame, gray)
-
+        encoder = CountingEncoder(small_encoder())
         frames = self.walker_frames()
-        for _ in lockstep(frames, counting, self.configs()):
+        for _ in lockstep(frames, encoder, self.configs()):
             pass
-        assert calls == list(range(len(frames)))
+        assert encoder.feature_calls == list(range(len(frames)))
+        # One attention mode in use: one slice per frame for all points,
+        # except before frames that are keyframes for every point that reads
+        # attention (K = 3 and K = 6; K = 1 never reads it).
+        assert encoder.attention_calls == [
+            (t, "text_to_vision") for t in range(len(frames)) if (t + 1) % 6
+        ]
+
+    def test_each_row_encoded_at_most_once_per_frame(self):
+        # K = 6 and K = 3 come first, so frames that are keyframes for K = 1
+        # only reach it with some rows already encoded.
+        encoder = CountingEncoder(small_encoder())
+        frames = self.walker_frames()
+        configs = self.configs()[::-1]
+        together = list(lockstep(frames, encoder, configs))
+        rows = encoder.rows_by_frame()
+        assert len(together) == len(frames)
+        for t in range(len(frames)):
+            # K = 1 makes every frame a keyframe for some point: all rows,
+            # none twice.
+            assert sorted(rows[t]) == list(range(4))
+        assert any(len(calls) > 1 for calls in self.calls_by_frame(encoder).values())
+        # Alone, a point encodes exactly the rows its masks recompute.
+        for config in configs:
+            alone = CountingEncoder(small_encoder())
+            steps = run_steps(frames, alone, config)
+            for t, result in enumerate(steps):
+                assert alone.rows_by_frame().get(t, []) == list(np.flatnonzero(result.fusion_mask))
+                assert result.is_keyframe == (t % config.keyframe_interval == 0)
 
     def test_each_config_matches_its_own_loop(self):
         frames = self.walker_frames()
@@ -407,6 +522,44 @@ class TestLockstep:
                 assert np.array_equal(a.fused_tokens.values, b.fused_tokens.values)
         # K = 1 recomputes every patch, K = 6 reuses some: the points differ.
         assert rates_of(together[0]) != rates_of(together[2])
+
+    @staticmethod
+    def calls_by_frame(encoder):
+        calls = {}
+        for t, rows in encoder.token_calls:
+            calls.setdefault(t, []).append(rows)
+        return calls
+
+    def test_mixed_attention_modes_match_their_own_loops(self):
+        frames = self.walker_frames()
+        configs = [
+            small_config(keyframe_interval=4, top_k=1, attention_mode=mode)
+            for mode in ("text_to_vision", "action_to_vision")
+        ]
+        encoder = CountingEncoder(small_encoder())
+        together = list(zip(*lockstep(frames, encoder, configs)))
+        # Each mode's slice is built once per frame, whichever point asks,
+        # except before a keyframe.
+        assert sorted(encoder.attention_calls) == sorted(
+            (t, mode)
+            for t in range(len(frames))
+            for mode in ("text_to_vision", "action_to_vision")
+            if (t + 1) % 4
+        )
+        for config, steps in zip(configs, together):
+            alone = run_steps(frames, small_encoder(), config)
+            for a, b in zip(steps, alone, strict=True):
+                assert a.is_keyframe == b.is_keyframe
+                assert np.array_equal(a.pixel_mask, b.pixel_mask)
+                assert np.array_equal(a.attention_mask, b.attention_mask)
+                assert np.array_equal(a.fusion_mask, b.fusion_mask)
+                assert np.array_equal(a.fused_tokens.values, b.fused_tokens.values)
+        # The modes select different patches somewhere, so the check bites.
+        assert any(
+            not np.array_equal(a.attention_mask, b.attention_mask)
+            for a, b in zip(*together)
+            if not a.is_keyframe
+        )
 
     def test_one_grayscale_per_step(self, monkeypatch):
         calls, diff_calls = [], []
@@ -447,6 +600,87 @@ class TestLockstep:
     def test_no_configs_rejected(self):
         with pytest.raises(ValueError, match="no fusion configs"):
             next(lockstep(small_frames(2), small_encoder(), []))
+
+
+class TestEncodesOnlyWhatTheStepReads:
+    @pytest.mark.parametrize("mode", ["text_to_vision", "action_to_vision"])
+    def test_only_the_run_mode_attention_is_built(self, mode, monkeypatch):
+        built = []
+        for name in ("_text_rows", "_action_row"):
+            original = getattr(ttfusion.toy_encoder, name)
+
+            def counting(features, spec, name=name, original=original):
+                built.append(name)
+                return original(features, spec)
+
+            monkeypatch.setattr(ttfusion.toy_encoder, name, counting)
+        frames = small_frames(7, walker=True, noise_amplitude=0.05, seed=4)
+        steps = run_steps(frames, small_encoder(), small_config(attention_mode=mode, top_k=1))
+        wanted = "_text_rows" if mode == "text_to_vision" else "_action_row"
+        # K = 3: frames 2 and 5 precede keyframes, which read no attention.
+        assert built == [wanted] * 5
+        assert len(steps) == len(frames)
+
+    def test_attention_off_builds_no_attention(self):
+        encoder = CountingEncoder(small_encoder())
+        config = small_config(keyframe_interval=3, enable_attention=False)
+        run_steps(small_frames(5, walker=True), encoder, config)
+        assert encoder.attention_calls == []
+
+    @pytest.mark.parametrize("keyframe_interval", [1, 2, 3])
+    def test_no_attention_before_a_keyframe(self, keyframe_interval):
+        encoder = CountingEncoder(small_encoder())
+        config = small_config(keyframe_interval=keyframe_interval, top_k=1)
+        frames = small_frames(7, walker=True, noise_amplitude=0.05, seed=3)
+        state = FusionState()
+        for frame in frames:
+            _, state = step(state, frame, encoder, config)
+            next_is_keyframe = (frame.timestep + 1) % keyframe_interval == 0
+            assert (state.prev_attention is None) == next_is_keyframe
+        assert [t for t, _ in encoder.attention_calls] == [
+            t for t in range(len(frames)) if (t + 1) % keyframe_interval
+        ]
+
+    def test_keyframes_encode_all_rows_and_other_steps_the_recomputed_ones(self):
+        # The benchmark's reuse workload: 224 px walker episode with 5%
+        # repaint and 2% noise, paper settings.
+        frames = generate_frames(
+            SynthSpec(frame_count=30, width=224, height=224, change_fraction=0.05,
+                      walker=True, noise_amplitude=0.02, seed=1)
+        )
+        encoder = CountingEncoder(ToyEncoder(EncoderSpec(seed=1)))
+        steps = run_steps(frames, encoder, FusionConfig())
+        calls = {t: rows for t, rows in encoder.token_calls}
+        assert sorted(calls) == list(range(len(frames)))
+        assert len(encoder.token_calls) == len(frames)
+        for t, result in enumerate(steps):
+            if result.is_keyframe:
+                assert calls[t] is None
+            else:
+                assert np.array_equal(calls[t], np.flatnonzero(result.fusion_mask))
+        encoded = sum(256 if rows is None else len(rows) for rows in calls.values())
+        # 143 of 256 rows per frame: encoding every row, the loop would
+        # have kept only 0.56 of the rows it encoded.
+        assert encoded == sum(int(s.fusion_mask.sum()) for s in steps) == 4291
+
+
+    def test_a_mostly_recomputed_frame_is_encoded_whole(self):
+        # Noise 0.1 flags 248-255 of 256 patches per non-keyframe, as in the
+        # benchmark's churn workload: at least WHOLE_FRAME_SHARE of the
+        # frame, so each frame is encoded whole, in one call.
+        frames = generate_frames(
+            SynthSpec(frame_count=6, width=224, height=224, change_fraction=0.05,
+                      walker=True, noise_amplitude=0.1, seed=1)
+        )
+        encoder = CountingEncoder(ToyEncoder(EncoderSpec(seed=1)))
+        steps = run_steps(frames, encoder, FusionConfig())
+        assert encoder.token_calls == [(t, None) for t in range(len(frames))]
+        recomputed = [int(s.fusion_mask.sum()) for s in steps if not s.is_keyframe]
+        assert all(WHOLE_FRAME_SHARE * 256 <= r < 256 for r in recomputed)
+        for t, result in enumerate(steps):
+            fresh = encode(frames[t], EncoderSpec(seed=1)).values
+            rows = result.fusion_mask == 1
+            assert np.array_equal(result.fused_tokens.values[rows], fresh[rows])
 
 
 class TestConfigValidation:

@@ -215,6 +215,27 @@ class TestReuseCheckerOverRuns:
         with pytest.raises(ValueError, match="step 0: 1 rows marked for reuse"):
             check_pairs(pairs, ProjectionSet.generate(4, 0))
 
+    def test_non_binary_mask_rejected(self):
+        # Cast to uint8, 0.5 and 256 would both read as 0 (reuse).
+        projections = ProjectionSet.generate(4, 1)
+        checker = ReuseChecker(projections, 3)
+        rng = np.random.default_rng(0)
+        checker.check(rng.standard_normal((3, 4)), np.ones(3))
+        with pytest.raises(ValueError, match="step 1: mask entries must be 0 or 1"):
+            checker.check(rng.standard_normal((3, 4)), np.array([0.5, 0.0, 256.0]))
+        for bad in (np.array([1, 0, 2]), np.array([1.0, -1.0, 0.0]), np.array([np.nan, 1, 1])):
+            with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+                ReuseChecker(projections, 3).check(np.zeros((3, 4)), bad)
+
+    def test_bool_and_float_binary_masks_accepted(self):
+        projections = ProjectionSet.generate(4, 1)
+        tokens = np.random.default_rng(1).standard_normal((3, 4))
+        for first, second in ((np.ones(3, dtype=bool), np.array([True, False, True])),
+                              (np.ones(3), np.array([1.0, 0.0, 1.0]))):
+            checker = ReuseChecker(projections, 3)
+            checker.check(tokens, first)
+            assert checker.check(tokens, second).reused_rows == 1
+
     def test_mask_length_mismatch_rejected(self):
         tokens = np.zeros((4, 4))
         pairs = [(tokens, np.ones(4, dtype=np.uint8)), (tokens, np.ones(5, dtype=np.uint8))]

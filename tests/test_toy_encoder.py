@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import ttfusion.toy_encoder
+from ttfusion.detection import ACTION_TO_VISION, TEXT_TO_VISION
+from ttfusion.experiment import TensorFileAttentionEncoder
+from ttfusion.fusion import SharedObservation
 from ttfusion.frames import (
     PATCH_PIXELS,
     PATCH_SIDE,
@@ -10,6 +13,7 @@ from ttfusion.frames import (
     PatchGrid,
     to_grayscale,
 )
+from ttfusion.projection import CHUNK_ROWS, project_full
 from ttfusion.synthetic import SynthSpec, generate_frames
 from ttfusion.toy_encoder import EncoderSpec, ToyEncoder, encode, synth_attention
 
@@ -46,7 +50,9 @@ def reference_encode(frame, spec, gray=None):
     patches = _reference_blocks(frame, gray)
     rows, cols = np.divmod(np.arange(grid.patch_count), grid.cols)
     position = np.stack([rows / grid.rows, cols / grid.cols], axis=1)
-    return np.concatenate([patches, position], axis=1) @ spec.projection()
+    # Through project_full, as the encoder does: a plain ``@`` over fewer
+    # than 32 rows sums in another order under some BLAS kernels (Nehalem).
+    return project_full(np.concatenate([patches, position], axis=1), spec.projection())
 
 
 def _reference_softmax(logits):
@@ -188,17 +194,24 @@ class TestMatchesReferencePath:
                 walker=True, noise_amplitude=0.2, seed=8,
             )
         )
+        encoder = ToyEncoder(spec)
         for frame in frames:
             gray = to_grayscale(frame) if given_gray else None
             want_tokens = reference_encode(frame, spec, gray)
             want_text, want_action = reference_attention(frame, spec, gray)
-            for tokens, attention in (
-                ToyEncoder(spec)(frame, gray),
-                (encode(frame, spec, gray), synth_attention(frame, spec, gray)),
+            features = encoder.features(frame, gray)
+            text = encoder.attention(frame, features, TEXT_TO_VISION)
+            action = encoder.attention(frame, features, ACTION_TO_VISION)
+            assert text.action_row is None and action.text_rows is None
+            synth = synth_attention(frame, spec, gray)
+            for tokens, text_rows, action_row in (
+                (encoder.tokens(features, None), text.text_rows, action.action_row),
+                (encode(frame, spec, gray).values, synth.text_rows, synth.action_row),
             ):
-                assert tokens.values.tobytes() == want_tokens.tobytes()
-                assert attention.text_rows.tobytes() == want_text.tobytes()
-                assert attention.action_row.tobytes() == want_action.tobytes()
+                assert tokens.tobytes() == want_tokens.tobytes()
+                assert text_rows.tobytes() == want_text.tobytes()
+                assert action_row.tobytes() == want_action.tobytes()
+            for attention in (text, action, synth):
                 assert attention.source_timestep == frame.timestep
 
     def test_one_call_builds_the_patch_layout_once(self, monkeypatch):
@@ -214,27 +227,86 @@ class TestMatchesReferencePath:
         module = ttfusion.toy_encoder
         monkeypatch.setattr(module, "_patch_features", counted("features", module._patch_features))
         monkeypatch.setattr(module, "to_grayscale", counted("grayscale", module.to_grayscale))
+        monkeypatch.setattr(ttfusion.fusion, "to_grayscale", counted("grayscale", to_grayscale))
         frame = frame_from_gray_levels([10, 80, 160, 250])
-        ToyEncoder(SPEC)(frame)
+        ToyEncoder(SPEC).features(frame)
         assert calls == {"features": 1, "grayscale": 1}
-        ToyEncoder(SPEC)(frame, to_grayscale(frame))
+        ToyEncoder(SPEC).features(frame, to_grayscale(frame))
         assert calls == {"features": 2, "grayscale": 1}
+        # The fusion loop's observation of a frame builds one layout for
+        # its tokens, in any number of row sets, and both attention kinds.
+        shared = SharedObservation(frame, ToyEncoder(SPEC))
+        shared.tokens(np.array([1, 3]))
+        shared.attention(TEXT_TO_VISION)
+        shared.attention(ACTION_TO_VISION)
+        shared.tokens(None)
+        assert calls == {"features": 3, "grayscale": 2}
+
+
+def encoder_of(kind, spec, tmp_path):
+    if kind == "toy":
+        return ToyEncoder(spec)
+    return TensorFileAttentionEncoder(spec=spec, attention_dir=str(tmp_path), required="text")
+
+
+class TestRowSubsets:
+    """Any set of token rows equals the same rows of the full encode, bit
+    for bit, so the fusion loop may encode only the rows it recomputes."""
+
+    @pytest.mark.parametrize("kind", ["toy", "tensor_files"])
+    @pytest.mark.parametrize("token_dim", [8, 64])
+    @pytest.mark.parametrize("size", [224, 448])
+    def test_subsets_equal_full_rows(self, size, token_dim, kind, tmp_path):
+        spec = EncoderSpec(token_dim=token_dim, seed=13)
+        encoder = encoder_of(kind, spec, tmp_path)
+        frame = generate_frames(
+            SynthSpec(frame_count=2, width=size, height=size, change_fraction=0.3,
+                      walker=True, noise_amplitude=0.2, seed=4)
+        )[1]
+        features = encoder.features(frame, None)
+        full = encoder.tokens(features, None)
+        n = len(full)
+        assert full.tobytes() == encode(frame, spec).values.tobytes()
+        rng = np.random.default_rng(size + token_dim)
+        # Every row lands at every position of a 32-row chunk: a suffix
+        # from each offset, a stride-7 subset from it, and a random subset.
+        for offset in range(CHUNK_ROWS):
+            for rows in (
+                np.arange(offset, n),
+                np.arange(offset, n, 7),
+                np.flatnonzero(rng.random(n) < 0.5),
+                np.array([offset]),
+            ):
+                got = encoder.tokens(features, rows)
+                assert got.shape == (len(rows), token_dim)
+                assert got.tobytes() == full[rows].tobytes()
 
 
 class TestToyEncoder:
-    def test_callable_returns_tokens_and_attention(self):
+    def test_methods_return_tokens_and_attention(self):
         encoder = ToyEncoder(SPEC)
-        tokens, attention = encoder(frame_from_gray_levels([9, 9, 9, 9]))
-        assert tokens.patch_count == 4
-        assert attention.head_count == 2
+        frame = frame_from_gray_levels([9, 9, 9, 9])
+        features = encoder.features(frame)
+        assert encoder.tokens(features, None).shape == (4, 16)
+        assert encoder.tokens(features, np.array([2])).shape == (1, 16)
+        assert encoder.attention(frame, features, TEXT_TO_VISION).head_count == 2
 
     def test_given_grayscale_matches_computed_one(self):
         frame = frame_from_gray_levels([10, 80, 160, 250])
-        gray = to_grayscale(frame)
-        tokens, attention = ToyEncoder(SPEC)(frame, gray)
-        assert np.array_equal(tokens.values, encode(frame, SPEC).values)
-        assert np.array_equal(attention.text_rows, synth_attention(frame, SPEC).text_rows)
-        assert np.array_equal(attention.action_row, synth_attention(frame, SPEC).action_row)
+        encoder = ToyEncoder(SPEC)
+        features = encoder.features(frame, to_grayscale(frame))
+        assert np.array_equal(features, encoder.features(frame))
+        assert np.array_equal(encoder.tokens(features, None), encode(frame, SPEC).values)
+        text = encoder.attention(frame, features, TEXT_TO_VISION)
+        action = encoder.attention(frame, features, ACTION_TO_VISION)
+        assert np.array_equal(text.text_rows, synth_attention(frame, SPEC).text_rows)
+        assert np.array_equal(action.action_row, synth_attention(frame, SPEC).action_row)
+
+    def test_unknown_attention_mode_rejected(self):
+        frame = frame_from_gray_levels([10, 80, 160, 250])
+        encoder = ToyEncoder(SPEC)
+        with pytest.raises(ValueError, match="unknown attention mode"):
+            encoder.attention(frame, encoder.features(frame), "both")
 
     def test_grayscale_of_other_shape_rejected(self):
         frame = frame_from_gray_levels([10, 80, 160, 250])
