@@ -19,7 +19,7 @@ checker = ReuseChecker(ProjectionSet.generate(dim=64, seed=5), rows=256)
 
 checks, rates_match = [], True
 for [step] in lockstep(frames, ToyEncoder(EncoderSpec(token_dim=64, seed=5)), [config]):
-    check = checker.check(step.fused_tokens.values, step.fusion_mask)
+    check = checker.check(step.fused_tokens, step.fusion_mask)
     checks.append(check)
     rates_match = rates_match and check.reused_rows / 256 == step.fusion_rate
 

@@ -25,7 +25,6 @@ from .frames import (
     PATCH_SIDE,
     FrameError,
     FrameObservation,
-    GrayscaleImage,
     PatchGrid,
     load_frame,
     save_frame,
@@ -35,7 +34,6 @@ from .fusion import (
     FusionConfig,
     FusionState,
     StepResult,
-    TokenMatrix,
     combine_masks,
     fuse_tokens,
     is_keyframe,
@@ -63,7 +61,6 @@ __all__ = [
     "FrameObservation",
     "FusionConfig",
     "FusionState",
-    "GrayscaleImage",
     "PatchGrid",
     "ProjectionSet",
     "ReuseChecker",
@@ -72,7 +69,6 @@ __all__ = [
     "StepResult",
     "SynthSpec",
     "TensorFormatError",
-    "TokenMatrix",
     "ToyEncoder",
     "action_to_vision_scores",
     "auto_threshold",

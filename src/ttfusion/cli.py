@@ -8,14 +8,13 @@ environment variable selects verbosity: off (default), info, or debug.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 from dataclasses import replace
 
 from .frames import FrameError
-from .report import InvariantError, sweep_csv
+from .report import InvariantError, sweep_csv, write_report
 from .runconfig import ConfigError, load_config_file, parse_sweep_values
 from .tensor_io import TensorFormatError
 
@@ -73,11 +72,6 @@ def _load_config(args):
     return config
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _require_exact_reuse(labelled_checks) -> None:
     """Print every nonzero Q/K/V reuse error and raise if there is any.
 
@@ -132,7 +126,7 @@ def _cmd_sweep(args) -> int:
     values = parse_sweep_values(args.param, args.values)
     summary, results = run_sweep(config, args.param, values, out_dir=config.output_dir)
     summary_path = os.path.join(config.output_dir, "sweep_summary.json")
-    _write_json(summary_path, summary)
+    write_report(summary_path, summary)
     csv_path = os.path.join(config.output_dir, "sweep_summary.csv")
     with open(csv_path, "w", encoding="ascii") as fh:
         fh.write(sweep_csv(summary))
@@ -184,8 +178,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except ValueError as exc:
-        # Library precondition tripped by user-supplied data (for example a
-        # wrong-shaped attention tensor): treat as a configuration error.
+        # Library precondition tripped by user-supplied data (for example
+        # attention weights that are negative or sum above 1): treat as a
+        # configuration error.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

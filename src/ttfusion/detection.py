@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import PATCH_PIXELS, PATCH_SIDE, GrayscaleImage, PatchGrid
+from .frames import PATCH_PIXELS, PATCH_SIDE, PatchGrid
 
 TEXT_TO_VISION = "text_to_vision"
 ACTION_TO_VISION = "action_to_vision"
@@ -95,8 +95,9 @@ def binary_mask(mask, name: str = "mask") -> np.ndarray:
     return values.astype(np.uint8, copy=False)
 
 
-def patch_diffs(gray_t: GrayscaleImage, gray_prev: GrayscaleImage, grid: PatchGrid) -> np.ndarray:
-    """Mean absolute luminance difference of each patch between two frames.
+def patch_diffs(gray_t: np.ndarray, gray_prev: np.ndarray, grid: PatchGrid) -> np.ndarray:
+    """Mean absolute luminance difference of each patch between two
+    grayscale planes (from ``frames.to_grayscale``).
 
     Depends on the frame pair alone, so one result can serve every
     threshold applied to it.  The differences are taken a band of whole
@@ -106,7 +107,7 @@ def patch_diffs(gray_t: GrayscaleImage, gray_prev: GrayscaleImage, grid: PatchGr
     its pixels in the same order as over the whole frame, so the result
     does not depend on the band size.
     """
-    a, b = gray_t.values, gray_prev.values
+    a, b = np.asarray(gray_t), np.asarray(gray_prev)
     if a.shape != b.shape:
         raise ValueError(f"grayscale shapes differ: {a.shape} vs {b.shape}")
     if a.shape != (grid.rows * PATCH_SIDE, grid.cols * PATCH_SIDE):

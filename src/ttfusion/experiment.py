@@ -119,20 +119,34 @@ class TensorFileAttentionEncoder(ToyEncoder):
     required: str  # "text" or "action"
 
     def attention(self, frame: FrameObservation, features, mode: str) -> AttentionSlice:
+        """Timestep t's slice, read from its file.  A tensor whose rank or
+        patch count does not fit the frame raises ``TensorFormatError``
+        ("bad-shape"); weights an ``AttentionSlice`` rejects raise
+        ``ValueError``.  Both name the file."""
         if _ATTENTION_KINDS.get(mode) != self.required:
             raise ValueError(
                 f"{mode!r} attention asked of a run that reads attn_{self.required} files"
             )
         name = _ATTENTION_NAMES[self.required].format(frame.timestep)
+        path = os.path.join(self.attention_dir, name)
         # The file was checked before step 0; read_tensor names it if it has
         # gone since.
-        rows = read_tensor(os.path.join(self.attention_dir, name))
+        rows = read_tensor(path)
+        n = PatchGrid.for_frame(frame).patch_count
         text = self.required == "text"
-        return AttentionSlice(
-            text_rows=rows if text else None,
-            action_row=None if text else rows,
-            source_timestep=frame.timestep,
-        )
+        expected = ("heads", "text tokens", n) if text else ("heads", n)
+        if rows.ndim != len(expected) or rows.shape[-1] != n:
+            raise TensorFormatError(
+                "bad-shape", f"{path}: attention tensor is {rows.shape}, expected {expected}"
+            )
+        try:
+            return AttentionSlice(
+                text_rows=rows if text else None,
+                action_row=None if text else rows,
+                source_timestep=frame.timestep,
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     def check_file_set(self, frame_count: int) -> None:
         """Check the required kind's files against the frames before any
@@ -224,7 +238,7 @@ class _Point:
                     os.makedirs(os.path.join(out_dir, name), exist_ok=True)
 
     def add(self, step: StepResult) -> None:
-        check = self.checker.check(step.fused_tokens.values, step.fusion_mask)
+        check = self.checker.check(step.fused_tokens, step.fusion_mask)
         self.checks.append(check)
         self.records.append(step_record(step, check))
         if self.out_dir is None:
@@ -237,7 +251,7 @@ class _Point:
         if self.config.emit_tokens:
             write_tensor(
                 os.path.join(self.out_dir, TOKEN_DIR, TOKEN_NAME.format(t)),
-                step.fused_tokens.values,
+                step.fused_tokens,
             )
 
     def finish(self) -> ExperimentResult:

@@ -8,7 +8,7 @@ and token row, patch 0 at the top-left corner, row-major.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,49 +67,16 @@ class FrameObservation:
         return self.pixels.shape[0]
 
 
-@dataclass
-class GrayscaleImage:
-    """Luminance plane in [0, 1], same dimensions as the source frame."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("grayscale values must be 2-D")
-        if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
-            raise ValueError("grayscale values must lie in [0, 1]")
-
-    @classmethod
-    def _of_valid(cls, values: np.ndarray) -> "GrayscaleImage":
-        """Wrap a 2-D float64 array whose values lie in [0, 1] by
-        construction, without scanning them again."""
-        image = object.__new__(cls)
-        image.values = values
-        return image
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-
 @dataclass(frozen=True)
 class PatchGrid:
     """Row-major grid of 14x14 patches covering a frame exactly."""
 
     rows: int
     cols: int
-    patch_side: int = field(default=PATCH_SIDE)
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
             raise ValueError("grid must have positive dimensions")
-        if self.patch_side != PATCH_SIDE:
-            raise ValueError(f"patch side is fixed at {PATCH_SIDE}")
 
     @classmethod
     def from_dims(cls, width: int, height: int) -> "PatchGrid":
@@ -141,8 +108,9 @@ class PatchGrid:
         return u0, v0, u0 + PATCH_SIDE - 1, v0 + PATCH_SIDE - 1
 
 
-def to_grayscale(frame: FrameObservation) -> GrayscaleImage:
-    """Convert to luminance: (0.299 R + 0.587 G + 0.114 B) / 255 in float64."""
+def to_grayscale(frame: FrameObservation) -> np.ndarray:
+    """The frame's (height, width) float64 luminance plane,
+    (0.299 R + 0.587 G + 0.114 B) / 255, every value in [0, 1]."""
     pixels = frame.pixels
     # The result outlives the call, the float64 copy of the pixels does not:
     # allocating the result first leaves the copy on top of the heap, where
@@ -156,9 +124,7 @@ def to_grayscale(frame: FrameObservation) -> GrayscaleImage:
     else:
         np.matmul(pixels.astype(np.float64), _LUMA_WEIGHTS, out=values)
     values /= _LUMA_SCALE
-    # An integer sum in [0, 255000] over 255000 lies in [0, 1], so the
-    # range scan of GrayscaleImage would find nothing.
-    return GrayscaleImage._of_valid(values)
+    return values
 
 
 def _parse_netpbm_header(data: bytes, magic: bytes, path: str) -> tuple[int, int, int]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import detection
 from .detection import ATTENTION_MODES, AttentionSlice
-from .frames import FrameObservation, GrayscaleImage, PatchGrid, to_grayscale
+from .frames import FrameObservation, PatchGrid, to_grayscale
 
 SELECTION_TOP_K = "top_k"
 SELECTION_RATE_TARGET = "rate_target"
@@ -26,36 +26,6 @@ SELECTION_MODES = (SELECTION_TOP_K, SELECTION_RATE_TARGET)
 # encoded yet, is encoded whole: encoding a row subset means gathering its
 # features and scattering its tokens, which outweighs the few rows saved.
 WHOLE_FRAME_SHARE = 0.9
-
-
-@dataclass
-class TokenMatrix:
-    """N x d patch-token matrix; row i is the token of patch i."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("token matrix must be 2-D")
-        if not np.isfinite(self.values).all():
-            raise ValueError("token matrix contains non-finite values")
-
-    @classmethod
-    def _of_finite(cls, values: np.ndarray) -> "TokenMatrix":
-        """Wrap a 2-D float64 array whose rows were each checked finite when
-        they were made, without scanning them again."""
-        tokens = object.__new__(cls)
-        tokens.values = values
-        return tokens
-
-    @property
-    def patch_count(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -109,8 +79,8 @@ class FusionState:
     ``prev_tokens`` always holds the fused tokens just emitted.
     """
 
-    prev_gray: GrayscaleImage | None = None
-    prev_tokens: TokenMatrix | None = None
+    prev_gray: np.ndarray | None = None
+    prev_tokens: np.ndarray | None = None
     prev_attention: AttentionSlice | None = None
     timestep: int = 0
 
@@ -121,12 +91,13 @@ class StepResult:
 
     On keyframes the three masks are one shared read-only all-ones array
     and the fusion rate is 0.  ``fusion_rate`` counts the fraction of
-    patches whose token was reused from history.
+    patches whose token was reused from history.  ``fused_tokens`` is the
+    (N, d) float64 array whose row i is the token of patch i.
     """
 
     timestep: int
     is_keyframe: bool
-    fused_tokens: TokenMatrix
+    fused_tokens: np.ndarray
     pixel_mask: np.ndarray
     attention_mask: np.ndarray
     fusion_mask: np.ndarray
@@ -153,27 +124,27 @@ def combine_masks(pixel_mask: np.ndarray, attention_mask: np.ndarray) -> np.ndar
 
 
 def fuse_tokens(
-    current: TokenMatrix, previous: TokenMatrix, fusion_mask: np.ndarray
-) -> TokenMatrix:
-    """Row-wise hard selection: mask 1 takes the current row, 0 the previous.
+    current: np.ndarray, previous: np.ndarray, fusion_mask: np.ndarray
+) -> np.ndarray:
+    """Row-wise hard selection between two (N, d) token arrays: mask 1 takes
+    the current row, 0 the previous.
 
     Rows are copied bit-exactly; no blending.  Only the rows of ``current``
     under mask 1 are read, so ``step`` can pass the frame's tokens with
-    just those rows encoded.  A mask entry other than 0 or 1 raises
-    ``ValueError``.
+    just those rows encoded.  Token arrays that are not 2-D or differ in
+    shape, and a mask entry other than 0 or 1, raise ``ValueError``.
     """
-    if current.values.shape != previous.values.shape:
-        raise ValueError(
-            f"token shapes differ: {current.values.shape} vs {previous.values.shape}"
-        )
+    if current.ndim != 2:
+        raise ValueError(f"tokens must be patches x dim, not {current.shape}")
+    if current.shape != previous.shape:
+        raise ValueError(f"token shapes differ: {current.shape} vs {previous.shape}")
     mask = np.asarray(fusion_mask)
-    if mask.shape != (current.patch_count,):
-        raise ValueError(f"mask length {mask.shape} does not match {current.patch_count} patches")
+    if mask.shape != (len(current),):
+        raise ValueError(f"mask length {mask.shape} does not match {len(current)} patches")
     rows = np.flatnonzero(detection.binary_mask(mask, "fusion mask"))
-    fused = previous.values.copy()
-    fused[rows] = current.values[rows]
-    # Both inputs were checked finite when they were made.
-    return TokenMatrix._of_finite(fused)
+    fused = previous.copy()
+    fused[rows] = current[rows]
+    return fused
 
 
 def _attention_mask(
@@ -356,13 +327,13 @@ class SharedObservation:
         self.frame = frame
         self._encoder = encoder
         self._attention: dict[str, AttentionSlice | None] = {}
-        self._tokens: TokenMatrix | None = None
+        self._tokens: np.ndarray | None = None
         self._unset: np.ndarray | None = None
         self._diffs: np.ndarray | None = None
-        self._diffs_base: GrayscaleImage | None = None
+        self._diffs_base: np.ndarray | None = None
 
     @cached_property
-    def gray(self) -> GrayscaleImage:
+    def gray(self) -> np.ndarray:
         return to_grayscale(self.frame)
 
     @cached_property
@@ -375,8 +346,8 @@ class SharedObservation:
             self._attention[mode] = self._encoder.attention(self.frame, self.features, mode)
         return self._attention[mode]
 
-    def tokens(self, rows: np.ndarray | None) -> TokenMatrix:
-        """The frame's N tokens, of which at least ``rows`` (an index array,
+    def tokens(self, rows: np.ndarray | None) -> np.ndarray:
+        """The frame's (N, d) tokens, of which at least ``rows`` (an index array,
         or None for every row) are encoded.
 
         Rows no earlier call asked for are encoded now, in one encoder call,
@@ -391,13 +362,13 @@ class SharedObservation:
         n = len(self._unset)
         missing = np.flatnonzero(self._unset) if rows is None else rows[self._unset[rows]]
         if self._tokens is None and missing.size >= WHOLE_FRAME_SHARE * n:
-            self._tokens = TokenMatrix._of_finite(self._encode(None))
+            self._tokens = self._encode(None)
             self._unset[:] = False
         elif missing.size or self._tokens is None:
             new = self._encode(missing)
             if self._tokens is None:
-                self._tokens = TokenMatrix._of_finite(np.zeros((n, new.shape[1])))
-            self._tokens.values[missing] = new
+                self._tokens = np.zeros((n, new.shape[1]))
+            self._tokens[missing] = new
             self._unset[missing] = False
         return self._tokens
 
@@ -411,7 +382,7 @@ class SharedObservation:
             raise ValueError(f"encoder produced non-finite tokens at timestep {t}")
         return new
 
-    def diffs(self, prev_gray: GrayscaleImage, grid: PatchGrid) -> np.ndarray:
+    def diffs(self, prev_gray: np.ndarray, grid: PatchGrid) -> np.ndarray:
         """``detection.patch_diffs`` of this frame against ``prev_gray``,
         computed again only when asked against another grayscale."""
         if self._diffs_base is not prev_gray:

@@ -18,15 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .detection import ACTION_TO_VISION, TEXT_TO_VISION, AttentionSlice
-from .frames import (
-    PATCH_PIXELS,
-    PATCH_SIDE,
-    FrameObservation,
-    GrayscaleImage,
-    PatchGrid,
-    to_grayscale,
-)
-from .fusion import TokenMatrix
+from .frames import PATCH_PIXELS, PATCH_SIDE, FrameObservation, PatchGrid, to_grayscale
 from .projection import project_full
 from .prng import SplitMix64
 
@@ -66,21 +58,19 @@ def _projection_for(spec: "EncoderSpec") -> np.ndarray:
     return (2.0 * flat - 1.0).reshape(FEATURE_DIM, spec.token_dim)
 
 
-def _patch_features(frame: FrameObservation, gray: GrayscaleImage | None) -> np.ndarray:
+def _patch_features(frame: FrameObservation, gray: np.ndarray | None) -> np.ndarray:
     """(N, 198) features: patch pixels row-major, then row/rows, col/cols;
     ``gray`` defaults to the frame's grayscale."""
     grid = PatchGrid.for_frame(frame)
     if gray is None:
         gray = to_grayscale(frame)
-    if gray.values.shape != (frame.height, frame.width):
-        raise ValueError(
-            f"grayscale is {gray.values.shape}, frame is {frame.height}x{frame.width}"
-        )
+    if gray.shape != (frame.height, frame.width):
+        raise ValueError(f"grayscale is {gray.shape}, frame is {frame.height}x{frame.width}")
     features = np.empty((grid.patch_count, FEATURE_DIM))
     # Splitting both axes of the pixel columns keeps them a view, so the
     # patch layout is written straight into the matrix.
     features[:, :PATCH_PIXELS].reshape(grid.rows, grid.cols, PATCH_SIDE, PATCH_SIDE)[...] = (
-        gray.values.reshape(grid.rows, PATCH_SIDE, grid.cols, PATCH_SIDE).transpose(0, 2, 1, 3)
+        gray.reshape(grid.rows, PATCH_SIDE, grid.cols, PATCH_SIDE).transpose(0, 2, 1, 3)
     )
     rows, cols = np.divmod(np.arange(grid.patch_count), grid.cols)
     np.divide(rows, grid.rows, out=features[:, PATCH_PIXELS])
@@ -118,18 +108,19 @@ def _token_rows(features: np.ndarray, spec: EncoderSpec, rows: np.ndarray | None
 
 
 def encode(
-    frame: FrameObservation, spec: EncoderSpec, gray: GrayscaleImage | None = None
-) -> TokenMatrix:
-    """Project each patch's features through the seeded matrix.
+    frame: FrameObservation, spec: EncoderSpec, gray: np.ndarray | None = None
+) -> np.ndarray:
+    """The frame's (N, d) tokens: each patch's features projected through
+    the seeded matrix.
 
     ``gray`` is the frame's grayscale if the caller already has it; by
     default it is computed here.
     """
-    return TokenMatrix(_token_rows(_patch_features(frame, gray), spec, None))
+    return _token_rows(_patch_features(frame, gray), spec, None)
 
 
 def synth_attention(
-    frame: FrameObservation, spec: EncoderSpec, gray: GrayscaleImage | None = None
+    frame: FrameObservation, spec: EncoderSpec, gray: np.ndarray | None = None
 ) -> AttentionSlice:
     """Luminance-driven attention rows, one distribution per head and token.
 
@@ -159,7 +150,7 @@ class ToyEncoder:
 
     spec: EncoderSpec = field(default_factory=EncoderSpec)
 
-    def features(self, frame: FrameObservation, gray: GrayscaleImage | None = None) -> np.ndarray:
+    def features(self, frame: FrameObservation, gray: np.ndarray | None = None) -> np.ndarray:
         """The frame's (patches, 198) feature matrix, built from ``gray`` if
         given, else from a grayscale computed here."""
         return _patch_features(frame, gray)

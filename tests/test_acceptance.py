@@ -69,7 +69,7 @@ def test_c1_pixel_diff_matches_brute_force_oracle():
         diffs = patch_diffs(a, b, grid)
         mask = threshold_diffs(diffs, threshold)
         implementation_seconds += time.perf_counter() - started
-        oracle = brute_force_diffs(a.values, b.values, grid)
+        oracle = brute_force_diffs(a, b, grid)
         worst = max(worst, float(np.abs(diffs - oracle).max()))
         mask_mismatches += int((mask != (oracle > threshold)).sum())
     ok = worst <= 1e-12 and mask_mismatches == 0 and implementation_seconds < 1.0
@@ -183,7 +183,7 @@ def test_c7_kqv_reuse_is_bit_exact_over_100_frame_runs():
         checker = ReuseChecker(ProjectionSet.generate(64, seed), rows=256)
         checks, recount = [], 0
         for [step] in lockstep(frames, toy(seed), [FusionConfig()]):
-            checks.append(checker.check(step.fused_tokens.values, step.fusion_mask))
+            checks.append(checker.check(step.fused_tokens, step.fusion_mask))
             recount += int(np.count_nonzero(step.fusion_mask == 0)) * 64 * 64 * 3
         worst = max(worst, max(c.max_error for c in checks))
         if sum(c.saved_multiplications for c in checks) != recount:

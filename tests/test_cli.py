@@ -475,6 +475,38 @@ class TestTensorFileAttentionSource:
         (attention_dir / "attn_text_000006.ttft").unlink()
         assert main(["run", "--config", config, "--out", out]) == 0
 
+    @pytest.mark.parametrize("shape", [(4, 8, 3), (4, 4)])
+    def test_wrong_shape_attention_file_exits_3_and_names_it(self, tmp_path, capsys, shape):
+        attention_dir = tmp_path / "attn"
+        attention_dir.mkdir()
+        for t in range(6):
+            write_tensor(attention_dir / f"attn_text_{t:06d}.ttft", np.full((4, 8, 4), 0.25))
+        write_tensor(attention_dir / "attn_text_000001.ttft", np.full(shape, 0.25))
+        config = write_config(
+            tmp_path,
+            SMALL + f"attention_source = tensor_files\nattention_dir = {attention_dir}\n",
+        )
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ")
+        assert str(attention_dir / "attn_text_000001.ttft") in err
+        assert str(shape) in err and "'text tokens', 4)" in err
+
+    def test_bad_attention_weights_exit_2_and_name_the_file(self, tmp_path, capsys):
+        attention_dir = tmp_path / "attn"
+        attention_dir.mkdir()
+        for t in range(6):
+            write_tensor(attention_dir / f"attn_text_{t:06d}.ttft", np.full((4, 8, 4), 0.25))
+        write_tensor(attention_dir / "attn_text_000001.ttft", np.full((4, 8, 4), -0.25))
+        config = write_config(
+            tmp_path,
+            SMALL + f"attention_source = tensor_files\nattention_dir = {attention_dir}\n",
+        )
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {attention_dir / 'attn_text_000001.ttft'}: ")
+        assert "non-negative" in err
+
 
 class TestLogging:
     def test_invalid_ttf_log_exits_2(self, tmp_path, monkeypatch, capsys):

@@ -11,11 +11,11 @@ from ttfusion.detection import (
     threshold_diffs,
     top_k_mask,
 )
-from ttfusion.frames import GrayscaleImage, PatchGrid
+from ttfusion.frames import PatchGrid
 
 
 def gray(values):
-    return GrayscaleImage(np.asarray(values, dtype=np.float64))
+    return np.asarray(values, dtype=np.float64)
 
 
 def brute_force_diffs(a, b, grid):

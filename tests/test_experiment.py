@@ -20,7 +20,7 @@ from ttfusion.projection import ProjectionSet, ReuseChecker
 from ttfusion.report import build_report, serialize_report, step_record
 from ttfusion.runconfig import ConfigError, apply_parameter, build_run_config, config_echo
 from ttfusion.synthetic import SynthSpec, generate_frames, write_sequence
-from ttfusion.tensor_io import write_tensor
+from ttfusion.tensor_io import TensorFormatError, write_tensor
 from ttfusion.toy_encoder import EncoderSpec
 
 
@@ -151,6 +151,62 @@ class TestTensorFileAttention:
         with pytest.raises(FileNotFoundError, match="attn_text_000002"):
             run_sweep(config, "K", [1, 3])
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "kind, shape",
+        [("text", (2, 2, 3)), ("text", (2, 4)), ("action", (2, 3)), ("action", (2, 2, 4))],
+    )
+    def test_wrong_shape_fails_in_the_step_that_reads_it(self, tmp_path, monkeypatch, kind, shape):
+        calls = []
+        original = ttfusion.fusion.step
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ttfusion.fusion, "step", counting)
+        attention_dir = tmp_path / "attn"
+        write_attention_files(attention_dir, frame_count=5)
+        bad = attention_dir / f"attn_{kind}_000001.ttft"
+        write_tensor(bad, np.full(shape, 0.25, dtype=np.float32))
+        config = build_run_config(
+            small_values(
+                attention_source="tensor_files",
+                attention_dir=str(attention_dir),
+                attention_mode=f"{kind}_to_vision",
+                text_tokens=2,
+                heads=2,
+            )
+        )
+        with pytest.raises(TensorFormatError) as info:
+            run_experiment(config)
+        assert info.value.code == "bad-shape"
+        assert str(bad) in str(info.value)
+        assert str(shape) in str(info.value)
+        assert "4)" in str(info.value)  # the expected shape ends in the 4 patches
+        # Step 1 reads frame 1's file for step 2, which never starts.
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "value, message", [(-0.25, "non-negative"), (0.5, "sum to at most 1"), (np.nan, "finite")]
+    )
+    def test_bad_weights_name_the_file(self, tmp_path, value, message):
+        attention_dir = tmp_path / "attn"
+        write_attention_files(attention_dir, frame_count=5)
+        bad = attention_dir / "attn_text_000002.ttft"
+        write_tensor(bad, np.full((2, 2, 4), value, dtype=np.float32))
+        config = build_run_config(
+            small_values(
+                attention_source="tensor_files",
+                attention_dir=str(attention_dir),
+                text_tokens=2,
+                heads=2,
+            )
+        )
+        with pytest.raises(ValueError, match=message) as info:
+            run_experiment(config)
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith(f"{bad}: ")
 
     def test_encoder_widens_float32_to_float64(self, tmp_path):
         attention_dir = tmp_path / "attn"
@@ -307,7 +363,7 @@ class TestStreaming:
             steps = run_steps(config)
             projections = ProjectionSet.generate(config.fusion.token_dim, config.seed)
             checker = ReuseChecker(projections, config.fusion.grid.patch_count)
-            checks = [checker.check(s.fused_tokens.values, s.fusion_mask) for s in steps]
+            checks = [checker.check(s.fused_tokens, s.fusion_mask) for s in steps]
             assert checks == result.checks
             report = build_report(
                 config_echo(config), [step_record(s, c) for s, c in zip(steps, checks)]

@@ -10,7 +10,6 @@ from ttfusion.fusion import (
     WHOLE_FRAME_SHARE,
     FusionConfig,
     FusionState,
-    TokenMatrix,
     combine_masks,
     fuse_tokens,
     is_keyframe,
@@ -100,11 +99,11 @@ class TestIsKeyframe:
         assert is_keyframe(0, FusionState(), 3)
 
     def test_multiple_of_interval(self):
-        state = FusionState(prev_tokens=TokenMatrix(np.zeros((4, 8))), timestep=3)
+        state = FusionState(prev_tokens=np.zeros((4, 8)), timestep=3)
         assert is_keyframe(3, state, 3)
 
     def test_interior_step_with_history(self):
-        state = FusionState(prev_tokens=TokenMatrix(np.zeros((4, 8))), timestep=4)
+        state = FusionState(prev_tokens=np.zeros((4, 8)), timestep=4)
         assert not is_keyframe(4, state, 3)
 
     def test_empty_history_forces_keyframe_anywhere(self):
@@ -148,49 +147,51 @@ class TestCombineMasks:
 
 class TestFuseTokens:
     def test_all_ones_returns_current(self):
-        current = TokenMatrix(np.arange(8.0).reshape(2, 4))
-        previous = TokenMatrix(np.arange(8.0, 16.0).reshape(2, 4))
+        current = np.arange(8.0).reshape(2, 4)
+        previous = np.arange(8.0, 16.0).reshape(2, 4)
         fused = fuse_tokens(current, previous, np.array([1, 1]))
-        assert np.array_equal(fused.values, current.values)
+        assert np.array_equal(fused, current)
 
     def test_all_zeros_returns_previous(self):
-        current = TokenMatrix(np.arange(8.0).reshape(2, 4))
-        previous = TokenMatrix(np.arange(8.0, 16.0).reshape(2, 4))
+        current = np.arange(8.0).reshape(2, 4)
+        previous = np.arange(8.0, 16.0).reshape(2, 4)
         fused = fuse_tokens(current, previous, np.array([0, 0]))
-        assert np.array_equal(fused.values, previous.values)
+        assert np.array_equal(fused, previous)
 
     def test_row_splice(self):
-        current = TokenMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        previous = TokenMatrix(np.array([[5.0, 6.0], [7.0, 8.0]]))
+        current = np.array([[1.0, 2.0], [3.0, 4.0]])
+        previous = np.array([[5.0, 6.0], [7.0, 8.0]])
         fused = fuse_tokens(current, previous, np.array([1, 0]))
-        assert np.array_equal(fused.values, [[1.0, 2.0], [7.0, 8.0]])
+        assert np.array_equal(fused, [[1.0, 2.0], [7.0, 8.0]])
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            fuse_tokens(
-                TokenMatrix(np.zeros((2, 4))), TokenMatrix(np.zeros((3, 4))), np.array([1, 0])
-            )
-        with pytest.raises(ValueError):
-            fuse_tokens(
-                TokenMatrix(np.zeros((2, 4))), TokenMatrix(np.zeros((2, 4))), np.array([1, 0, 1])
-            )
+        for current, previous in (((2, 4), (3, 4)), ((2, 4), (2, 5))):
+            with pytest.raises(ValueError, match="token shapes differ"):
+                fuse_tokens(np.zeros(current), np.zeros(previous), np.array([1, 0]))
+        with pytest.raises(ValueError, match="mask length"):
+            fuse_tokens(np.zeros((2, 4)), np.zeros((2, 4)), np.array([1, 0, 1]))
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 4, 1)])
+    def test_tokens_must_be_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match="patches x dim"):
+            fuse_tokens(np.zeros(shape), np.zeros(shape), np.array([1, 0]))
 
     def test_non_binary_mask_rejected(self):
-        current = TokenMatrix(np.zeros((3, 2)))
-        previous = TokenMatrix(np.ones((3, 2)))
+        current = np.zeros((3, 2))
+        previous = np.ones((3, 2))
         for bad in (np.array([0.5, 0.0, 256.0]), np.array([1, 2, 0])):
             with pytest.raises(ValueError, match="fusion mask entries must be 0 or 1"):
                 fuse_tokens(current, previous, bad)
 
     def test_rows_are_exact_copies(self):
         rng = np.random.default_rng(4)
-        current = TokenMatrix(rng.standard_normal((16, 8)))
-        previous = TokenMatrix(rng.standard_normal((16, 8)))
+        current = rng.standard_normal((16, 8))
+        previous = rng.standard_normal((16, 8))
         mask = rng.integers(0, 2, size=16).astype(np.uint8)
         fused = fuse_tokens(current, previous, mask)
         for i in range(16):
             source = current if mask[i] else previous
-            assert np.array_equal(fused.values[i], source.values[i])
+            assert np.array_equal(fused[i], source[i])
 
 
 class TestStep:
@@ -214,7 +215,7 @@ class TestStep:
         result1, _ = step(state, frames[1], encoder, config)
         assert not result1.is_keyframe
         assert result1.fusion_rate == 1.0
-        assert np.array_equal(result1.fused_tokens.values, result0.fused_tokens.values)
+        assert np.array_equal(result1.fused_tokens, result0.fused_tokens)
 
     def test_static_frames_attention_budget_sets_rate(self):
         # Identical frames: no pixel updates, exactly top_k attention updates.
@@ -340,8 +341,8 @@ class TestStep:
         result, _ = step(state, frames[1], encoder, config)
         assert list(result.fusion_mask) == [1, 0, 1, 0]
         assert encoder.rows_by_frame()[1] == [0, 2]
-        assert np.array_equal(result.fused_tokens.values[[0, 2]], np.ones((2, 8)))
-        assert np.array_equal(result.fused_tokens.values[[1, 3]], np.zeros((2, 8)))
+        assert np.array_equal(result.fused_tokens[[0, 2]], np.ones((2, 8)))
+        assert np.array_equal(result.fused_tokens[[1, 3]], np.zeros((2, 8)))
 
     def test_stale_attention_rejected(self):
         # Every step hands back attention from timestep 0; step 2 must not
@@ -427,13 +428,13 @@ class TestLockstepOneConfig:
         encoder = small_encoder()
         steps = run_steps(frames, encoder, config)
         for t, result in enumerate(steps):
-            fresh = encode(frames[t], encoder.spec).values
+            fresh = encode(frames[t], encoder.spec)
             for i in range(4):
                 if result.fusion_mask[i]:
-                    assert np.array_equal(result.fused_tokens.values[i], fresh[i])
+                    assert np.array_equal(result.fused_tokens[i], fresh[i])
                 else:
-                    previous = steps[t - 1].fused_tokens.values[i]
-                    assert np.array_equal(result.fused_tokens.values[i], previous)
+                    previous = steps[t - 1].fused_tokens[i]
+                    assert np.array_equal(result.fused_tokens[i], previous)
 
     def test_or_conservatism_dual_rate_never_exceeds_single(self):
         frames = small_frames(15, noise_amplitude=0.1, walker=True, seed=6)
@@ -452,7 +453,7 @@ class TestLockstepOneConfig:
         second = run_steps(frames, small_encoder(3), config)
         assert rates_of(first) == rates_of(second)
         for a, b in zip(first, second):
-            assert np.array_equal(a.fused_tokens.values, b.fused_tokens.values)
+            assert np.array_equal(a.fused_tokens, b.fused_tokens)
             assert np.array_equal(a.fusion_mask, b.fusion_mask)
 
     def test_empty_sequence_rejected(self):
@@ -519,7 +520,7 @@ class TestLockstep:
                 assert np.array_equal(a.pixel_mask, b.pixel_mask)
                 assert np.array_equal(a.attention_mask, b.attention_mask)
                 assert np.array_equal(a.fusion_mask, b.fusion_mask)
-                assert np.array_equal(a.fused_tokens.values, b.fused_tokens.values)
+                assert np.array_equal(a.fused_tokens, b.fused_tokens)
         # K = 1 recomputes every patch, K = 6 reuses some: the points differ.
         assert rates_of(together[0]) != rates_of(together[2])
 
@@ -553,7 +554,7 @@ class TestLockstep:
                 assert np.array_equal(a.pixel_mask, b.pixel_mask)
                 assert np.array_equal(a.attention_mask, b.attention_mask)
                 assert np.array_equal(a.fusion_mask, b.fusion_mask)
-                assert np.array_equal(a.fused_tokens.values, b.fused_tokens.values)
+                assert np.array_equal(a.fused_tokens, b.fused_tokens)
         # The modes select different patches somewhere, so the check bites.
         assert any(
             not np.array_equal(a.attention_mask, b.attention_mask)
@@ -589,6 +590,28 @@ class TestLockstep:
         # K = 1, 3, 6 those are the frames off multiples of 6.
         assert calls == list(range(len(frames)))
         assert diff_calls == [t for t in range(len(frames)) if t % 6]
+
+    def test_results_and_states_hold_c_contiguous_float64_arrays(self, monkeypatch):
+        states = []
+        original = ttfusion.fusion.step
+
+        def recording(*args, **kwargs):
+            result, state = original(*args, **kwargs)
+            states.append(state)
+            return result, state
+
+        monkeypatch.setattr(ttfusion.fusion, "step", recording)
+        frames = self.walker_frames()
+        results = [r for rs in lockstep(frames, small_encoder(), self.configs()) for r in rs]
+        assert len(states) == len(results) == 3 * len(frames)
+        assert not all(r.is_keyframe for r in results)
+        for result, state in zip(results, states):
+            assert state.prev_tokens is result.fused_tokens
+            for array, shape in ((result.fused_tokens, (4, 8)), (state.prev_gray, (28, 28))):
+                assert type(array) is np.ndarray
+                assert array.shape == shape
+                assert array.dtype == np.float64
+                assert array.flags.c_contiguous
 
     def test_frames_may_be_an_iterator(self):
         frames = self.walker_frames()
@@ -678,9 +701,9 @@ class TestEncodesOnlyWhatTheStepReads:
         recomputed = [int(s.fusion_mask.sum()) for s in steps if not s.is_keyframe]
         assert all(WHOLE_FRAME_SHARE * 256 <= r < 256 for r in recomputed)
         for t, result in enumerate(steps):
-            fresh = encode(frames[t], EncoderSpec(seed=1)).values
+            fresh = encode(frames[t], EncoderSpec(seed=1))
             rows = result.fusion_mask == 1
-            assert np.array_equal(result.fused_tokens.values[rows], fresh[rows])
+            assert np.array_equal(result.fused_tokens[rows], fresh[rows])
 
 
 class TestConfigValidation:
@@ -695,7 +718,3 @@ class TestConfigValidation:
             FusionConfig(selection_mode="nope")
         with pytest.raises(ValueError):
             FusionConfig(width=225)
-
-    def test_token_matrix_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            TokenMatrix(np.array([[np.nan, 1.0]]))

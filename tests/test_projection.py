@@ -91,7 +91,7 @@ class TestProjectFull:
 
 
 def pairs_of(steps):
-    return [(s.fused_tokens.values, s.fusion_mask) for s in steps]
+    return [(s.fused_tokens, s.fusion_mask) for s in steps]
 
 
 def check_pairs(pairs, projections):
@@ -149,13 +149,13 @@ class TestReuseCheckerOverRuns:
 
     def test_accepts_token_mask_pairs(self):
         steps = self.run_small_sequence(frame_count=6)
-        pairs = [(s.fused_tokens.values, s.fusion_mask) for s in steps]
+        pairs = [(s.fused_tokens, s.fusion_mask) for s in steps]
         checks = check_pairs(pairs, ProjectionSet.generate(8, 9))
         assert max(c.max_error for c in checks) == 0.0
 
     def test_corruption_is_reported_with_row_and_matrix(self):
         steps = self.run_small_sequence(frame_count=6, keyframe_interval=100)
-        pairs = [[s.fused_tokens.values.copy(), s.fusion_mask.copy()] for s in steps]
+        pairs = [[s.fused_tokens.copy(), s.fusion_mask.copy()] for s in steps]
         # Corrupt a reused token row at step 2: the recorded fused row no
         # longer equals the previous row, so the copied projection row is
         # stale there.

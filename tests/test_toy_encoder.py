@@ -9,7 +9,6 @@ from ttfusion.frames import (
     PATCH_PIXELS,
     PATCH_SIDE,
     FrameObservation,
-    GrayscaleImage,
     PatchGrid,
     to_grayscale,
 )
@@ -39,7 +38,7 @@ def _reference_blocks(frame, gray):
     if gray is None:
         gray = to_grayscale(frame)
     return (
-        gray.values.reshape(grid.rows, PATCH_SIDE, grid.cols, PATCH_SIDE)
+        gray.reshape(grid.rows, PATCH_SIDE, grid.cols, PATCH_SIDE)
         .transpose(0, 2, 1, 3)
         .reshape(grid.patch_count, PATCH_PIXELS)
     )
@@ -79,7 +78,7 @@ def reference_attention(frame, spec, gray=None):
 class TestEncode:
     def test_same_frame_twice_is_bit_identical(self):
         frame = frame_from_gray_levels([10, 80, 160, 250])
-        assert np.array_equal(encode(frame, SPEC).values, encode(frame, SPEC).values)
+        assert np.array_equal(encode(frame, SPEC), encode(frame, SPEC))
 
     def test_projection_reproducible_from_seed(self):
         again = EncoderSpec(token_dim=16, seed=99, text_token_count=3, head_count=2)
@@ -94,12 +93,12 @@ class TestEncode:
         u0, v0, u1, v1 = grid.patch_region(2)
         pixels[u0 + 3, v0 + 4] = (200, 100, 50)
         b = FrameObservation(pixels=pixels, timestep=0)
-        rows_equal = (encode(a, SPEC).values == encode(b, SPEC).values).all(axis=1)
+        rows_equal = (encode(a, SPEC) == encode(b, SPEC)).all(axis=1)
         assert list(rows_equal) == [True, True, False, True]
 
     def test_all_black_rows_come_from_position_features(self):
         frame = frame_from_gray_levels([0, 0, 0, 0])
-        tokens = encode(frame, SPEC).values
+        tokens = encode(frame, SPEC)
         projection = SPEC.projection()
         for i, (row, col) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
             expected = (row / 2) * projection[196] + (col / 2) * projection[197]
@@ -111,14 +110,14 @@ class TestEncode:
         pixels = frame.pixels.copy()
         pixels[0, 0, 1] += 1  # one channel, one step
         bumped = FrameObservation(pixels=pixels, timestep=0)
-        delta = np.abs(encode(bumped, SPEC).values - encode(frame, SPEC).values)
+        delta = np.abs(encode(bumped, SPEC) - encode(frame, SPEC))
         bound = np.abs(SPEC.projection()).max() * (1.0 / 255.0)
         assert delta.max() <= bound + 1e-12
 
     def test_token_dim_matches_spec(self):
         frame = frame_from_gray_levels([5, 5, 5, 5])
         tokens = encode(frame, SPEC)
-        assert (tokens.patch_count, tokens.dim) == (4, 16)
+        assert tokens.shape == (4, 16)
 
 
 class TestSynthAttention:
@@ -206,7 +205,7 @@ class TestMatchesReferencePath:
             synth = synth_attention(frame, spec, gray)
             for tokens, text_rows, action_row in (
                 (encoder.tokens(features, None), text.text_rows, action.action_row),
-                (encode(frame, spec, gray).values, synth.text_rows, synth.action_row),
+                (encode(frame, spec, gray), synth.text_rows, synth.action_row),
             ):
                 assert tokens.tobytes() == want_tokens.tobytes()
                 assert text_rows.tobytes() == want_text.tobytes()
@@ -266,7 +265,7 @@ class TestRowSubsets:
         features = encoder.features(frame, None)
         full = encoder.tokens(features, None)
         n = len(full)
-        assert full.tobytes() == encode(frame, spec).values.tobytes()
+        assert full.tobytes() == encode(frame, spec).tobytes()
         rng = np.random.default_rng(size + token_dim)
         # Every row lands at every position of a 32-row chunk: a suffix
         # from each offset, a stride-7 subset from it, and a random subset.
@@ -296,7 +295,7 @@ class TestToyEncoder:
         encoder = ToyEncoder(SPEC)
         features = encoder.features(frame, to_grayscale(frame))
         assert np.array_equal(features, encoder.features(frame))
-        assert np.array_equal(encoder.tokens(features, None), encode(frame, SPEC).values)
+        assert np.array_equal(encoder.tokens(features, None), encode(frame, SPEC))
         text = encoder.attention(frame, features, TEXT_TO_VISION)
         action = encoder.attention(frame, features, ACTION_TO_VISION)
         assert np.array_equal(text.text_rows, synth_attention(frame, SPEC).text_rows)
@@ -310,7 +309,7 @@ class TestToyEncoder:
 
     def test_grayscale_of_other_shape_rejected(self):
         frame = frame_from_gray_levels([10, 80, 160, 250])
-        wrong = GrayscaleImage(np.zeros((14, 56)))
+        wrong = np.zeros((14, 56))
         with pytest.raises(ValueError, match="grayscale is"):
             encode(frame, SPEC, wrong)
         with pytest.raises(ValueError, match="grayscale is"):
