@@ -14,7 +14,6 @@ from .detection import (
     TEXT_TO_VISION,
     AttentionSlice,
     action_to_vision_scores,
-    auto_threshold,
     patch_diffs,
     rate_target_mask,
     text_to_vision_scores,
@@ -71,7 +70,6 @@ __all__ = [
     "TensorFormatError",
     "ToyEncoder",
     "action_to_vision_scores",
-    "auto_threshold",
     "combine_masks",
     "encode",
     "fuse_tokens",

@@ -8,6 +8,7 @@ environment variable selects verbosity: off (default), info, or debug.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -124,10 +125,14 @@ def _cmd_sweep(args) -> int:
 
     config = _load_config(args)
     values = parse_sweep_values(args.param, args.values)
-    summary, results = run_sweep(config, args.param, values, out_dir=config.output_dir)
     summary_path = os.path.join(config.output_dir, "sweep_summary.json")
-    write_report(summary_path, summary)
     csv_path = os.path.join(config.output_dir, "sweep_summary.csv")
+    # A sweep that fails must not leave an earlier sweep's summary behind.
+    for path in (summary_path, csv_path):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+    summary, results = run_sweep(config, args.param, values, out_dir=config.output_dir)
+    write_report(summary_path, summary)
     with open(csv_path, "w", encoding="ascii") as fh:
         fh.write(sweep_csv(summary))
     _require_exact_reuse(

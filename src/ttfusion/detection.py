@@ -127,22 +127,13 @@ def patch_diffs(gray_t: np.ndarray, gray_prev: np.ndarray, grid: PatchGrid) -> n
     return sums
 
 
-def threshold_diffs(diffs: np.ndarray, threshold: float | None) -> np.ndarray:
+def threshold_diffs(diffs: np.ndarray, threshold: float) -> np.ndarray:
     """The uint8 mask of the patches whose difference (from
     :func:`patch_diffs`) lies strictly above ``threshold``, so a difference
-    sitting exactly on it reuses history.  ``None`` selects
-    :func:`auto_threshold` of ``diffs``; a negative threshold is rejected."""
-    if threshold is None:
-        threshold = auto_threshold(diffs)
-    elif threshold < 0.0:
+    sitting exactly on it reuses history; a negative threshold is rejected."""
+    if threshold < 0.0:
         raise ValueError("pixel threshold must be non-negative")
     return (diffs > threshold).astype(np.uint8)
-
-
-def auto_threshold(diffs: np.ndarray) -> float:
-    """Scene-statistics threshold: mean plus one standard deviation."""
-    diffs = np.asarray(diffs, dtype=np.float64)
-    return float(diffs.mean() + diffs.std())
 
 
 def text_to_vision_scores(slice_: AttentionSlice) -> np.ndarray:

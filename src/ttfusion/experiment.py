@@ -7,9 +7,9 @@ importable so scripts and tests can drive runs directly.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
-import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -21,6 +21,7 @@ from .frames import (
     FrameObservation,
     PatchGrid,
     load_frame,
+    numbered_files,
     read_pgm,
     write_pgm,
 )
@@ -28,7 +29,7 @@ from .fusion import StepResult, lockstep
 from .projection import EquivalenceCheck, ProjectionSet, ReuseChecker
 from .report import build_report, build_sweep_summary, load_report, step_record, write_report
 from .runconfig import ATTENTION_SOURCE_TENSOR_FILES, RunConfig, apply_parameter, config_echo
-from .synthetic import FRAME_FILE, FRAME_NAME, iter_frames
+from .synthetic import FRAME_NAME, iter_frames
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
 from .toy_encoder import EncoderSpec, ToyEncoder
 
@@ -41,14 +42,8 @@ TOKEN_NAME = "fused_{:06d}.ttft"
 TEXT_ATTENTION_NAME = "attn_text_{:06d}.ttft"
 ACTION_ATTENTION_NAME = "attn_action_{:06d}.ttft"
 REPORT_NAME = "report.json"
-_ATTENTION_FILE = re.compile(r"attn_(text|action)_(\d{6,})\.ttft")
 _ATTENTION_NAMES = {"text": TEXT_ATTENTION_NAME, "action": ACTION_ATTENTION_NAME}
 _ATTENTION_KINDS = {TEXT_TO_VISION: "text", ACTION_TO_VISION: "action"}
-# Each dump directory and the names of the files a run writes there.
-_DUMP_FILES = (
-    (MASK_DIR, re.compile(r"mask_\d{6,}\.pgm")),
-    (TOKEN_DIR, re.compile(r"fused_\d{6,}\.ttft")),
-)
 
 
 @dataclass
@@ -88,19 +83,17 @@ def load_frames_dir(path: str | os.PathLike) -> FrameDirectory:
     """
     if not os.path.isdir(path):
         raise FileNotFoundError(f"frames directory not found: {path}")
-    names = os.listdir(path)
-    present = set(names)
+    frames = numbered_files(path, FRAME_NAME)
     count = 0
-    while FRAME_NAME.format(count) in present:
+    while count in frames:
         count += 1
     if not count:
         raise FileNotFoundError(f"no frame_000000.ppm in {path}: first frame missing")
     # count is the first missing index; any higher index on disk is a gap.
-    indices = [int(m[1]) for m in map(FRAME_FILE.fullmatch, names) if m]
-    if max(indices) > count:
+    if max(frames) > count:
         raise FileNotFoundError(
             f"frame gap in {path}: {FRAME_NAME.format(count)} (index {count}) is missing, "
-            f"but frames up to index {max(indices)} exist"
+            f"but frames up to index {max(frames)} exist"
         )
     return FrameDirectory(os.fspath(path), count)
 
@@ -153,23 +146,17 @@ class TensorFileAttentionEncoder(ToyEncoder):
         step runs: ``FileNotFoundError`` names the first index in
         0..frame_count - 1 without a file, ``FileExistsError`` the first file
         whose index is past the last frame."""
-        names = os.listdir(self.attention_dir)
-        present = set(names)
+        name = _ATTENTION_NAMES[self.required]
+        files = numbered_files(self.attention_dir, name)
         for t in range(frame_count):
-            name = _ATTENTION_NAMES[self.required].format(t)
-            if name not in present:
-                path = os.path.join(self.attention_dir, name)
+            if t not in files:
+                path = os.path.join(self.attention_dir, name.format(t))
                 raise FileNotFoundError(f"attention tensor not found: {path} (index {t})")
-        extra = [
-            (int(m[2]), m[0])
-            for m in map(_ATTENTION_FILE.fullmatch, names)
-            if m and m[1] == self.required and int(m[2]) >= frame_count
-        ]
-        if extra:
-            index, name = min(extra)
+        extra = min((i for i in files if i >= frame_count), default=None)
+        if extra is not None:
             raise FileExistsError(
-                f"extra attention tensor in {self.attention_dir}: {name} (index {index}), "
-                f"but the run has frames up to index {frame_count - 1} only"
+                f"extra attention tensor in {self.attention_dir}: {files[extra]} "
+                f"(index {extra}), but the run has frames up to index {frame_count - 1} only"
             )
 
 
@@ -221,21 +208,20 @@ class _Point:
             os.makedirs(out_dir, exist_ok=True)
             # report.json is written last, so a directory without one holds
             # an unfinished run, never a stale report beside new dumps.
-            try:
+            with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(out_dir, REPORT_NAME))
-            except FileNotFoundError:
-                pass
             # Nor may an earlier run's dumps outlive it: verify-qreuse would
             # replay them as this run's.
-            for name, pattern in _DUMP_FILES:
-                folder = os.path.join(out_dir, name)
+            for wanted, subdir, name in (
+                (config.emit_masks, MASK_DIR, MASK_NAME),
+                (config.emit_tokens, TOKEN_DIR, TOKEN_NAME),
+            ):
+                folder = os.path.join(out_dir, subdir)
                 if os.path.isdir(folder):
-                    for entry in os.listdir(folder):
-                        if pattern.fullmatch(entry):
-                            os.remove(os.path.join(folder, entry))
-            for wanted, name in ((config.emit_masks, MASK_DIR), (config.emit_tokens, TOKEN_DIR)):
+                    for entry in numbered_files(folder, name).values():
+                        os.remove(os.path.join(folder, entry))
                 if wanted:
-                    os.makedirs(os.path.join(out_dir, name), exist_ok=True)
+                    os.makedirs(folder, exist_ok=True)
 
     def add(self, step: StepResult) -> None:
         check = self.checker.check(step.fused_tokens, step.fusion_mask)
@@ -266,7 +252,7 @@ class _Point:
         )
         result = ExperimentResult(config=self.config, checks=self.checks, report=report)
         if self.out_dir is not None:
-            write_run_outputs(result, self.out_dir)
+            write_report(os.path.join(self.out_dir, REPORT_NAME), report)
         return result
 
 
@@ -300,15 +286,6 @@ def run_experiment(config: RunConfig, out_dir: str | os.PathLike | None = None) 
     """One full run: fusion loop plus Q/K/V reuse verification, writing its
     outputs to ``out_dir`` when given (see ``run_points``)."""
     return run_points([config], None if out_dir is None else [out_dir])[0]
-
-
-def write_run_outputs(result: ExperimentResult, out_dir: str | os.PathLike) -> str:
-    """Write report.json; returns its path.  Mask and token dumps are
-    written during the run, by ``run_points`` with an output directory."""
-    os.makedirs(out_dir, exist_ok=True)
-    report_path = os.path.join(out_dir, REPORT_NAME)
-    write_report(report_path, result.report)
-    return report_path
 
 
 def run_sweep(

@@ -163,6 +163,22 @@ def _parse_netpbm_header(data: bytes, magic: bytes, path: str) -> tuple[int, int
     return width, height, pos
 
 
+def _netpbm_body(data: bytes, offset: int, expected: int, path: str | os.PathLike) -> np.ndarray:
+    """The ``expected`` pixel bytes after a header ending at ``offset``, as
+    uint8.  They must be the rest of the file: fewer raise "truncated-data",
+    more "bad-dimensions", as the header then misstates the image."""
+    found = len(data) - offset
+    if found < expected:
+        raise FrameError(
+            "truncated-data", f"{path}: expected {expected} pixel bytes, found {found}"
+        )
+    if found > expected:
+        raise FrameError(
+            "bad-dimensions", f"{path}: header declares {expected} pixel bytes, found {found}"
+        )
+    return np.frombuffer(data, dtype=np.uint8, offset=offset)
+
+
 def load_frame(path: str | os.PathLike, timestep: int) -> FrameObservation:
     """Load a binary PPM (P6) frame and validate its dimensions."""
     with open(path, "rb") as fh:
@@ -173,14 +189,7 @@ def load_frame(path: str | os.PathLike, timestep: int) -> FrameObservation:
             "bad-dimensions",
             f"{path}: dimension not multiple of {PATCH_SIDE} ({width}x{height})",
         )
-    expected = width * height * 3
-    raw = data[offset : offset + expected]
-    if len(raw) < expected:
-        raise FrameError(
-            "truncated-data",
-            f"{path}: expected {expected} pixel bytes, found {len(raw)}",
-        )
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
+    pixels = _netpbm_body(data, offset, width * height * 3, path).reshape(height, width, 3)
     return FrameObservation(pixels=pixels.copy(), timestep=timestep)
 
 
@@ -215,8 +224,17 @@ def read_pgm(path: str | os.PathLike) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
     width, height, offset = _parse_netpbm_header(data, b"P5", str(path))
-    expected = width * height
-    raw = data[offset : offset + expected]
-    if len(raw) < expected:
-        raise FrameError("truncated-data", f"{path}: expected {expected} bytes, found {len(raw)}")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(height, width).copy()
+    return _netpbm_body(data, offset, width * height, path).reshape(height, width).copy()
+
+
+def numbered_files(directory: str | os.PathLike, name: str) -> dict[int, str]:
+    """The entries of ``directory`` named ``name.format(i)`` for an index
+    i >= 0, by index.  ``name`` holds one ``{:06d}`` field, so an entry
+    with more than six digits belongs only without a leading zero."""
+    head, tail = name.split("{:06d}")
+    found = {}
+    for entry in os.listdir(directory):
+        digits = entry.removeprefix(head).removesuffix(tail)
+        if digits.isdecimal() and entry == name.format(int(digits)):
+            found[int(digits)] = entry
+    return found

@@ -138,51 +138,48 @@ class ReuseChecker:
     stream of steps can be checked as it is produced.
 
     The chained projections, one buffer for the full products and two for
-    the recomputed rows and their projection are allocated here, for
-    ``rows`` token rows, and reused by every step of that shape, so a check
-    allocates no rows x d array.  Allocating them before the run's first
-    frame also keeps them below the per-frame temporaries, which then reuse
-    the same heap pages frame after frame.
+    the recomputed rows and their projection are allocated here for tokens
+    of ``rows`` x d, the one shape every check takes, so a check allocates
+    no array of that size.  Allocating them before the run's first frame
+    also keeps them below the per-frame temporaries, which then reuse the
+    same heap pages frame after frame.
     """
 
     def __init__(self, projections: ProjectionSet, rows: int):
         self.projections = projections
         self.timestep = 0
-        self._allocate((rows, projections.dim))
-
-    def _allocate(self, shape: tuple[int, int]) -> None:
-        self._selective = {name: np.empty(shape) for name in ("query", "key", "value")}
-        self._reference = np.empty(shape)
-        self._rows = np.empty(shape)
-        self._projected = np.empty(shape)
+        self.shape = (rows, projections.dim)
+        self._selective = {name: np.empty(self.shape) for name in ("query", "key", "value")}
+        self._reference = np.empty(self.shape)
+        self._rows = np.empty(self.shape)
+        self._projected = np.empty(self.shape)
 
     def check(self, tokens, mask) -> EquivalenceCheck:
         """Check the next step: its fused token rows (n x d) and fusion mask
         (n entries, 1 = recomputed, 0 = reused from the previous step).
 
         For each of the query, key and value matrices any gap is reported
-        with its step, matrix and worst row.  ``ValueError`` is raised for a
-        mask of the wrong length or with an entry other than 0 or 1, or for
-        reused rows with no previous projection of the same shape to copy
-        them from (so always at step 0).
+        with its step, matrix and worst row.  ``ValueError`` is raised for
+        tokens of another shape than the checker's, for a mask of the wrong
+        length or with an entry other than 0 or 1, and for reused rows at
+        step 0, which has no previous projection to copy them from.
         """
         t = self.timestep
         values = np.asarray(tokens, dtype=np.float64)
-        mask = np.asarray(mask)
+        if values.shape != self.shape:
+            raise ValueError(f"step {t}: tokens are {values.shape}, expected {self.shape}")
         n, d = values.shape
+        mask = np.asarray(mask)
         if mask.shape != (n,):
             raise ValueError(f"step {t}: mask length {mask.shape} does not match {n} rows")
         mask = binary_mask(mask, f"step {t}: mask")
         recompute = np.flatnonzero(mask)
         reused = n - recompute.size
-        previous = self._reference.shape if t else None
-        if reused and previous != (n, d):
+        if reused and t == 0:
             raise ValueError(
-                f"step {t}: {reused} rows marked for reuse, but the previous "
-                f"projection is {previous}, expected {(n, d)}"
+                f"step 0: {reused} rows marked for reuse, but there is no previous "
+                "projection to copy them from"
             )
-        if self._reference.shape != (n, d):
-            self._allocate((n, d))
         rows = values
         if reused:
             rows = np.take(values, recompute, axis=0, out=self._rows[: recompute.size])

@@ -52,44 +52,14 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-_PARSERS = {
-    "frames_dir": str,
-    "synth_frames": _parse_int,
-    "synth_change_fraction": _parse_float,
-    "synth_walker": _parse_bool,
-    "synth_noise": _parse_float,
-    "seed": _parse_int,
-    "output_dir": str,
-    "attention_source": str,
-    "attention_dir": str,
-    "emit_masks": _parse_bool,
-    "emit_tokens": _parse_bool,
-    "keyframe_interval": _parse_int,
-    "pixel_threshold": _parse_float,
-    "top_k": _parse_int,
-    "attention_mode": str,
-    "selection_mode": str,
-    "target_reuse_rate": _parse_float,
-    "width": _parse_int,
-    "height": _parse_int,
-    "token_dim": _parse_int,
-    "enable_pixel": _parse_bool,
-    "enable_attention": _parse_bool,
-    "text_tokens": _parse_int,
-    "heads": _parse_int,
+# A config key's parser, by the annotation of the field the key sets.
+_TYPE_PARSERS = {
+    "int": _parse_int,
+    "float": _parse_float,
+    "bool": _parse_bool,
+    "str": str,
+    "str | None": str,
 }
-
-
-# Config keys that are SynthSpec fields under another name.  Every other
-# key is a FusionConfig field or a RunConfig field of the same name.
-_SYNTH_FIELDS = {
-    "synth_frames": "frame_count",
-    "synth_change_fraction": "change_fraction",
-    "synth_walker": "walker",
-    "synth_noise": "noise_amplitude",
-}
-_FUSION_KEYS = tuple(f.name for f in fields(FusionConfig))
-_RUN_KEYS = tuple(k for k in _PARSERS if k not in _SYNTH_FIELDS and k not in _FUSION_KEYS)
 
 
 @dataclass(frozen=True)
@@ -121,6 +91,23 @@ class RunConfig:
             raise ConfigError("attention_source = tensor_files requires attention_dir")
         if self.seed < 0 or self.seed >= (1 << 64):
             raise ConfigError("seed must fit in 64 bits")
+
+
+# Config keys that are SynthSpec fields under another name.  Every other
+# key is a RunConfig field (but the nested fusion and synth) or a
+# FusionConfig field of the same name, and each key takes its field's type.
+_SYNTH_FIELDS = {
+    "synth_frames": "frame_count",
+    "synth_change_fraction": "change_fraction",
+    "synth_walker": "walker",
+    "synth_noise": "noise_amplitude",
+}
+_RUN_FIELDS = [f for f in fields(RunConfig) if f.name not in ("fusion", "synth")]
+_RUN_KEYS = tuple(f.name for f in _RUN_FIELDS)
+_FUSION_KEYS = tuple(f.name for f in fields(FusionConfig))
+_SYNTH_TYPES = {f.name: f.type for f in fields(SynthSpec)}
+_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in _RUN_FIELDS + list(fields(FusionConfig))}
+_PARSERS.update((key, _TYPE_PARSERS[_SYNTH_TYPES[f]]) for key, f in _SYNTH_FIELDS.items())
 
 
 def parse_config_text(text: str) -> dict:

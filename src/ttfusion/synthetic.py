@@ -12,17 +12,15 @@ same bytes.
 from __future__ import annotations
 
 import os
-import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import PATCH_SIDE, FrameObservation, PatchGrid, write_ppm
+from .frames import PATCH_SIDE, FrameObservation, PatchGrid, numbered_files, write_ppm
 from .prng import SplitMix64
 
 FRAME_NAME = "frame_{:06d}.ppm"
-FRAME_FILE = re.compile(r"frame_(\d{6,})\.ppm")
 # Noise is drawn and added this many pixels at a time, so its buffers
 # stay small whatever the frame size.
 NOISE_BAND_PIXELS = 16384
@@ -164,16 +162,12 @@ def write_sequence(spec: SynthSpec, out_dir: str | os.PathLike) -> list[str]:
     written.
     """
     os.makedirs(out_dir, exist_ok=True)
-    stale = [
-        (int(m[1]), m[0])
-        for m in map(FRAME_FILE.fullmatch, os.listdir(out_dir))
-        if m and int(m[1]) >= spec.frame_count
-    ]
-    if stale:
-        index, name = min(stale)
+    files = numbered_files(out_dir, FRAME_NAME)
+    stale = min((i for i in files if i >= spec.frame_count), default=None)
+    if stale is not None:
         raise FileExistsError(
-            f"{out_dir} already holds {name} (index {index}), past the new episode's "
-            f"last frame {spec.frame_count - 1}; remove it or write elsewhere"
+            f"{out_dir} already holds {files[stale]} (index {stale}), past the new "
+            f"episode's last frame {spec.frame_count - 1}; remove it or write elsewhere"
         )
     paths = []
     for frame in iter_frames(spec):

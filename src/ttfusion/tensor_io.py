@@ -70,10 +70,14 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
         count *= d
         if count > _MAX_ELEMENTS:
             raise TensorFormatError("dim-overflow", f"{path}: dims {dims} overflow")
-    expected = 4 * count
-    if len(data) < offset + expected:
+    expected, found = 4 * count, len(data) - offset
+    if found < expected:
         raise TensorFormatError(
-            "truncated", f"{path}: expected {expected} value bytes, found {len(data) - offset}"
+            "truncated", f"{path}: expected {expected} value bytes, found {found}"
+        )
+    if found > expected:
+        raise TensorFormatError(
+            "bad-shape", f"{path}: dims {dims} declare {expected} value bytes, found {found}"
         )
     values = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
     return values.reshape(dims).copy()

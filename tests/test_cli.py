@@ -61,6 +61,21 @@ class TestRun:
         assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 3
         assert "frame_000002.ppm" in capsys.readouterr().err
 
+    def test_frame_longer_than_its_header_exits_3_and_names_it(self, tmp_path, capsys):
+        synth = write_config(tmp_path, SMALL + f"output_dir = {tmp_path / 'frames'}\n",
+                             name="synth.cfg")
+        assert main(["synth", "--config", synth]) == 0
+        # A 56 x 56 body under a 28 x 28 header.
+        frame = tmp_path / "frames" / "frame_000002.ppm"
+        frame.write_bytes(b"P6\n28 28\n255\n" + bytes(56 * 56 * 3))
+        config = write_config(
+            tmp_path, f"frames_dir = {tmp_path / 'frames'}\nwidth = 28\nheight = 28\n"
+        )
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"{frame}: header declares 2352 pixel bytes, found 9408" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, "synth_frames = 6\nbogus = 1\n")
         assert main(["run", "--config", config]) == 2
@@ -260,6 +275,24 @@ class TestSweep:
             assert f"K = {value}: step 5: key row 2 reuse error 2.500e-01" in err
         assert "3 nonzero Q/K/V reuse errors" in err
 
+    def test_failed_sweep_leaves_no_earlier_summary(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        synth = write_config(tmp_path, SMALL, name="synth.cfg")
+        assert main(["synth", "--config", synth, "--out", str(frames)]) == 0
+        config = write_config(
+            tmp_path, f"frames_dir = {frames}\nwidth = 28\nheight = 28\ntoken_dim = 8\n"
+        )
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", config, "--out", str(out), "--param", "K", "--values", "1,3"]
+        assert main(argv) == 0
+        assert (out / "sweep_summary.json").exists() and (out / "sweep_summary.csv").exists()
+        (frames / "frame_000004.ppm").write_bytes(b"P6\n28 28\n255\n")
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert "frame_000004.ppm" in capsys.readouterr().err
+        assert not list(out.glob("sweep_summary.*"))
+        assert not list(out.glob("K_*/report.json"))
+
     def test_empty_values_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL)
         assert main(
@@ -409,6 +442,23 @@ class TestVerifyQReuse:
         assert main(["verify-qreuse", "--run", str(out)]) == 3
         err = capsys.readouterr().err
         assert "mask_000002.pgm" in err and "(2, 3)" in err and "(2, 2)" in err
+
+    def test_mask_with_extra_bytes_exits_3_and_names_it(self, tmp_path, capsys):
+        out = self.run_with_artifacts(tmp_path)
+        mask = out / "masks" / "mask_000001.pgm"
+        mask.write_bytes(mask.read_bytes() + b"\x00")
+        capsys.readouterr()
+        assert main(["verify-qreuse", "--run", str(out)]) == 3
+        assert f"{mask}: header declares 4 pixel bytes, found 5" in capsys.readouterr().err
+
+    def test_token_dump_with_extra_values_exits_3_and_names_it(self, tmp_path, capsys):
+        out = self.run_with_artifacts(tmp_path)
+        dump = out / "tokens" / "fused_000002.ttft"
+        dump.write_bytes(dump.read_bytes() + bytes(4))
+        capsys.readouterr()
+        assert main(["verify-qreuse", "--run", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{dump}: dims (4, 8) declare 128 value bytes, found 132" in err
 
     def test_earlier_runs_dumps_are_not_replayed(self, tmp_path, capsys):
         # Run 2 writes into run 1's directory without masks: verify-qreuse

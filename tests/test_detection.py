@@ -4,7 +4,6 @@ import pytest
 from ttfusion.detection import (
     AttentionSlice,
     action_to_vision_scores,
-    auto_threshold,
     patch_diffs,
     rate_target_mask,
     text_to_vision_scores,
@@ -107,18 +106,6 @@ class TestPixelDiff:
         diffs = patch_diffs(gray(np.zeros((14, 14))), gray(np.zeros((14, 14))), grid)
         with pytest.raises(ValueError):
             threshold_diffs(diffs, -0.1)
-
-    def test_auto_threshold_mode(self):
-        grid = PatchGrid.from_dims(28, 28)
-        a = np.zeros((28, 28))
-        b = a.copy()
-        u0, v0, u1, v1 = grid.patch_region(3)
-        b[u0 : u1 + 1, v0 : v1 + 1] = 0.4
-        diffs = patch_diffs(gray(b), gray(a), grid)
-        mask = threshold_diffs(diffs, None)
-        assert np.array_equal(mask, threshold_diffs(diffs, auto_threshold(diffs)))
-        # Only the outlier patch clears mean + stddev.
-        assert list(mask) == [0, 0, 0, 1]
 
 
 class TestAttentionScores:

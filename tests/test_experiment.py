@@ -13,7 +13,6 @@ from ttfusion.experiment import (
     run_experiment,
     run_points,
     run_sweep,
-    write_run_outputs,
 )
 from ttfusion.fusion import lockstep
 from ttfusion.projection import ProjectionSet, ReuseChecker
@@ -239,15 +238,48 @@ class TestTensorFileAttention:
                 heads=2,
             )
         )
-        baseline = write_run_outputs(run_experiment(config), tmp_path / "without")
+        run_experiment(config, tmp_path / "without")
         other = attention_dir / "attn_action_000002.ttft"
         if content == "junk":
             other.write_bytes(b"not a tensor")
         else:
             write_tensor(other, np.full((3, 4), 0.25, dtype=np.float32))
-        report = write_run_outputs(run_experiment(config), tmp_path / "with")
-        with open(baseline, "rb") as a, open(report, "rb") as b:
-            assert a.read() == b.read()
+        run_experiment(config, tmp_path / "with")
+        report = (tmp_path / "with" / "report.json").read_bytes()
+        assert report == (tmp_path / "without" / "report.json").read_bytes()
+
+    def test_only_exact_attention_names_count(self, tmp_path):
+        attention_dir = tmp_path / "attn"
+        write_attention_files(attention_dir, frame_count=5)
+        for name in ("attn_text_0000009.ttft", "attn_text_00009.ttft",
+                     "attn_text_000009.ttft.bak", "attn_action_000009.ttft"):
+            (attention_dir / name).touch()
+        encoder = TensorFileAttentionEncoder(
+            spec=EncoderSpec(token_dim=8, seed=0, text_token_count=2, head_count=2),
+            attention_dir=str(attention_dir),
+            required="text",
+        )
+        encoder.check_file_set(5)
+        (attention_dir / "attn_text_1000000.ttft").touch()
+        with pytest.raises(FileExistsError, match=r"attn_text_1000000.ttft \(index 1000000\)"):
+            encoder.check_file_set(5)
+
+    def test_attention_file_with_extra_values_is_rejected(self, tmp_path):
+        attention_dir = tmp_path / "attn"
+        write_attention_files(attention_dir, frame_count=5)
+        path = attention_dir / "attn_text_000002.ttft"
+        path.write_bytes(path.read_bytes() + bytes(4))
+        config = build_run_config(
+            small_values(
+                attention_source="tensor_files",
+                attention_dir=str(attention_dir),
+                text_tokens=2,
+                heads=2,
+            )
+        )
+        with pytest.raises(TensorFormatError, match="attn_text_000002.ttft: dims") as info:
+            run_experiment(config)
+        assert info.value.code == "bad-shape"
 
 
 class TestFrameDirectory:
@@ -269,6 +301,16 @@ class TestFrameDirectory:
         write_sequence(SynthSpec(frame_count=4, width=28, height=28, seed=9), tmp_path / "f")
         (tmp_path / "f" / "frame_000002.ppm").unlink()
         with pytest.raises(FileNotFoundError, match="frame_000002.ppm"):
+            load_frames_dir(tmp_path / "f")
+
+    def test_only_exact_frame_names_count(self, tmp_path):
+        # A leading zero past six digits does not name frame 9, so it is no gap.
+        write_sequence(SynthSpec(frame_count=3, width=28, height=28, seed=9), tmp_path / "f")
+        for name in ("frame_0000009.ppm", "frame_00009.ppm", "frame_000009.ppm.bak"):
+            (tmp_path / "f" / name).touch()
+        assert len(load_frames_dir(tmp_path / "f")) == 3
+        (tmp_path / "f" / "frame_1000000.ppm").touch()
+        with pytest.raises(FileNotFoundError, match="frames up to index 1000000 exist"):
             load_frames_dir(tmp_path / "f")
 
 
@@ -308,6 +350,22 @@ class TestOutputs:
         run_experiment(config, out_dir=tmp_path / "out")
         names = sorted(p.name for p in (tmp_path / "out" / "tokens").iterdir())
         assert names == [f"fused_{t:06d}.ttft" for t in range(5)]
+
+    def test_earlier_dumps_are_cleared_by_exact_name(self, tmp_path):
+        out = tmp_path / "out"
+        for folder, name in (("masks", "mask_{}.pgm"), ("tokens", "fused_{}.ttft")):
+            (out / folder).mkdir(parents=True)
+            for index in ("000001", "1000000", "0000001", "00001"):
+                (out / folder / name.format(index)).touch()
+            (out / folder / "notes.txt").touch()
+        run_experiment(build_run_config(small_values()), out_dir=out)
+        # Only the names a run writes go, 1000000 among them.
+        assert sorted(p.name for p in (out / "masks").iterdir()) == [
+            "mask_0000001.pgm", "mask_00001.pgm", "notes.txt"
+        ]
+        assert sorted(p.name for p in (out / "tokens").iterdir()) == [
+            "fused_0000001.ttft", "fused_00001.ttft", "notes.txt"
+        ]
 
 
 class TestStreaming:

@@ -6,8 +6,11 @@ from ttfusion.frames import (
     FrameObservation,
     PatchGrid,
     load_frame,
+    numbered_files,
+    read_pgm,
     save_frame,
     to_grayscale,
+    write_pgm,
     write_ppm,
 )
 
@@ -70,6 +73,16 @@ class TestLoadFrame:
         with pytest.raises(FrameError) as info:
             load_frame(path, timestep=0)
         assert info.value.code == "truncated-data"
+
+    def test_body_longer_than_header_declares(self, tmp_path):
+        # A 56 x 56 body under a 28 x 28 header would load as a scrambled
+        # 28 x 28 frame.
+        path = tmp_path / "frame.ppm"
+        path.write_bytes(b"P6\n28 28\n255\n" + bytes(56 * 56 * 3))
+        with pytest.raises(FrameError, match=f"frame.ppm: header declares {28 * 28 * 3} pixel "
+                           f"bytes, found {56 * 56 * 3}") as info:
+            load_frame(path, timestep=0)
+        assert info.value.code == "bad-dimensions"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -191,3 +204,58 @@ class TestFrameValidation:
     def test_bad_shape_rejected(self):
         with pytest.raises(FrameError):
             FrameObservation(pixels=np.zeros((14, 15, 3), dtype=np.uint8), timestep=0)
+
+
+class TestReadPgm:
+    def test_round_trip(self, tmp_path):
+        values = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        write_pgm(tmp_path / "m.pgm", values)
+        assert np.array_equal(read_pgm(tmp_path / "m.pgm"), values)
+
+    def test_extra_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        write_pgm(path, np.ones((2, 2), dtype=np.uint8))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FrameError, match="m.pgm: header declares 4 pixel bytes, found 5") as info:
+            read_pgm(path)
+        assert info.value.code == "bad-dimensions"
+
+    def test_truncated(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n2 2\n255\n" + bytes(3))
+        with pytest.raises(FrameError, match="expected 4 pixel bytes, found 3") as info:
+            read_pgm(path)
+        assert info.value.code == "truncated-data"
+
+
+class TestNumberedFiles:
+    def test_members_by_index(self, tmp_path):
+        for name in ("frame_000000.ppm", "frame_000012.ppm", "frame_1234567.ppm"):
+            (tmp_path / name).touch()
+        assert numbered_files(tmp_path, "frame_{:06d}.ppm") == {
+            0: "frame_000000.ppm",
+            12: "frame_000012.ppm",
+            1234567: "frame_1234567.ppm",
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "frame_00001.ppm",  # five digits
+            "frame_0000001.ppm",  # a leading zero past six digits
+            "frame_000001.ppm.bak",
+            "xframe_000001.ppm",
+            "frame_000001.pgm",
+            "frame_+00001.ppm",
+            "frame_-00001.ppm",
+            "frame_ 00001.ppm",
+            "frame_00000\u0661.ppm",  # a non-ASCII decimal digit
+            "frame_00000\u00b2.ppm",  # a digit int() does not read
+            "frame_.ppm",
+            "000001",
+        ],
+    )
+    def test_other_names_ignored(self, tmp_path, name):
+        (tmp_path / name).touch()
+        (tmp_path / "frame_000002.ppm").touch()
+        assert numbered_files(tmp_path, "frame_{:06d}.ppm") == {2: "frame_000002.ppm"}

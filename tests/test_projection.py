@@ -242,6 +242,16 @@ class TestReuseCheckerOverRuns:
         with pytest.raises(ValueError, match="step 1: mask length"):
             check_pairs(pairs, ProjectionSet.generate(4, 0))
 
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (12,), (3, 4, 1)])
+    def test_tokens_of_another_shape_rejected(self, shape):
+        # The checker is built for one (rows, d); a step of another shape is
+        # an error, not a reason to reallocate its buffers.
+        checker = ReuseChecker(ProjectionSet.generate(4, 0), 3)
+        checker.check(np.zeros((3, 4)), np.ones(3))
+        with pytest.raises(ValueError) as info:
+            checker.check(np.zeros(shape), np.ones(shape[0]))
+        assert str(info.value) == f"step 1: tokens are {shape}, expected (3, 4)"
+
 
 def reference_project_selective(tokens, prev_projection, fusion_mask, weights):
     """The per-matrix selective projection before the shared row split:

@@ -1,12 +1,15 @@
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from typing import get_type_hints
 
 import pytest
 
 from ttfusion.fusion import FusionConfig
 from ttfusion.runconfig import (
     _PARSERS,
+    _SYNTH_FIELDS,
     SWEEP_PARAMETERS,
     ConfigError,
+    RunConfig,
     apply_parameter,
     build_run_config,
     config_echo,
@@ -17,6 +20,27 @@ from ttfusion.runconfig import (
 from ttfusion.synthetic import SynthSpec
 
 MINIMAL = "synth_frames = 6\n"
+
+
+def key_types():
+    """Each config key and the type of the dataclass field it sets, read
+    from the evaluated annotations."""
+    run = get_type_hints(RunConfig)
+    types = {f.name: run[f.name] for f in fields(RunConfig) if f.name not in ("fusion", "synth")}
+    types.update(get_type_hints(FusionConfig))
+    synth = get_type_hints(SynthSpec)
+    types.update({key: synth[name] for key, name in _SYNTH_FIELDS.items()})
+    return types
+
+
+# A value of each field type as config text, and the message a value of
+# the wrong type gets.
+SAMPLES = {int: ("7", 7), float: ("0.5", 0.5), bool: ("true", True), str: ("abc", "abc")}
+WRONG = {
+    int: "expected integer, got 'x'",
+    float: "expected number, got 'x'",
+    bool: "expected true/false, got 'x'",
+}
 
 
 def config_from(text):
@@ -168,6 +192,22 @@ class TestSingleDeclaration:
 
     def test_synth_defaults_are_the_dataclass_defaults(self):
         assert asdict(config_from(MINIMAL).synth) == asdict(SynthSpec(frame_count=6))
+
+    def test_every_field_is_a_config_key(self):
+        assert set(_PARSERS) == set(key_types())
+        assert len(_PARSERS) == 24
+
+    @pytest.mark.parametrize("key", sorted(key_types()))
+    def test_key_parses_a_value_of_its_fields_type(self, key):
+        kind = key_types()[key]
+        kind = str if kind == str | None else kind
+        raw, want = SAMPLES[kind]
+        got = parse_config_text(f"{key} = {raw}\n")[key]
+        assert (got, type(got)) == (want, kind)
+        if kind is not str:
+            with pytest.raises(ConfigError) as info:
+                parse_config_text(f"{key} = x\n")
+            assert str(info.value) == f"line 1: {key}: {WRONG[kind]}"
 
     def test_sweep_aliases_parse_as_their_key(self):
         for alias, key in SWEEP_PARAMETERS.items():

@@ -273,6 +273,15 @@ class TestWriteSequence:
             "frame_000002.ppm",
         ]
 
+    def test_only_exact_frame_names_are_stale(self, tmp_path):
+        spec = SynthSpec(frame_count=3, width=28, height=28)
+        for name in ("frame_0000009.ppm", "frame_00009.ppm", "frame_000009.ppm.bak"):
+            (tmp_path / name).touch()
+        write_sequence(spec, tmp_path)
+        (tmp_path / "frame_1000000.ppm").touch()
+        with pytest.raises(FileExistsError, match=r"frame_1000000.ppm \(index 1000000\)"):
+            write_sequence(spec, tmp_path)
+
     def test_same_spec_twice_is_byte_identical(self, tmp_path):
         spec = SynthSpec(
             frame_count=4, width=28, height=28, change_fraction=0.25, walker=True,

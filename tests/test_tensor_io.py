@@ -68,6 +68,16 @@ class TestErrors:
             read_tensor(path)
         assert info.value.code == "truncated"
 
+    def test_values_past_the_dims_rejected(self, tmp_path):
+        path = tmp_path / "t.ttft"
+        write_tensor(path, np.zeros((4, 4), dtype=np.float32))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(
+            TensorFormatError, match=r"t.ttft: dims \(4, 4\) declare 64 value bytes, found 72"
+        ) as info:
+            read_tensor(path)
+        assert info.value.code == "bad-shape"
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "t.ttft"
         path.write_bytes(b"TTFT\x01\x00")
