@@ -9,11 +9,12 @@ patches from a synthetic attention slice.
 import numpy as np
 
 from ttfusion import (
+    TEXT_TO_VISION,
     FrameObservation,
     PatchGrid,
     patch_diffs,
+    relevance_scores,
     synth_attention,
-    text_to_vision_scores,
     threshold_diffs,
     to_grayscale,
     top_k_mask,
@@ -47,7 +48,7 @@ print("the single hot pixel in patch 10 stays below the threshold:",
 
 spec = EncoderSpec(token_dim=16, seed=0, text_token_count=4, head_count=2)
 slice_ = synth_attention(frame_after, spec)
-scores = text_to_vision_scores(slice_)
+scores = relevance_scores(slice_, TEXT_TO_VISION)
 attention_mask = top_k_mask(scores, k=4)
 print("\nattention detector (top-4 of the text-to-vision scores):")
 print("selected patches:", sorted(int(i) for i in np.nonzero(attention_mask)[0]))

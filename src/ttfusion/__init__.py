@@ -13,10 +13,9 @@ from .detection import (
     ACTION_TO_VISION,
     TEXT_TO_VISION,
     AttentionSlice,
-    action_to_vision_scores,
     patch_diffs,
     rate_target_mask,
-    text_to_vision_scores,
+    relevance_scores,
     threshold_diffs,
     top_k_mask,
 )
@@ -44,7 +43,7 @@ from .prng import SplitMix64
 from .runconfig import ConfigError, RunConfig, load_config_file
 from .synthetic import SynthSpec, generate_frames, iter_frames, walker_patch, write_sequence
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
-from .toy_encoder import EncoderSpec, ToyEncoder, encode, synth_attention
+from .toy_encoder import EncoderSpec, ToyEncoder, synth_attention
 
 __version__ = "0.1.0"
 
@@ -69,9 +68,7 @@ __all__ = [
     "SynthSpec",
     "TensorFormatError",
     "ToyEncoder",
-    "action_to_vision_scores",
     "combine_masks",
-    "encode",
     "fuse_tokens",
     "generate_frames",
     "is_keyframe",
@@ -83,10 +80,10 @@ __all__ = [
     "project_full",
     "rate_target_mask",
     "read_tensor",
+    "relevance_scores",
     "save_frame",
     "step",
     "synth_attention",
-    "text_to_vision_scores",
     "threshold_diffs",
     "to_grayscale",
     "top_k_mask",

@@ -57,17 +57,6 @@ class AttentionSlice:
             if self.text_rows.shape[2] != self.action_row.shape[1]:
                 raise ValueError("patch counts differ between text rows and action row")
 
-    @property
-    def head_count(self) -> int:
-        rows = self.text_rows if self.text_rows is not None else self.action_row
-        return rows.shape[0]
-
-    @property
-    def patch_count(self) -> int:
-        if self.text_rows is not None:
-            return self.text_rows.shape[2]
-        return self.action_row.shape[1]
-
 
 def _check_rows(rows: np.ndarray) -> None:
     if rows.size == 0:
@@ -136,25 +125,17 @@ def threshold_diffs(diffs: np.ndarray, threshold: float) -> np.ndarray:
     return (diffs > threshold).astype(np.uint8)
 
 
-def text_to_vision_scores(slice_: AttentionSlice) -> np.ndarray:
-    """Per-patch scores: mean over heads of the mean over text tokens."""
-    if slice_.text_rows is None or slice_.text_rows.shape[1] == 0:
-        raise ValueError("attention slice has no text rows")
-    return slice_.text_rows.mean(axis=(0, 1))
-
-
-def action_to_vision_scores(slice_: AttentionSlice) -> np.ndarray:
-    """Per-patch scores: mean over heads of the first-action-token row."""
-    if slice_.action_row is None:
-        raise ValueError("attention slice has no action row")
-    return slice_.action_row.mean(axis=0)
-
-
 def relevance_scores(slice_: AttentionSlice, mode: str) -> np.ndarray:
+    """Per-patch scores of ``mode``: the mean over heads of the mean over text
+    tokens (text_to_vision) or of the first-action-token row (action_to_vision)."""
     if mode == TEXT_TO_VISION:
-        return text_to_vision_scores(slice_)
+        if slice_.text_rows is None or slice_.text_rows.shape[1] == 0:
+            raise ValueError("attention slice has no text rows")
+        return slice_.text_rows.mean(axis=(0, 1))
     if mode == ACTION_TO_VISION:
-        return action_to_vision_scores(slice_)
+        if slice_.action_row is None:
+            raise ValueError("attention slice has no action row")
+        return slice_.action_row.mean(axis=0)
     raise ValueError(f"unknown attention mode {mode!r}")
 
 

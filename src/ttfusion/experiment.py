@@ -48,10 +48,8 @@ _ATTENTION_KINDS = {TEXT_TO_VISION: "text", ACTION_TO_VISION: "action"}
 
 @dataclass
 class ExperimentResult:
-    """One point of a run: its config, one Q/K/V reuse check per step, and
-    its report."""
+    """One point of a run: one Q/K/V reuse check per step, and its report."""
 
-    config: RunConfig
     checks: list[EquivalenceCheck]
     report: dict
 
@@ -250,7 +248,7 @@ class _Point:
             aggregates["mean_fusion_rate_non_keyframe"],
             max((c.max_error for c in self.checks), default=0.0),
         )
-        result = ExperimentResult(config=self.config, checks=self.checks, report=report)
+        result = ExperimentResult(checks=self.checks, report=report)
         if self.out_dir is not None:
             write_report(os.path.join(self.out_dir, REPORT_NAME), report)
         return result
@@ -332,8 +330,9 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[EquivalenceCh
     from the config echo, and one ``ReuseChecker`` checks the steps in
     order.  A token dump that is not (patches, token_dim) raises
     ``TensorFormatError`` and a mask that is not the patch grid raises
-    ``FrameError``, each naming the file and both shapes.  Each step's dump
-    and mask are read as the check reaches the step.
+    ``FrameError``, each naming the file and both shapes, and a report that
+    ``load_report`` rejects raises ``InvariantError``.  Each step's dump and
+    mask are read as the check reaches the step.
     """
     report = load_report(os.path.join(run_dir, REPORT_NAME))
     config = report["config"]

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import detection
-from .detection import ATTENTION_MODES, AttentionSlice
+from .detection import ATTENTION_MODES
 from .frames import FrameObservation, PatchGrid, to_grayscale
 
 SELECTION_TOP_K = "top_k"
@@ -73,7 +73,7 @@ class FusionConfig:
 
 @dataclass
 class FusionState:
-    """Rolling memory between steps: previous grayscale, fused tokens, attention.
+    """Rolling memory between steps: previous grayscale, fused tokens, scores.
 
     At timestep 0 every ``prev_*`` field is absent; afterwards
     ``prev_tokens`` always holds the fused tokens just emitted.
@@ -81,7 +81,7 @@ class FusionState:
 
     prev_gray: np.ndarray | None = None
     prev_tokens: np.ndarray | None = None
-    prev_attention: AttentionSlice | None = None
+    prev_scores: np.ndarray | None = None
     timestep: int = 0
 
 
@@ -147,16 +147,11 @@ def fuse_tokens(
     return fused
 
 
-def _attention_mask(
-    prev_attention: AttentionSlice | None, n: int, config: FusionConfig
-) -> np.ndarray:
-    if prev_attention is None:
+def _attention_mask(scores: np.ndarray | None, n: int, config: FusionConfig) -> np.ndarray:
+    if scores is None:
         # No usable attention from the prior step: recompute everything
         # rather than risk reusing stale tokens.
         return np.ones(n, dtype=np.uint8)
-    scores = detection.relevance_scores(prev_attention, config.attention_mode)
-    if scores.shape[0] != n:
-        raise ValueError(f"attention slice covers {scores.shape[0]} patches, expected {n}")
     if config.selection_mode == SELECTION_TOP_K:
         return detection.top_k_mask(scores, config.top_k)
     return detection.rate_target_mask(scores, config.target_reuse_rate)
@@ -174,28 +169,23 @@ def step(
     ``encoder`` provides ``features``, ``tokens`` and ``attention`` as
     :class:`SharedObservation` calls them (``toy_encoder.ToyEncoder`` is
     one).  The step settles its fusion mask first, from the grayscale, the
-    pixel diffs and the previous step's attention, and then has the encoder
-    encode only the token rows that mask recomputes: every row on a
+    pixel diffs and the previous step's relevance scores, and then has the
+    encoder encode only the token rows that mask recomputes: every row on a
     keyframe, the flagged rows otherwise (or the whole frame when they are
     most of it; see :meth:`SharedObservation.tokens`).  ``shared``, when
     given, is this frame's :class:`SharedObservation` (built from ``frame``
     and ``encoder``), so steps of several configs on one frame compute its
-    grayscale, features, attention of each mode, token rows and pixel diffs
+    grayscale, features, scores of each mode, token rows and pixel diffs
     once; without it the step builds its own.  The returned state carries
-    the fused tokens, this frame's grayscale, and the attention of the
-    config's mode captured this step (consumed by the next step, which
-    rejects it unless it came from timestep t - 1).  The attention is None,
-    and never computed, when no step reads it: with attention detection
-    off, or when the next step is a keyframe.
+    the fused tokens, this frame's grayscale, and the relevance scores of
+    the config's mode that :meth:`SharedObservation.scores` checked this
+    step, for the next step to select from.  The scores are None, and never
+    computed, when no step reads them: with attention detection off, or
+    when the next step is a keyframe.
     """
     t = frame.timestep
     if t != state.timestep:
         raise ValueError(f"frame timestep {t} does not match state timestep {state.timestep}")
-    if state.prev_attention is not None and state.prev_attention.source_timestep != t - 1:
-        raise ValueError(
-            f"stale attention: step {t} got attention from timestep "
-            f"{state.prev_attention.source_timestep}, expected {t - 1}"
-        )
     if frame.width != config.width or frame.height != config.height:
         raise ValueError(
             f"frame is {frame.width}x{frame.height}, config expects {config.width}x{config.height}"
@@ -206,11 +196,11 @@ def step(
         raise ValueError(f"shared observation is of another frame than timestep {t}")
     grid = config.grid
     n = grid.patch_count
-    # Only the next step reads this frame's attention, and only if it is no
+    # Only the next step reads this frame's scores, and only if it is no
     # keyframe.
-    attention = None
+    scores = None
     if config.enable_attention and (t + 1) % config.keyframe_interval:
-        attention = shared.attention(config.attention_mode)
+        scores = shared.scores(config.attention_mode)
 
     if is_keyframe(t, state, config.keyframe_interval):
         ones = np.ones(n, dtype=np.uint8)
@@ -233,7 +223,7 @@ def step(
         else:
             pixel_mask = np.zeros(n, dtype=np.uint8)
         if config.enable_attention:
-            attention_mask = _attention_mask(state.prev_attention, n, config)
+            attention_mask = _attention_mask(state.prev_scores, n, config)
         else:
             attention_mask = np.zeros(n, dtype=np.uint8)
         fusion_mask = combine_masks(pixel_mask, attention_mask)
@@ -253,7 +243,7 @@ def step(
     new_state = FusionState(
         prev_gray=shared.gray,
         prev_tokens=result.fused_tokens,
-        prev_attention=attention,
+        prev_scores=scores,
         timestep=t + 1,
     )
     return result, new_state
@@ -266,7 +256,7 @@ def lockstep(frames, encoder, configs) -> Iterator[list[StepResult]]:
     Frames are the outer loop and configs the inner one, so every config
     takes its ``step`` on frame t before any takes frame t + 1.  All steps on
     a frame share one :class:`SharedObservation`, so the frame's grayscale
-    and features are computed once, its attention once per attention mode,
+    and features are computed once, its scores once per attention mode,
     each token row at most once and its pixel diffs at most once, inside
     whichever step first needs them.  Frames are consumed as they arrive
     and need not be a list; between frames only each config's
@@ -305,13 +295,13 @@ def lockstep(frames, encoder, configs) -> Iterator[list[StepResult]]:
 
 class SharedObservation:
     """What the fusion loop derives from one frame, each part computed on
-    first request: the grayscale, the encoder's features, its attention of
-    each mode asked for, its token rows, and the per-patch pixel diffs
-    against the previous frame's grayscale.
+    first request: the grayscale, the encoder's features, the relevance
+    scores of each attention mode asked for, its token rows, and the
+    per-patch pixel diffs against the previous frame's grayscale.
 
     None of these reads a ``FusionConfig`` field, so every config's step on
-    the frame can use the same results.  The diffs are read-only because
-    every config's step on the frame reads the same array.
+    the frame can use the same results.  The scores and the diffs are
+    read-only because every config's step on the frame reads the same array.
 
     The encoder provides three methods.  ``features(frame, gray)`` returns
     whatever the other two need of the frame; it is called once.
@@ -326,7 +316,7 @@ class SharedObservation:
     def __init__(self, frame: FrameObservation, encoder):
         self.frame = frame
         self._encoder = encoder
-        self._attention: dict[str, AttentionSlice | None] = {}
+        self._scores: dict[str, np.ndarray | None] = {}
         self._tokens: np.ndarray | None = None
         self._unset: np.ndarray | None = None
         self._diffs: np.ndarray | None = None
@@ -340,11 +330,27 @@ class SharedObservation:
     def features(self):
         return self._encoder.features(self.frame, self.gray)
 
-    def attention(self, mode: str) -> AttentionSlice | None:
-        """The encoder's attention of ``mode``, asked for once per mode."""
-        if mode not in self._attention:
-            self._attention[mode] = self._encoder.attention(self.frame, self.features, mode)
-        return self._attention[mode]
+    def scores(self, mode: str) -> np.ndarray | None:
+        """The read-only (N,) ``detection.relevance_scores`` of the encoder's
+        attention of ``mode`` (None for no slice), asked for once per mode; a
+        slice of another timestep or patch count raises ``ValueError``."""
+        if mode in self._scores:
+            return self._scores[mode]
+        slice_ = self._encoder.attention(self.frame, self.features, mode)
+        scores = None
+        if slice_ is not None:
+            t, n = self.frame.timestep, PatchGrid.for_frame(self.frame).patch_count
+            if slice_.source_timestep != t:
+                raise ValueError(
+                    f"stale attention: step {t} got attention from timestep "
+                    f"{slice_.source_timestep}, expected {t}"
+                )
+            scores = detection.relevance_scores(slice_, mode)
+            if len(scores) != n:
+                raise ValueError(f"attention slice covers {len(scores)} patches, expected {n}")
+            scores.flags.writeable = False
+        self._scores[mode] = scores
+        return scores
 
     def tokens(self, rows: np.ndarray | None) -> np.ndarray:
         """The frame's (N, d) tokens, of which at least ``rows`` (an index array,

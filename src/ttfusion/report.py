@@ -17,6 +17,9 @@ from .projection import EquivalenceCheck
 
 REPORT_FORMAT = "ttf-report-v1"
 SWEEP_FORMAT = "ttf-sweep-v1"
+# The step record fields that the aggregates and verify-qreuse read.
+_STEP_FIELDS = ("t", "is_keyframe", "fusion_rate", "saved_multiplications",
+                "query_error", "key_error", "value_error")
 
 
 class InvariantError(RuntimeError):
@@ -78,15 +81,34 @@ def write_report(path: str | os.PathLike, report: dict) -> None:
 
 
 def load_report(path: str | os.PathLike) -> dict:
-    """Load a report and re-derive its aggregates; mismatch is an error."""
+    """Load a report and check it: format, the fields that the aggregates and
+    verify-qreuse read, ``t == i`` in record i, and the aggregates re-derived
+    from the records.  A defect raises ``InvariantError`` naming the file."""
     with open(path, "r", encoding="ascii") as fh:
-        report = json.load(fh)
-    if report.get("format") != REPORT_FORMAT:
-        raise InvariantError(f"{path}: unknown report format {report.get('format')!r}")
+        try:
+            report = json.load(fh)
+        except ValueError as exc:
+            raise InvariantError(f"{path}: not a JSON report: {exc}") from exc
+    _require(path, "report", report, ("format", "config", "steps", "aggregates"))
+    if report["format"] != REPORT_FORMAT:
+        raise InvariantError(f"{path}: unknown report format {report['format']!r}")
+    _require(path, "config echo", report["config"], ("width", "height", "token_dim", "seed"))
+    if not isinstance(report["steps"], list):
+        raise InvariantError(f"{path}: steps is not a list")
+    for i, record in enumerate(report["steps"]):
+        _require(path, f"step record {i}", record, _STEP_FIELDS)
+        if type(record["t"]) is not int or record["t"] != i:
+            raise InvariantError(f"{path}: step record {i} has t = {record['t']!r}, expected {i}")
     recomputed = _aggregates_from_steps(report["steps"])
     if recomputed != report.get("aggregates"):
         raise InvariantError(f"{path}: stored aggregates disagree with per-step records")
     return report
+
+
+def _require(path, what: str, record, keys: tuple) -> None:
+    missing = [key for key in keys if key not in record] if isinstance(record, dict) else keys
+    if missing:
+        raise InvariantError(f"{path}: {what} lacks {', '.join(missing)}")
 
 
 def build_sweep_summary(parameter: str, points: list[dict]) -> dict:

@@ -162,15 +162,8 @@ def load_config_file(path: str | os.PathLike) -> RunConfig:
         return build_run_config(parse_config_text(fh.read()))
 
 
-# Sweep parameter aliases -> the config key they set.
-SWEEP_PARAMETERS = {
-    "keyframe_interval": "keyframe_interval",
-    "K": "keyframe_interval",
-    "pixel_threshold": "pixel_threshold",
-    "tau_pixel": "pixel_threshold",
-    "top_k": "top_k",
-    "k": "top_k",
-}
+# Sweep parameter -> the config key it sets.
+SWEEP_PARAMETERS = {"K": "keyframe_interval", "tau_pixel": "pixel_threshold", "k": "top_k"}
 
 
 def _sweep_key(name: str) -> str:

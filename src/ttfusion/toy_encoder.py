@@ -98,27 +98,6 @@ def _action_row(features: np.ndarray, spec: EncoderSpec) -> np.ndarray:
     return np.broadcast_to(_softmax(contrast), (spec.head_count, len(features))).copy()
 
 
-def _token_rows(features: np.ndarray, spec: EncoderSpec, rows: np.ndarray | None) -> np.ndarray:
-    """Tokens of patches ``rows`` (all patches when None), through
-    ``project_full``, so each row is the same bits however many rows are
-    encoded with it."""
-    if rows is not None:
-        features = features[rows]
-    return project_full(features, spec.projection())
-
-
-def encode(
-    frame: FrameObservation, spec: EncoderSpec, gray: np.ndarray | None = None
-) -> np.ndarray:
-    """The frame's (N, d) tokens: each patch's features projected through
-    the seeded matrix.
-
-    ``gray`` is the frame's grayscale if the caller already has it; by
-    default it is computed here.
-    """
-    return _token_rows(_patch_features(frame, gray), spec, None)
-
-
 def synth_attention(
     frame: FrameObservation, spec: EncoderSpec, gray: np.ndarray | None = None
 ) -> AttentionSlice:
@@ -128,7 +107,7 @@ def synth_attention(
     0.05 j``; the action row is a softmax over per-patch luminance contrast
     (max minus min pixel), shared across heads.  Both kinds are built;
     ``ToyEncoder.attention`` builds the one a run asks for.  ``gray`` is as
-    in ``encode``.
+    in ``ToyEncoder.features``.
     """
     features = _patch_features(frame, gray)
     return AttentionSlice(
@@ -157,9 +136,11 @@ class ToyEncoder:
 
     def tokens(self, features: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
         """The (len(rows), d) token rows of patches ``rows``, an index array,
-        or all patches when None; a row's bits do not depend on the other
-        rows asked for."""
-        return _token_rows(features, self.spec, rows)
+        or all patches when None, through ``project_full``, so a row's bits
+        do not depend on the other rows asked for."""
+        if rows is not None:
+            features = features[rows]
+        return project_full(features, self.spec.projection())
 
     def attention(self, frame: FrameObservation, features: np.ndarray, mode: str) -> AttentionSlice:
         """The slice of one kind: text rows for ``text_to_vision``, the action

@@ -5,6 +5,7 @@ import pytest
 
 from ttfusion.cli import main
 from ttfusion.frames import read_pgm, write_pgm
+from ttfusion.report import _aggregates_from_steps
 from ttfusion.tensor_io import read_tensor, write_tensor
 
 SMALL = """
@@ -320,11 +321,15 @@ class TestSweep:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_parameter_exit_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "param", ["width", "keyframe_interval", "pixel_threshold", "top_k"]
+    )
+    def test_unknown_parameter_exit_2(self, tmp_path, capsys, param):
         config = write_config(tmp_path, SMALL)
         assert main(
-            ["sweep", "--config", config, "--param", "width", "--values", "112"]
+            ["sweep", "--config", config, "--param", param, "--values", "2"]
         ) == 2
+        assert f"unknown sweep parameter {param!r}" in capsys.readouterr().err
 
 
 class TestFramesDirectory:
@@ -415,6 +420,50 @@ class TestVerifyQReuse:
         payload["aggregates"]["total_saved_multiplications"] += 1
         (out / "report.json").write_text(json.dumps(payload))
         assert main(["verify-qreuse", "--run", str(out)]) == 4
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["not json", "not an object", "format only", "steps not a list",
+         "step lacks a field", "config lacks a key"],
+    )
+    def test_malformed_report_exits_4_naming_it(self, tmp_path, capsys, damage):
+        out = self.run_with_artifacts(tmp_path)
+        path = out / "report.json"
+        report = json.loads(path.read_text())
+        if damage == "steps not a list":
+            report["steps"] = None
+        elif damage == "step lacks a field":
+            del report["steps"][2]["fusion_rate"]
+        elif damage == "config lacks a key":
+            del report["config"]["seed"]
+        path.write_text(
+            {"not json": "{not json", "not an object": "[]",
+             "format only": '{"format": "ttf-report-v1"}'}.get(damage, json.dumps(report))
+        )
+        assert main(["verify-qreuse", "--run", str(out)]) == 4
+        assert f"invariant violation: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["drop", "swap", "float"])
+    def test_missing_or_reordered_step_exits_4(self, tmp_path, capsys, edit):
+        # The aggregates are rewritten to match, so only the records' t
+        # gives the edit away.
+        out = self.run_with_artifacts(tmp_path)
+        path = out / "report.json"
+        report = json.loads(path.read_text())
+        steps = report["steps"]
+        if edit == "drop":
+            del steps[3]
+        elif edit == "swap":
+            steps[2], steps[3] = steps[3], steps[2]
+        else:
+            steps[1]["t"] = 1.0
+        report["aggregates"] = _aggregates_from_steps(steps)
+        path.write_text(json.dumps(report))
+        assert main(["verify-qreuse", "--run", str(out)]) == 4
+        first_bad = {"drop": "step record 3 has t = 4, expected 3",
+                     "swap": "step record 2 has t = 3, expected 2",
+                     "float": "step record 1 has t = 1.0, expected 1"}[edit]
+        assert f"{path}: {first_bad}" in capsys.readouterr().err
 
     def test_width_off_the_patch_grid_exits_3(self, tmp_path, capsys):
         out = self.run_with_artifacts(tmp_path)

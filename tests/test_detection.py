@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from ttfusion.detection import (
+    ACTION_TO_VISION,
+    TEXT_TO_VISION,
     AttentionSlice,
-    action_to_vision_scores,
     patch_diffs,
     rate_target_mask,
-    text_to_vision_scores,
+    relevance_scores,
     threshold_diffs,
     top_k_mask,
 )
@@ -113,47 +114,47 @@ class TestAttentionScores:
         slice_ = AttentionSlice(
             text_rows=np.array([[[0.2, 0.8]]]), action_row=None, source_timestep=0
         )
-        assert np.array_equal(text_to_vision_scores(slice_), [0.2, 0.8])
+        assert np.array_equal(relevance_scores(slice_, TEXT_TO_VISION), [0.2, 0.8])
 
     def test_mean_over_heads(self):
         slice_ = AttentionSlice(
             text_rows=np.array([[[0.2, 0.8]], [[0.6, 0.4]]]), action_row=None, source_timestep=0
         )
-        assert text_to_vision_scores(slice_) == pytest.approx([0.4, 0.6], abs=1e-15)
+        assert relevance_scores(slice_, TEXT_TO_VISION) == pytest.approx([0.4, 0.6], abs=1e-15)
 
     def test_mean_over_text_tokens(self):
         slice_ = AttentionSlice(
             text_rows=np.array([[[1.0, 0.0], [0.0, 1.0]]]), action_row=None, source_timestep=0
         )
-        assert text_to_vision_scores(slice_) == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert relevance_scores(slice_, TEXT_TO_VISION) == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_action_single_head_is_identity(self):
         slice_ = AttentionSlice(
             text_rows=None, action_row=np.array([[0.3, 0.7]]), source_timestep=0
         )
-        assert np.array_equal(action_to_vision_scores(slice_), [0.3, 0.7])
+        assert np.array_equal(relevance_scores(slice_, ACTION_TO_VISION), [0.3, 0.7])
 
     def test_action_mean_over_heads(self):
         slice_ = AttentionSlice(
             text_rows=None, action_row=np.array([[1.0, 0.0], [0.0, 1.0]]), source_timestep=0
         )
-        assert action_to_vision_scores(slice_) == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert relevance_scores(slice_, ACTION_TO_VISION) == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_zero_rows_give_zero_scores(self):
         slice_ = AttentionSlice(
             text_rows=None, action_row=np.zeros((3, 5)), source_timestep=0
         )
-        assert not action_to_vision_scores(slice_).any()
+        assert not relevance_scores(slice_, ACTION_TO_VISION).any()
 
     def test_missing_text_rows_rejected(self):
         slice_ = AttentionSlice(text_rows=None, action_row=np.zeros((1, 4)), source_timestep=0)
         with pytest.raises(ValueError):
-            text_to_vision_scores(slice_)
+            relevance_scores(slice_, TEXT_TO_VISION)
 
     def test_missing_action_row_rejected(self):
         slice_ = AttentionSlice(text_rows=np.zeros((1, 1, 4)), action_row=None, source_timestep=0)
         with pytest.raises(ValueError):
-            action_to_vision_scores(slice_)
+            relevance_scores(slice_, ACTION_TO_VISION)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -178,8 +179,8 @@ class TestAttentionScores:
             rows /= rows.sum(axis=-1, keepdims=True)
             slice_ = AttentionSlice(text_rows=rows, action_row=rows[:, 0, :], source_timestep=0)
             for scores, pool in [
-                (text_to_vision_scores(slice_), rows),
-                (action_to_vision_scores(slice_), rows[:, 0, :]),
+                (relevance_scores(slice_, TEXT_TO_VISION), rows),
+                (relevance_scores(slice_, ACTION_TO_VISION), rows[:, 0, :]),
             ]:
                 per_patch_min = pool.reshape(-1, 8).min(axis=0)
                 per_patch_max = pool.reshape(-1, 8).max(axis=0)

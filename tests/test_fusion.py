@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,13 @@ from ttfusion.fusion import (
     step,
 )
 from ttfusion.synthetic import SynthSpec, generate_frames
-from ttfusion.toy_encoder import EncoderSpec, ToyEncoder, encode
+from ttfusion.toy_encoder import EncoderSpec, ToyEncoder
+
+
+def encode(frame, spec, gray=None):
+    """The frame's (N, d) tokens, every row encoded in one call."""
+    encoder = ToyEncoder(spec)
+    return encoder.tokens(encoder.features(frame, gray), None)
 
 
 def small_config(**overrides):
@@ -46,11 +54,13 @@ def rates_of(steps):
 
 
 class StubEncoder:
-    """Fixed tokens per timestep; attention slice optional."""
+    """Fixed tokens per timestep; attention slice optional, stamped with
+    each frame's timestep unless ``stale``."""
 
-    def __init__(self, tokens_by_step, attention=None):
+    def __init__(self, tokens_by_step, attention=None, stale=False):
         self.tokens_by_step = tokens_by_step
         self.slice_ = attention
+        self.stale = stale
 
     def features(self, frame, gray):
         return self.tokens_by_step[frame.timestep]
@@ -59,7 +69,9 @@ class StubEncoder:
         return features if rows is None else features[rows]
 
     def attention(self, frame, features, mode):
-        return self.slice_
+        if self.slice_ is None or self.stale:
+            return self.slice_
+        return dataclasses.replace(self.slice_, source_timestep=frame.timestep)
 
 
 class CountingEncoder:
@@ -203,7 +215,7 @@ class TestStep:
         assert result.pixel_mask.all() and result.attention_mask.all()
         assert state.timestep == 1
         assert state.prev_tokens is result.fused_tokens
-        assert state.prev_attention is not None
+        assert state.prev_scores is not None
 
     def test_static_frames_reuse_everything_when_detection_off(self):
         frames = small_frames(2)
@@ -276,7 +288,7 @@ class TestStep:
         encoder = StubEncoder(tokens, attention=None)
         config = small_config(keyframe_interval=100)
         _, state = step(FusionState(), small_frames(2)[0], encoder, config)
-        assert state.prev_attention is None
+        assert state.prev_scores is None
         result, _ = step(state, small_frames(2)[1], encoder, config)
         assert result.attention_mask.all()
         assert result.fusion_rate == 0.0
@@ -345,18 +357,26 @@ class TestStep:
         assert np.array_equal(result.fused_tokens[[1, 3]], np.zeros((2, 8)))
 
     def test_stale_attention_rejected(self):
-        # Every step hands back attention from timestep 0; step 2 must not
-        # select patches with it.
+        # Every step hands back attention from timestep 0; step 1 must reject
+        # it, in its own step, before step 2 could select patches with it.
         stale = AttentionSlice(
             text_rows=np.full((2, 2, 4), 0.25), action_row=None, source_timestep=0
         )
-        encoder = StubEncoder({t: np.zeros((4, 8)) for t in range(3)}, attention=stale)
+        encoder = StubEncoder({t: np.zeros((4, 8)) for t in range(3)}, attention=stale, stale=True)
         config = small_config(keyframe_interval=100)
         frames = small_frames(3)
         _, state = step(FusionState(), frames[0], encoder, config)
-        _, state = step(state, frames[1], encoder, config)
-        with pytest.raises(ValueError, match="stale attention"):
-            step(state, frames[2], encoder, config)
+        with pytest.raises(ValueError, match="stale attention: step 1 got attention from timestep 0"):
+            step(state, frames[1], encoder, config)
+
+    @pytest.mark.parametrize("patches", [3, 5])
+    def test_slice_of_another_patch_count_fails_its_own_step(self, patches):
+        text = np.full((2, 1, patches), 1.0 / patches)
+        encoder = StubEncoder({0: np.zeros((4, 8))}, attention=AttentionSlice(
+            text_rows=text, action_row=None, source_timestep=0
+        ))
+        with pytest.raises(ValueError, match=f"covers {patches} patches, expected 4"):
+            step(FusionState(), small_frames(1)[0], encoder, small_config(keyframe_interval=100))
 
     def test_diffs_recorded_on_non_keyframes(self):
         # The step thresholds the diffs its shared observation records.
@@ -613,6 +633,22 @@ class TestLockstep:
                 assert array.dtype == np.float64
                 assert array.flags.c_contiguous
 
+    def test_scores_reduced_once_per_frame_and_mode(self, monkeypatch):
+        calls = []
+        original = ttfusion.detection.relevance_scores
+
+        def counting(slice_, mode):
+            calls.append((slice_.source_timestep, mode))
+            return original(slice_, mode)
+
+        monkeypatch.setattr(ttfusion.detection, "relevance_scores", counting)
+        frames = self.walker_frames()
+        for _ in lockstep(frames, small_encoder(), self.configs()):
+            pass
+        # K = 3 and K = 6 read each frame's scores unless their next step is
+        # a keyframe; both share one reduction.
+        assert calls == [(t, "text_to_vision") for t in range(len(frames)) if (t + 1) % 6]
+
     def test_frames_may_be_an_iterator(self):
         frames = self.walker_frames()
         streamed = lockstep(iter(frames), small_encoder(), self.configs())
@@ -659,7 +695,10 @@ class TestEncodesOnlyWhatTheStepReads:
         for frame in frames:
             _, state = step(state, frame, encoder, config)
             next_is_keyframe = (frame.timestep + 1) % keyframe_interval == 0
-            assert (state.prev_attention is None) == next_is_keyframe
+            assert (state.prev_scores is None) == next_is_keyframe
+            if state.prev_scores is not None:
+                assert state.prev_scores.shape == (4,)
+                assert not state.prev_scores.flags.writeable
         assert [t for t, _ in encoder.attention_calls] == [
             t for t in range(len(frames)) if (t + 1) % keyframe_interval
         ]

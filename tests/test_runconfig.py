@@ -138,7 +138,6 @@ class TestSweepParameters:
     def test_aliases_map_to_canonical_fields(self):
         config = config_from(MINIMAL)
         assert apply_parameter(config, "K", 7).fusion.keyframe_interval == 7
-        assert apply_parameter(config, "keyframe_interval", 7).fusion.keyframe_interval == 7
         assert apply_parameter(config, "tau_pixel", 0.5).fusion.pixel_threshold == 0.5
         assert apply_parameter(config, "k", 10).fusion.top_k == 10
 

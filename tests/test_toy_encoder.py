@@ -14,7 +14,13 @@ from ttfusion.frames import (
 )
 from ttfusion.projection import CHUNK_ROWS, project_full
 from ttfusion.synthetic import SynthSpec, generate_frames
-from ttfusion.toy_encoder import EncoderSpec, ToyEncoder, encode, synth_attention
+from ttfusion.toy_encoder import EncoderSpec, ToyEncoder, synth_attention
+
+
+def encode(frame, spec, gray=None):
+    """The frame's (N, d) tokens, every row encoded in one call."""
+    encoder = ToyEncoder(spec)
+    return encoder.tokens(encoder.features(frame, gray), None)
 
 
 def frame_from_gray_levels(levels, width=28, height=28, timestep=0):
@@ -236,8 +242,8 @@ class TestMatchesReferencePath:
         # its tokens, in any number of row sets, and both attention kinds.
         shared = SharedObservation(frame, ToyEncoder(SPEC))
         shared.tokens(np.array([1, 3]))
-        shared.attention(TEXT_TO_VISION)
-        shared.attention(ACTION_TO_VISION)
+        shared.scores(TEXT_TO_VISION)
+        shared.scores(ACTION_TO_VISION)
         shared.tokens(None)
         assert calls == {"features": 3, "grayscale": 2}
 
@@ -288,7 +294,7 @@ class TestToyEncoder:
         features = encoder.features(frame)
         assert encoder.tokens(features, None).shape == (4, 16)
         assert encoder.tokens(features, np.array([2])).shape == (1, 16)
-        assert encoder.attention(frame, features, TEXT_TO_VISION).head_count == 2
+        assert encoder.attention(frame, features, TEXT_TO_VISION).text_rows.shape[0] == 2
 
     def test_given_grayscale_matches_computed_one(self):
         frame = frame_from_gray_levels([10, 80, 160, 250])
