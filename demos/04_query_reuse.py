@@ -14,7 +14,7 @@ from ttfusion.toy_encoder import EncoderSpec, ToyEncoder
 frames = iter_frames(
     SynthSpec(frame_count=30, width=224, height=224, walker=True, noise_amplitude=0.05, seed=5)
 )
-config = FusionConfig(keyframe_interval=3, token_dim=64)
+config = FusionConfig(keyframe_interval=3)
 checker = ReuseChecker(ProjectionSet.generate(dim=64, seed=5), rows=256)
 
 checks, rates_match = [], True

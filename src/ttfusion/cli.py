@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from .frames import FrameError
 from .report import InvariantError, sweep_csv, write_report
-from .runconfig import ConfigError, load_config_file, parse_sweep_values
+from .runconfig import SWEEP_PARAMETERS, ConfigError, load_config_file, parse_sweep_values
 from .tensor_io import TensorFormatError
 
 EXIT_OK = 0
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep over shared frames")
     common(sweep)
-    sweep.add_argument("--param", required=True, help="one of K, tau_pixel, k")
+    sweep.add_argument("--param", required=True, help=f"one of {', '.join(SWEEP_PARAMETERS)}")
     sweep.add_argument("--values", required=True, help="comma-separated values")
 
     verify = sub.add_parser(
@@ -66,8 +66,6 @@ def _load_config(args):
     config = load_config_file(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-        if config.synth is not None:
-            config = replace(config, synth=replace(config.synth, seed=args.seed))
     if args.out is not None:
         config = replace(config, output_dir=args.out)
     return config

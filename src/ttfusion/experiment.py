@@ -31,7 +31,7 @@ from .report import build_report, build_sweep_summary, load_report, step_record,
 from .runconfig import ATTENTION_SOURCE_TENSOR_FILES, RunConfig, apply_parameter, config_echo
 from .synthetic import FRAME_NAME, iter_frames
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
-from .toy_encoder import EncoderSpec, ToyEncoder
+from .toy_encoder import ToyEncoder
 
 logger = logging.getLogger("ttfusion")
 
@@ -42,8 +42,7 @@ TOKEN_NAME = "fused_{:06d}.ttft"
 TEXT_ATTENTION_NAME = "attn_text_{:06d}.ttft"
 ACTION_ATTENTION_NAME = "attn_action_{:06d}.ttft"
 REPORT_NAME = "report.json"
-_ATTENTION_NAMES = {"text": TEXT_ATTENTION_NAME, "action": ACTION_ATTENTION_NAME}
-_ATTENTION_KINDS = {TEXT_TO_VISION: "text", ACTION_TO_VISION: "action"}
+_ATTENTION_NAMES = {TEXT_TO_VISION: TEXT_ATTENTION_NAME, ACTION_TO_VISION: ACTION_ATTENTION_NAME}
 
 
 @dataclass
@@ -101,30 +100,28 @@ class TensorFileAttentionEncoder(ToyEncoder):
     """Toy tokens with attention slices read from tensor files.
 
     Each timestep t reads one file under the attention directory, of the
-    kind the attention mode uses: attn_text_%06d.ttft (heads x text tokens
-    x patches) or attn_action_%06d.ttft (heads x patches).  Files of the
-    other kind are never read.
+    kind the run's attention ``mode`` uses: attn_text_%06d.ttft (heads x
+    text tokens x patches) for text_to_vision, else attn_action_%06d.ttft
+    (heads x patches).  Files of the other kind are never read.
     """
 
     attention_dir: str
-    required: str  # "text" or "action"
+    mode: str
 
     def attention(self, frame: FrameObservation, features, mode: str) -> AttentionSlice:
         """Timestep t's slice, read from its file.  A tensor whose rank or
         patch count does not fit the frame raises ``TensorFormatError``
         ("bad-shape"); weights an ``AttentionSlice`` rejects raise
         ``ValueError``.  Both name the file."""
-        if _ATTENTION_KINDS.get(mode) != self.required:
-            raise ValueError(
-                f"{mode!r} attention asked of a run that reads attn_{self.required} files"
-            )
-        name = _ATTENTION_NAMES[self.required].format(frame.timestep)
+        if mode != self.mode:
+            raise ValueError(f"{mode!r} attention asked of a run in mode {self.mode!r}")
+        name = _ATTENTION_NAMES[mode].format(frame.timestep)
         path = os.path.join(self.attention_dir, name)
         # The file was checked before step 0; read_tensor names it if it has
         # gone since.
         rows = read_tensor(path)
         n = PatchGrid.for_frame(frame).patch_count
-        text = self.required == "text"
+        text = mode == TEXT_TO_VISION
         expected = ("heads", "text tokens", n) if text else ("heads", n)
         if rows.ndim != len(expected) or rows.shape[-1] != n:
             raise TensorFormatError(
@@ -140,11 +137,11 @@ class TensorFileAttentionEncoder(ToyEncoder):
             raise ValueError(f"{path}: {exc}") from exc
 
     def check_file_set(self, frame_count: int) -> None:
-        """Check the required kind's files against the frames before any
+        """Check the mode's files against the frames before any
         step runs: ``FileNotFoundError`` names the first index in
         0..frame_count - 1 without a file, ``FileExistsError`` the first file
         whose index is past the last frame."""
-        name = _ATTENTION_NAMES[self.required]
+        name = _ATTENTION_NAMES[self.mode]
         files = numbered_files(self.attention_dir, name)
         for t in range(frame_count):
             if t not in files:
@@ -162,21 +159,14 @@ def build_encoder(config: RunConfig, frame_count: int):
     """The run's encoder.  A tensor-file encoder's files are first checked
     against the frame count, so a missing or misnumbered attention tensor
     fails before any step runs."""
-    spec = EncoderSpec(
-        token_dim=config.fusion.token_dim,
-        seed=config.seed,
-        text_token_count=config.text_tokens,
-        head_count=config.heads,
-    )
     if config.attention_source == ATTENTION_SOURCE_TENSOR_FILES:
         encoder = TensorFileAttentionEncoder(
-            spec=spec,
-            attention_dir=config.attention_dir,
-            required=_ATTENTION_KINDS[config.fusion.attention_mode],
+            spec=config.encoder_spec, attention_dir=config.attention_dir,
+            mode=config.fusion.attention_mode,
         )
         encoder.check_file_set(frame_count)
         return encoder
-    return ToyEncoder(spec)
+    return ToyEncoder(config.encoder_spec)
 
 
 def open_frames(config: RunConfig) -> tuple[Iterable[FrameObservation], int]:
@@ -186,7 +176,7 @@ def open_frames(config: RunConfig) -> tuple[Iterable[FrameObservation], int]:
     if config.frames_dir is not None:
         frames = load_frames_dir(config.frames_dir)
         return frames, len(frames)
-    return iter_frames(config.synth), config.synth.frame_count
+    return iter_frames(config.synth), config.synth_frames
 
 
 class _Point:
@@ -197,7 +187,7 @@ class _Point:
         self.config = config
         self.out_dir = out_dir
         self.checker = ReuseChecker(
-            ProjectionSet.generate(config.fusion.token_dim, config.seed),
+            ProjectionSet.generate(config.token_dim, config.seed),
             config.fusion.grid.patch_count,
         )
         self.checks: list[EquivalenceCheck] = []

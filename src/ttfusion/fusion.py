@@ -45,7 +45,6 @@ class FusionConfig:
     target_reuse_rate: float = 0.3
     width: int = 224
     height: int = 224
-    token_dim: int = 64
     enable_pixel: bool = True
     enable_attention: bool = True
 
@@ -62,8 +61,6 @@ class FusionConfig:
             raise ValueError(f"unknown selection mode {self.selection_mode!r}")
         if not 0.0 <= self.target_reuse_rate <= 1.0:
             raise ValueError("target reuse rate must lie in [0, 1]")
-        if self.token_dim < 1:
-            raise ValueError("token dim must be positive")
         PatchGrid.from_dims(self.width, self.height)
 
     @property

@@ -17,9 +17,12 @@ from .projection import EquivalenceCheck
 
 REPORT_FORMAT = "ttf-report-v1"
 SWEEP_FORMAT = "ttf-sweep-v1"
-# The step record fields that the aggregates and verify-qreuse read.
-_STEP_FIELDS = ("t", "is_keyframe", "fusion_rate", "saved_multiplications",
-                "query_error", "key_error", "value_error")
+# What load_report reads of a report, by the type the writer gives it: its
+# parts, echo fields and step record fields.
+_REPORT_FIELDS = {"format": str, "config": dict, "steps": list, "aggregates": dict}
+_ECHO_FIELDS = {"width": int, "height": int, "token_dim": int, "seed": int}
+_STEP_FIELDS = {"t": int, "is_keyframe": bool, "fusion_rate": float, "saved_multiplications": int,
+                "query_error": float, "key_error": float, "value_error": float}
 
 
 class InvariantError(RuntimeError):
@@ -82,33 +85,40 @@ def write_report(path: str | os.PathLike, report: dict) -> None:
 
 def load_report(path: str | os.PathLike) -> dict:
     """Load a report and check it: format, the fields that the aggregates and
-    verify-qreuse read, ``t == i`` in record i, and the aggregates re-derived
-    from the records.  A defect raises ``InvariantError`` naming the file."""
+    verify-qreuse read and their types, ``t == i`` in record i, and the
+    aggregates re-derived from the records.  A defect raises
+    ``InvariantError`` naming the file."""
     with open(path, "r", encoding="ascii") as fh:
         try:
             report = json.load(fh)
         except ValueError as exc:
             raise InvariantError(f"{path}: not a JSON report: {exc}") from exc
-    _require(path, "report", report, ("format", "config", "steps", "aggregates"))
+    _require(path, "report", report, _REPORT_FIELDS)
     if report["format"] != REPORT_FORMAT:
         raise InvariantError(f"{path}: unknown report format {report['format']!r}")
-    _require(path, "config echo", report["config"], ("width", "height", "token_dim", "seed"))
-    if not isinstance(report["steps"], list):
-        raise InvariantError(f"{path}: steps is not a list")
+    _require(path, "config echo", report["config"], _ECHO_FIELDS)
     for i, record in enumerate(report["steps"]):
+        # A t off its place is named as such, even when it is no integer.
+        t = record.get("t") if isinstance(record, dict) else None
+        if t is not None and (type(t) is not int or t != i):
+            raise InvariantError(f"{path}: step record {i} has t = {t!r}, expected {i}")
         _require(path, f"step record {i}", record, _STEP_FIELDS)
-        if type(record["t"]) is not int or record["t"] != i:
-            raise InvariantError(f"{path}: step record {i} has t = {record['t']!r}, expected {i}")
     recomputed = _aggregates_from_steps(report["steps"])
-    if recomputed != report.get("aggregates"):
+    if recomputed != report["aggregates"]:
         raise InvariantError(f"{path}: stored aggregates disagree with per-step records")
     return report
 
 
-def _require(path, what: str, record, keys: tuple) -> None:
-    missing = [key for key in keys if key not in record] if isinstance(record, dict) else keys
+def _require(path, what: str, record, fields: dict) -> None:
+    missing = [key for key in fields if key not in record] if isinstance(record, dict) else fields
     if missing:
         raise InvariantError(f"{path}: {what} lacks {', '.join(missing)}")
+    # type(), not isinstance(): the writer writes no true for 1, nor 1 for 1.0.
+    for key, kind in fields.items():
+        if type(record[key]) is not kind:
+            raise InvariantError(
+                f"{path}: {what} has {key} = {record[key]!r}, expected {kind.__name__}"
+            )
 
 
 def build_sweep_summary(parameter: str, points: list[dict]) -> dict:

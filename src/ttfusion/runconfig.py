@@ -3,7 +3,8 @@
 One ``key = value`` per line, ``#`` starts a comment, unknown keys are
 rejected.  A run reads frames either from a directory (``frames_dir``) or
 from a synthetic recipe (``synth_frames`` plus the ``synth_*`` knobs);
-exactly one of the two must be present.
+exactly one of the two must be present, and the other ``synth_*`` keys need
+``synth_frames``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from .fusion import FusionConfig
 from .synthetic import SynthSpec
+from .toy_encoder import EncoderSpec
 
 ATTENTION_SOURCE_TOY = "toy"
 ATTENTION_SOURCE_TENSOR_FILES = "tensor_files"
@@ -52,38 +54,35 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-# A config key's parser, by the annotation of the field the key sets.
-_TYPE_PARSERS = {
-    "int": _parse_int,
-    "float": _parse_float,
-    "bool": _parse_bool,
-    "str": str,
-    "str | None": str,
-}
+# A config key's parser, by the annotation of the field the key sets; an
+# optional field's key parses as the type.
+_TYPE_PARSERS = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool, "str": str}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved experiment configuration.
-
-    The field defaults here and on ``FusionConfig`` and ``SynthSpec`` are
-    the defaults of the config file keys.
-    """
+    """Resolved experiment configuration: each config key is the field of
+    the same name here or on ``fusion``.  ``synth`` and ``encoder_spec`` are
+    built from these fields, once here so that a bad value fails at load."""
 
     fusion: FusionConfig = FusionConfig()
     frames_dir: str | None = None
-    synth: SynthSpec | None = None
+    synth_frames: int | None = None
+    synth_change_fraction: float = SynthSpec.change_fraction
+    synth_walker: bool = SynthSpec.walker
+    synth_noise: float = SynthSpec.noise_amplitude
     seed: int = 0
     output_dir: str = "out"
     attention_source: str = ATTENTION_SOURCE_TOY
     attention_dir: str | None = None
     emit_masks: bool = False
     emit_tokens: bool = False
-    text_tokens: int = 8
-    heads: int = 4
+    token_dim: int = EncoderSpec.token_dim
+    text_tokens: int = EncoderSpec.text_token_count
+    heads: int = EncoderSpec.head_count
 
     def __post_init__(self) -> None:
-        if (self.frames_dir is None) == (self.synth is None):
+        if (self.frames_dir is None) == (self.synth_frames is None):
             raise ConfigError("exactly one of frames_dir / synth_frames must be set")
         if self.attention_source not in ATTENTION_SOURCES:
             raise ConfigError(f"unknown attention source {self.attention_source!r}")
@@ -91,23 +90,34 @@ class RunConfig:
             raise ConfigError("attention_source = tensor_files requires attention_dir")
         if self.seed < 0 or self.seed >= (1 << 64):
             raise ConfigError("seed must fit in 64 bits")
+        try:
+            self.synth, self.encoder_spec
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    @property
+    def synth(self) -> SynthSpec | None:
+        """The synthetic episode of the ``synth_*`` keys at the run's frame
+        size and seed, or None for a run that reads ``frames_dir``."""
+        if self.synth_frames is None:
+            return None
+        return SynthSpec(
+            frame_count=self.synth_frames, width=self.fusion.width, height=self.fusion.height,
+            change_fraction=self.synth_change_fraction, walker=self.synth_walker,
+            noise_amplitude=self.synth_noise, seed=self.seed,
+        )
+
+    @property
+    def encoder_spec(self) -> EncoderSpec:
+        return EncoderSpec(token_dim=self.token_dim, seed=self.seed,
+                           text_token_count=self.text_tokens, head_count=self.heads)
 
 
-# Config keys that are SynthSpec fields under another name.  Every other
-# key is a RunConfig field (but the nested fusion and synth) or a
-# FusionConfig field of the same name, and each key takes its field's type.
-_SYNTH_FIELDS = {
-    "synth_frames": "frame_count",
-    "synth_change_fraction": "change_fraction",
-    "synth_walker": "walker",
-    "synth_noise": "noise_amplitude",
-}
-_RUN_FIELDS = [f for f in fields(RunConfig) if f.name not in ("fusion", "synth")]
-_RUN_KEYS = tuple(f.name for f in _RUN_FIELDS)
+_RUN_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "fusion")
+_SYNTH_KEYS = tuple(key for key in _RUN_KEYS if key.startswith("synth_"))
 _FUSION_KEYS = tuple(f.name for f in fields(FusionConfig))
-_SYNTH_TYPES = {f.name: f.type for f in fields(SynthSpec)}
-_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in _RUN_FIELDS + list(fields(FusionConfig))}
-_PARSERS.update((key, _TYPE_PARSERS[_SYNTH_TYPES[f]]) for key, f in _SYNTH_FIELDS.items())
+_PARSERS = {f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")]
+            for f in fields(RunConfig) + fields(FusionConfig) if f.name != "fusion"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -135,26 +145,20 @@ def build_run_config(values: dict) -> RunConfig:
     """Resolve raw values into a validated RunConfig.
 
     Only the keys present in ``values`` are passed on, so every absent key
-    takes its dataclass field default.  ``SynthSpec`` also gets the run's
-    frame size and seed.
+    takes its dataclass field default.
     """
     unknown = set(values) - set(_PARSERS)
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
+    if "synth_frames" not in values:
+        stray = [k for k in _SYNTH_KEYS if k in values]
+        if stray:
+            raise ConfigError(f"{', '.join(stray)} set without synth_frames")
     try:
         fusion = FusionConfig(**{k: values[k] for k in _FUSION_KEYS if k in values})
-        synth = None
-        if "synth_frames" in values:
-            synth = SynthSpec(
-                width=fusion.width,
-                height=fusion.height,
-                seed=values.get("seed", RunConfig.seed),
-                **{f: values[k] for k, f in _SYNTH_FIELDS.items() if k in values},
-            )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    run = {k: values[k] for k in _RUN_KEYS if k in values}
-    return RunConfig(fusion=fusion, synth=synth, **run)
+    return RunConfig(fusion=fusion, **{k: values[k] for k in _RUN_KEYS if k in values})
 
 
 def load_config_file(path: str | os.PathLike) -> RunConfig:
@@ -168,7 +172,8 @@ SWEEP_PARAMETERS = {"K": "keyframe_interval", "tau_pixel": "pixel_threshold", "k
 
 def _sweep_key(name: str) -> str:
     if name not in SWEEP_PARAMETERS:
-        raise ConfigError(f"unknown sweep parameter {name!r} (expected one of K, tau_pixel, k)")
+        expected = ", ".join(SWEEP_PARAMETERS)
+        raise ConfigError(f"unknown sweep parameter {name!r} (expected one of {expected})")
     return SWEEP_PARAMETERS[name]
 
 
@@ -208,7 +213,7 @@ def config_echo(config: RunConfig) -> dict:
     The ``synth_*`` keys echo None for a run that reads frames from disk.
     """
     echo = {k: getattr(config, k) for k in _RUN_KEYS if k != "output_dir"}
-    synth = config.synth
-    echo.update({k: getattr(synth, f) if synth else None for k, f in _SYNTH_FIELDS.items()})
+    if config.synth_frames is None:
+        echo.update(dict.fromkeys(_SYNTH_KEYS))
     echo.update(asdict(config.fusion))
     return echo

@@ -267,9 +267,7 @@ def test_c10_throughput_and_d_independent_detection(monkeypatch):
 
     def record_detection_calls(token_dim):
         samples.update(per_call[token_dim])
-        for _ in lockstep(
-            spot_frames, toy(111, token_dim=token_dim), [FusionConfig(token_dim=token_dim)]
-        ):
+        for _ in lockstep(spot_frames, toy(111, token_dim=token_dim), [FusionConfig()]):
             pass
 
     # Five trials per width, the widths alternating so that a drift in

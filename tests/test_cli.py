@@ -6,6 +6,7 @@ import pytest
 from ttfusion.cli import main
 from ttfusion.frames import read_pgm, write_pgm
 from ttfusion.report import _aggregates_from_steps
+from ttfusion.runconfig import SWEEP_PARAMETERS
 from ttfusion.tensor_io import read_tensor, write_tensor
 
 SMALL = """
@@ -139,6 +140,27 @@ class TestRun:
         b = read_report(out_b)
         assert a["config"]["seed"] == 13 and b["config"]["seed"] == 99
 
+    def test_seed_override_equals_seed_in_the_config(self, tmp_path):
+        text = SMALL + "synth_noise = 0.05\nsynth_change_fraction = 0.3\n"
+        overridden = write_config(tmp_path, text, name="a.cfg")
+        written = write_config(tmp_path, text.replace("seed = 13", "seed = 7"), name="b.cfg")
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", overridden, "--out", str(out_a), "--seed", "7"]) == 0
+        assert main(["run", "--config", written, "--out", str(out_b)]) == 0
+        assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+
+    def test_synth_key_in_a_frames_dir_config_exits_2_naming_it(self, tmp_path, capsys):
+        frames_dir = tmp_path / "frames"
+        assert main(["synth", "--config", write_config(tmp_path, SMALL, name="synth.cfg"),
+                     "--out", str(frames_dir)]) == 0
+        config = write_config(
+            tmp_path, f"frames_dir = {frames_dir}\nwidth = 28\nheight = 28\nsynth_noise = 0.5\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert "config error: synth_noise set without synth_frames" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_frames_dir_round_trip(self, tmp_path):
         synth_config = write_config(tmp_path, SMALL, name="synth.cfg")
         frames_dir = tmp_path / "frames"
@@ -182,6 +204,19 @@ class TestSynth:
         config = write_config(tmp_path, noisy.replace("synth_frames = 6", "synth_frames = 8"))
         assert main(["synth", "--config", config, "--out", str(frames), "--seed", "5"]) == 0
         assert {p.name: p.read_bytes() for p in frames.iterdir()} != before
+
+    @pytest.mark.parametrize(
+        "key,message",
+        [("heads", "need at least one head"), ("text_tokens", "need at least one text token"),
+         ("token_dim", "token dim must be positive")],
+    )
+    def test_bad_encoder_key_exits_2_without_frames(self, tmp_path, capsys, key, message):
+        # The synth command builds no encoder, but every key is checked at load.
+        config = write_config(tmp_path, SMALL.replace("token_dim = 8", "") + f"{key} = 0\n")
+        out = tmp_path / "f"
+        assert main(["synth", "--config", config, "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_requires_synth_spec(self, tmp_path, capsys):
         config = write_config(tmp_path, "frames_dir = somewhere\n")
@@ -331,6 +366,17 @@ class TestSweep:
         ) == 2
         assert f"unknown sweep parameter {param!r}" in capsys.readouterr().err
 
+    def test_parameter_names_come_from_one_table(self, tmp_path, capsys, monkeypatch):
+        # The --param help and the unknown-parameter message both list the
+        # names of SWEEP_PARAMETERS, so a name added there shows in both.
+        monkeypatch.setitem(SWEEP_PARAMETERS, "k_attn", "top_k")
+        config = write_config(tmp_path, SMALL)
+        assert main(["sweep", "--config", config, "--param", "bogus", "--values", "2"]) == 2
+        assert "(expected one of K, tau_pixel, k, k_attn)" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        assert "one of K, tau_pixel, k, k_attn" in " ".join(capsys.readouterr().out.split())
+
 
 class TestFramesDirectory:
     def test_frame_removed_mid_run_exits_3_without_a_report(self, tmp_path, capsys, monkeypatch):
@@ -442,6 +488,30 @@ class TestVerifyQReuse:
         )
         assert main(["verify-qreuse", "--run", str(out)]) == 4
         assert f"invariant violation: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "part,key,value,kind",
+        [("config", "width", "28", "int"), ("config", "width", True, "int"),
+         ("config", "height", 28.0, "int"), ("config", "token_dim", None, "int"),
+         ("config", "seed", "13", "int"), ("step", "fusion_rate", "0.5", "float"),
+         ("step", "fusion_rate", 0, "float"), ("step", "is_keyframe", 0, "bool"),
+         ("step", "saved_multiplications", 1.5, "int"),
+         ("step", "saved_multiplications", False, "int"), ("step", "query_error", "0", "float"),
+         ("step", "key_error", None, "float"), ("step", "value_error", [0.0], "float")],
+    )
+    def test_field_of_the_wrong_type_exits_4_naming_it(
+        self, tmp_path, capsys, part, key, value, kind
+    ):
+        out = self.run_with_artifacts(tmp_path)
+        path = out / "report.json"
+        report = json.loads(path.read_text())
+        record = report["config"] if part == "config" else report["steps"][1]
+        record[key] = value
+        path.write_text(json.dumps(report))
+        assert main(["verify-qreuse", "--run", str(out)]) == 4
+        what = "config echo" if part == "config" else "step record 1"
+        expected = f"invariant violation: {path}: {what} has {key} = {value!r}, expected {kind}"
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", ["drop", "swap", "float"])
     def test_missing_or_reordered_step_exits_4(self, tmp_path, capsys, edit):

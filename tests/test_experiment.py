@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,13 +214,13 @@ class TestTensorFileAttention:
         encoder = TensorFileAttentionEncoder(
             spec=EncoderSpec(token_dim=8, seed=0, text_token_count=2, head_count=2),
             attention_dir=str(attention_dir),
-            required="text",
+            mode="text_to_vision",
         )
         frames = generate_frames(build_run_config(small_values(synth_frames=1)).synth)
         slice_ = encoder.attention(frames[0], encoder.features(frames[0]), "text_to_vision")
         assert slice_.text_rows.dtype == np.float64
         assert slice_.action_row is None
-        with pytest.raises(ValueError, match="reads attn_text files"):
+        with pytest.raises(ValueError, match="asked of a run in mode 'text_to_vision'"):
             encoder.attention(frames[0], encoder.features(frames[0]), "action_to_vision")
 
     @pytest.mark.parametrize("content", ["three_heads", "junk"])
@@ -257,7 +258,7 @@ class TestTensorFileAttention:
         encoder = TensorFileAttentionEncoder(
             spec=EncoderSpec(token_dim=8, seed=0, text_token_count=2, head_count=2),
             attention_dir=str(attention_dir),
-            required="text",
+            mode="text_to_vision",
         )
         encoder.check_file_set(5)
         (attention_dir / "attn_text_1000000.ttft").touch()
@@ -344,6 +345,18 @@ class TestSweep:
         assert summary["points"][2]["mean_fusion_rate_non_keyframe"] > 0.0
 
 
+class TestSeed:
+    def test_replaced_seed_gives_the_report_of_that_seed_in_the_config(self):
+        # The frames, the encoder and the projections all follow the seed.
+        synth = dict(synth_frames=12, synth_change_fraction=0.3, synth_noise=0.05, top_k=2)
+        replaced = replace(build_run_config(small_values(**synth)), seed=7)
+        written = build_run_config(small_values(seed=7, **synth))
+        assert replaced == written
+        report = run_experiment(replaced).report
+        assert report["config"]["seed"] == 7
+        assert serialize_report(report) == serialize_report(run_experiment(written).report)
+
+
 class TestOutputs:
     def test_token_dumps_written_for_every_step(self, tmp_path):
         config = build_run_config(small_values(emit_tokens=True))
@@ -419,7 +432,7 @@ class TestStreaming:
         configs = self.sweep_configs(13, size=56, top_k=2)
         for config, result in zip(configs, run_points(configs)):
             steps = run_steps(config)
-            projections = ProjectionSet.generate(config.fusion.token_dim, config.seed)
+            projections = ProjectionSet.generate(config.token_dim, config.seed)
             checker = ReuseChecker(projections, config.fusion.grid.patch_count)
             checks = [checker.check(s.fused_tokens, s.fusion_mask) for s in steps]
             assert checks == result.checks

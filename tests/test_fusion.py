@@ -30,7 +30,7 @@ def encode(frame, spec, gray=None):
 
 
 def small_config(**overrides):
-    defaults = dict(width=28, height=28, token_dim=8, top_k=2)
+    defaults = dict(width=28, height=28, top_k=2)
     defaults.update(overrides)
     return FusionConfig(**defaults)
 

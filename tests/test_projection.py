@@ -111,9 +111,7 @@ class TestReuseCheckerOverRuns:
             walker=True,
             seed=seed,
         )
-        config = FusionConfig(
-            width=28, height=28, token_dim=8, top_k=2, keyframe_interval=keyframe_interval
-        )
+        config = FusionConfig(width=28, height=28, top_k=2, keyframe_interval=keyframe_interval)
         encoder = ToyEncoder(EncoderSpec(token_dim=8, seed=seed, text_token_count=2, head_count=2))
         return [step for [step] in lockstep(generate_frames(spec), encoder, [config])]
 

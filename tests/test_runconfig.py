@@ -1,4 +1,4 @@
-from dataclasses import asdict, fields
+from dataclasses import asdict, replace
 from typing import get_type_hints
 
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from ttfusion.fusion import FusionConfig
 from ttfusion.runconfig import (
     _PARSERS,
-    _SYNTH_FIELDS,
     SWEEP_PARAMETERS,
     ConfigError,
     RunConfig,
@@ -18,23 +17,24 @@ from ttfusion.runconfig import (
     parse_sweep_values,
 )
 from ttfusion.synthetic import SynthSpec
+from ttfusion.toy_encoder import EncoderSpec
 
 MINIMAL = "synth_frames = 6\n"
 
 
 def key_types():
-    """Each config key and the type of the dataclass field it sets, read
-    from the evaluated annotations."""
-    run = get_type_hints(RunConfig)
-    types = {f.name: run[f.name] for f in fields(RunConfig) if f.name not in ("fusion", "synth")}
+    """Each config key and the type of the dataclass field of the same name,
+    read from the evaluated annotations: every RunConfig field but the
+    nested fusion, and every FusionConfig field."""
+    types = get_type_hints(RunConfig)
+    del types["fusion"]
     types.update(get_type_hints(FusionConfig))
-    synth = get_type_hints(SynthSpec)
-    types.update({key: synth[name] for key, name in _SYNTH_FIELDS.items()})
     return types
 
 
 # A value of each field type as config text, and the message a value of
-# the wrong type gets.
+# the wrong type gets.  An optional field parses as its type.
+OPTIONAL = {str | None: str, int | None: int}
 SAMPLES = {int: ("7", 7), float: ("0.5", 0.5), bool: ("true", True), str: ("abc", "abc")}
 WRONG = {
     int: "expected integer, got 'x'",
@@ -68,7 +68,7 @@ class TestParsing:
         assert fusion.pixel_threshold == 0.03
         assert fusion.top_k == 70
         assert fusion.attention_mode == "text_to_vision"
-        assert (fusion.width, fusion.height, fusion.token_dim) == (224, 224, 64)
+        assert (fusion.width, fusion.height, config.token_dim) == (224, 224, 64)
         assert config.attention_source == "toy"
         assert not config.emit_masks
 
@@ -127,6 +127,39 @@ class TestValidation:
         assert config.synth.seed == 77
         assert config.synth.walker
 
+    @pytest.mark.parametrize(
+        "key,raw", [("synth_noise", "0.5"), ("synth_walker", "false"), ("synth_change_fraction", "0")]
+    )
+    def test_synth_key_without_synth_frames_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match=f"^{key} set without synth_frames$"):
+            config_from(f"frames_dir = frames\n{key} = {raw}\n")
+
+    @pytest.mark.parametrize(
+        "key,message",
+        [("token_dim", "token dim must be positive"), ("text_tokens", "at least one text token"),
+         ("heads", "at least one head")],
+    )
+    def test_encoder_keys_checked_at_load(self, key, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from(f"synth_frames = 6\n{key} = 0\n")
+        with pytest.raises(ConfigError, match=message):
+            config_from(f"frames_dir = frames\n{key} = 0\n")
+
+    def test_synth_spec_follows_a_replaced_seed_and_size(self):
+        config = config_from("synth_frames = 9\nseed = 3\nsynth_noise = 0.25\n")
+        seeded = replace(config, seed=7, fusion=replace(config.fusion, width=112))
+        assert seeded.synth == config_from(
+            "synth_frames = 9\nseed = 7\nsynth_noise = 0.25\nwidth = 112\n"
+        ).synth
+        assert (seeded.synth.seed, seeded.synth.width) == (7, 112)
+        assert seeded.encoder_spec.seed == 7
+
+    def test_replaced_bad_value_rejected(self):
+        with pytest.raises(ConfigError, match="at least one head"):
+            replace(config_from(MINIMAL), heads=0)
+        with pytest.raises(ConfigError, match="noise amplitude"):
+            replace(config_from(MINIMAL), synth_noise=2.0)
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("synth_frames = 4\noutput_dir = results\n")
@@ -171,6 +204,13 @@ class TestSweepParameters:
 
 
 class TestEcho:
+    def test_frames_dir_echoes_every_synth_key_as_null(self):
+        echo = config_echo(config_from("frames_dir = frames\n"))
+        synth = {k: v for k, v in echo.items() if k.startswith("synth_")}
+        assert synth == dict.fromkeys(
+            ["synth_frames", "synth_change_fraction", "synth_walker", "synth_noise"]
+        )
+
     def test_echo_round_trips_key_settings(self):
         config = config_from("synth_frames = 6\nseed = 5\ntop_k = 12\n")
         echo = config_echo(config)
@@ -192,6 +232,9 @@ class TestSingleDeclaration:
     def test_synth_defaults_are_the_dataclass_defaults(self):
         assert asdict(config_from(MINIMAL).synth) == asdict(SynthSpec(frame_count=6))
 
+    def test_encoder_defaults_are_the_dataclass_defaults(self):
+        assert config_from(MINIMAL).encoder_spec == EncoderSpec()
+
     def test_every_field_is_a_config_key(self):
         assert set(_PARSERS) == set(key_types())
         assert len(_PARSERS) == 24
@@ -199,7 +242,7 @@ class TestSingleDeclaration:
     @pytest.mark.parametrize("key", sorted(key_types()))
     def test_key_parses_a_value_of_its_fields_type(self, key):
         kind = key_types()[key]
-        kind = str if kind == str | None else kind
+        kind = OPTIONAL.get(kind, kind)
         raw, want = SAMPLES[kind]
         got = parse_config_text(f"{key} = {raw}\n")[key]
         assert (got, type(got)) == (want, kind)

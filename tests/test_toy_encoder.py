@@ -251,7 +251,7 @@ class TestMatchesReferencePath:
 def encoder_of(kind, spec, tmp_path):
     if kind == "toy":
         return ToyEncoder(spec)
-    return TensorFileAttentionEncoder(spec=spec, attention_dir=str(tmp_path), required="text")
+    return TensorFileAttentionEncoder(spec=spec, attention_dir=str(tmp_path), mode=TEXT_TO_VISION)
 
 
 class TestRowSubsets:
