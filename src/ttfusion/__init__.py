@@ -32,8 +32,6 @@ from .fusion import (
     FusionConfig,
     FusionState,
     StepResult,
-    combine_masks,
-    fuse_tokens,
     is_keyframe,
     lockstep,
     step,
@@ -68,8 +66,6 @@ __all__ = [
     "SynthSpec",
     "TensorFormatError",
     "ToyEncoder",
-    "combine_masks",
-    "fuse_tokens",
     "generate_frames",
     "is_keyframe",
     "iter_frames",

@@ -3,8 +3,8 @@
 Two independent detectors feed the fusion decision.  The pixel detector
 thresholds the mean absolute luminance change of each patch; the attention
 detector aggregates transformer attention rows into per-patch scores and
-keeps the top-k (or a reuse-rate-derived budget).  Both emit binary masks
-where 1 means "recompute this patch".
+keeps the top-k (or a reuse-rate-derived budget).  Both emit bool masks
+where True means "recompute this patch".
 """
 
 from __future__ import annotations
@@ -70,20 +70,6 @@ def _check_rows(rows: np.ndarray) -> None:
         raise ValueError("attention rows must sum to at most 1")
 
 
-def binary_mask(mask, name: str = "mask") -> np.ndarray:
-    """``mask`` as a uint8 array, after checking that every entry is 0 or 1
-    (a bool mask always is); any other entry raises ``ValueError`` starting
-    with ``name``, where a cast would silently read 0.5 or 256 as 0."""
-    values = np.asarray(mask)
-    if values.dtype == np.uint8:
-        binary = values.size == 0 or values.max() <= 1
-    else:
-        binary = values.dtype == np.bool_ or ((values == 0) | (values == 1)).all()
-    if not binary:
-        raise ValueError(f"{name} entries must be 0 or 1")
-    return values.astype(np.uint8, copy=False)
-
-
 def patch_diffs(gray_t: np.ndarray, gray_prev: np.ndarray, grid: PatchGrid) -> np.ndarray:
     """Mean absolute luminance difference of each patch between two
     grayscale planes (from ``frames.to_grayscale``).
@@ -117,12 +103,12 @@ def patch_diffs(gray_t: np.ndarray, gray_prev: np.ndarray, grid: PatchGrid) -> n
 
 
 def threshold_diffs(diffs: np.ndarray, threshold: float) -> np.ndarray:
-    """The uint8 mask of the patches whose difference (from
+    """The bool mask of the patches whose difference (from
     :func:`patch_diffs`) lies strictly above ``threshold``, so a difference
     sitting exactly on it reuses history; a negative threshold is rejected."""
     if threshold < 0.0:
         raise ValueError("pixel threshold must be non-negative")
-    return (diffs > threshold).astype(np.uint8)
+    return diffs > threshold
 
 
 def relevance_scores(slice_: AttentionSlice, mode: str) -> np.ndarray:
@@ -140,10 +126,10 @@ def relevance_scores(slice_: AttentionSlice, mode: str) -> np.ndarray:
 
 
 def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
-    """The uint8 mask of the k highest-scoring patches, lower index first on
+    """The bool mask of the k highest-scoring patches, lower index first on
     ties, so selections are reproducible.
 
-    Exactly ``min(k, N)`` entries are 1: ``k`` beyond the patch count
+    Exactly ``min(k, N)`` entries are True: ``k`` beyond the patch count
     selects every patch.
     """
     if k < 0:
@@ -153,8 +139,8 @@ def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
     take = min(k, n)
     # Stable sort of the negated scores keeps ascending-index order on ties.
     order = np.argsort(-scores, kind="stable")
-    mask = np.zeros(n, dtype=np.uint8)
-    mask[order[:take]] = 1
+    mask = np.zeros(n, dtype=bool)
+    mask[order[:take]] = True
     return mask
 
 

@@ -27,7 +27,14 @@ from .frames import (
 )
 from .fusion import StepResult, lockstep
 from .projection import EquivalenceCheck, ProjectionSet, ReuseChecker
-from .report import build_report, build_sweep_summary, load_report, step_record, write_report
+from .report import (
+    InvariantError,
+    build_report,
+    build_sweep_summary,
+    load_report,
+    step_record,
+    write_report,
+)
 from .runconfig import ATTENTION_SOURCE_TENSOR_FILES, RunConfig, apply_parameter, config_echo
 from .synthetic import FRAME_NAME, iter_frames
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
@@ -320,11 +327,14 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[EquivalenceCh
     from the config echo, and one ``ReuseChecker`` checks the steps in
     order.  A token dump that is not (patches, token_dim) raises
     ``TensorFormatError`` and a mask that is not the patch grid raises
-    ``FrameError``, each naming the file and both shapes, and a report that
-    ``load_report`` rejects raises ``InvariantError``.  Each step's dump and
-    mask are read as the check reaches the step.
+    ``FrameError``, each naming the file and both shapes.  A report that
+    ``load_report`` rejects, and a step whose mask reuses another number of
+    rows than its record says, raise ``InvariantError`` naming the mask
+    file, or the report for a keyframe.  Each step's dump and mask are read
+    as the check reaches the step.
     """
-    report = load_report(os.path.join(run_dir, REPORT_NAME))
+    report_path = os.path.join(run_dir, REPORT_NAME)
+    report = load_report(report_path)
     config = report["config"]
     grid = PatchGrid.from_dims(config["width"], config["height"])
     token_shape = (grid.patch_count, config["token_dim"])
@@ -346,7 +356,7 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[EquivalenceCh
                 f"{token_shape} (patches, token_dim)",
             )
         if record["is_keyframe"]:
-            mask = np.ones(grid.patch_count, dtype=np.uint8)
+            mask = np.ones(grid.patch_count, dtype=bool)
         else:
             mask_path = os.path.join(run_dir, MASK_DIR, MASK_NAME.format(t))
             if not os.path.exists(mask_path):
@@ -360,6 +370,13 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[EquivalenceCh
                     f"{mask_path}: mask is {image.shape}, expected "
                     f"{(grid.rows, grid.cols)} (patch grid rows, cols)",
                 )
-            mask = (image.ravel() > 0).astype(np.uint8)
-        checks.append(checker.check(tokens, mask))
+            mask = image.ravel() > 0
+        check = checker.check(tokens, mask)
+        if check.reused_rows != record["reused_rows"]:
+            source = report_path if record["is_keyframe"] else mask_path
+            raise InvariantError(
+                f"{source}: step {t} reuses {check.reused_rows} rows, "
+                f"but the report records {record['reused_rows']}"
+            )
+        checks.append(check)
     return report, checks

@@ -1,10 +1,11 @@
 """Per-timestep hard token fusion with keyframe anchoring.
 
 Each step decides patch-by-patch whether to keep the freshly encoded token
-or splice in the previous step's fused token.  The decision ORs the pixel
-and attention masks; keyframes (every K steps, or whenever history is empty)
-recompute everything and reset reuse chains.  The rolling state stores the
-*fused* tokens, so reuse chains extend until a keyframe cuts them.
+or copy the previous step's fused token bit for bit.  The decision ORs the
+pixel and attention masks; keyframes (every K steps, or whenever history is
+empty) recompute everything and reset reuse chains.  The rolling state
+stores the *fused* tokens, so reuse chains extend until a keyframe cuts
+them.
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ class FusionState:
 class StepResult:
     """Outcome of one fusion step.
 
-    On keyframes the three masks are one shared read-only all-ones array
-    and the fusion rate is 0.  ``fusion_rate`` counts the fraction of
+    The masks are bool (N,) arrays, True where the patch is recomputed.  On
+    keyframes the three masks are one shared read-only all-True array and
+    the fusion rate is 0.  ``fusion_rate`` counts the fraction of
     patches whose token was reused from history.  ``fused_tokens`` is the
     (N, d) float64 array whose row i is the token of patch i.
     """
@@ -108,47 +110,13 @@ def is_keyframe(t: int, state: FusionState, keyframe_interval: int) -> bool:
     return (t % keyframe_interval == 0) or state.prev_tokens is None
 
 
-def combine_masks(pixel_mask: np.ndarray, attention_mask: np.ndarray) -> np.ndarray:
-    """OR the two masks (``step`` passes all zeros for a disabled dimension).
-
-    An entry other than 0 or 1 in either mask raises ``ValueError``.
-    """
-    pixel_mask = detection.binary_mask(pixel_mask, "pixel mask")
-    attention_mask = detection.binary_mask(attention_mask, "attention mask")
-    if pixel_mask.shape != attention_mask.shape:
-        raise ValueError(f"mask lengths differ: {pixel_mask.shape} vs {attention_mask.shape}")
-    return (pixel_mask | attention_mask).astype(np.uint8)
-
-
-def fuse_tokens(
-    current: np.ndarray, previous: np.ndarray, fusion_mask: np.ndarray
-) -> np.ndarray:
-    """Row-wise hard selection between two (N, d) token arrays: mask 1 takes
-    the current row, 0 the previous.
-
-    Rows are copied bit-exactly; no blending.  Only the rows of ``current``
-    under mask 1 are read, so ``step`` can pass the frame's tokens with
-    just those rows encoded.  Token arrays that are not 2-D or differ in
-    shape, and a mask entry other than 0 or 1, raise ``ValueError``.
-    """
-    if current.ndim != 2:
-        raise ValueError(f"tokens must be patches x dim, not {current.shape}")
-    if current.shape != previous.shape:
-        raise ValueError(f"token shapes differ: {current.shape} vs {previous.shape}")
-    mask = np.asarray(fusion_mask)
-    if mask.shape != (len(current),):
-        raise ValueError(f"mask length {mask.shape} does not match {len(current)} patches")
-    rows = np.flatnonzero(detection.binary_mask(mask, "fusion mask"))
-    fused = previous.copy()
-    fused[rows] = current[rows]
-    return fused
-
-
 def _attention_mask(scores: np.ndarray | None, n: int, config: FusionConfig) -> np.ndarray:
+    if not config.enable_attention:
+        return np.zeros(n, dtype=bool)
     if scores is None:
         # No usable attention from the prior step: recompute everything
         # rather than risk reusing stale tokens.
-        return np.ones(n, dtype=np.uint8)
+        return np.ones(n, dtype=bool)
     if config.selection_mode == SELECTION_TOP_K:
         return detection.top_k_mask(scores, config.top_k)
     return detection.rate_target_mask(scores, config.target_reuse_rate)
@@ -199,18 +167,12 @@ def step(
     if config.enable_attention and (t + 1) % config.keyframe_interval:
         scores = shared.scores(config.attention_mode)
 
-    if is_keyframe(t, state, config.keyframe_interval):
-        ones = np.ones(n, dtype=np.uint8)
-        ones.flags.writeable = False
-        result = StepResult(
-            timestep=t,
-            is_keyframe=True,
-            fused_tokens=shared.tokens(None),
-            pixel_mask=ones,
-            attention_mask=ones,
-            fusion_mask=ones,
-            fusion_rate=0.0,
-        )
+    keyframe = is_keyframe(t, state, config.keyframe_interval)
+    if keyframe:
+        fusion_mask = np.ones(n, dtype=bool)
+        fusion_mask.flags.writeable = False
+        pixel_mask = attention_mask = fusion_mask
+        fused, fusion_rate = shared.tokens(None), 0.0
     else:
         if config.enable_pixel:
             if state.prev_gray is None:
@@ -218,28 +180,27 @@ def step(
             diffs = shared.diffs(state.prev_gray, grid)
             pixel_mask = detection.threshold_diffs(diffs, config.pixel_threshold)
         else:
-            pixel_mask = np.zeros(n, dtype=np.uint8)
-        if config.enable_attention:
-            attention_mask = _attention_mask(state.prev_scores, n, config)
-        else:
-            attention_mask = np.zeros(n, dtype=np.uint8)
-        fusion_mask = combine_masks(pixel_mask, attention_mask)
-
-        current = shared.tokens(np.flatnonzero(fusion_mask))
-        fused = fuse_tokens(current, state.prev_tokens, fusion_mask)
-        result = StepResult(
-            timestep=t,
-            is_keyframe=False,
-            fused_tokens=fused,
-            pixel_mask=pixel_mask,
-            attention_mask=attention_mask,
-            fusion_mask=fusion_mask,
-            fusion_rate=int(np.count_nonzero(fusion_mask == 0)) / n,
-        )
-
+            pixel_mask = np.zeros(n, dtype=bool)
+        attention_mask = _attention_mask(state.prev_scores, n, config)
+        fusion_mask = pixel_mask | attention_mask
+        rows = np.flatnonzero(fusion_mask)
+        # Hard fusion: recomputed rows come from this frame's tokens, the
+        # rest stay bit-exact copies of the previous step's fused tokens.
+        fused = state.prev_tokens.copy()
+        fused[rows] = shared.tokens(rows)[rows]
+        fusion_rate = (n - rows.size) / n
+    result = StepResult(
+        timestep=t,
+        is_keyframe=keyframe,
+        fused_tokens=fused,
+        pixel_mask=pixel_mask,
+        attention_mask=attention_mask,
+        fusion_mask=fusion_mask,
+        fusion_rate=fusion_rate,
+    )
     new_state = FusionState(
         prev_gray=shared.gray,
-        prev_tokens=result.fused_tokens,
+        prev_tokens=fused,
         prev_scores=scores,
         timestep=t + 1,
     )

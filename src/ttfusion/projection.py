@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import binary_mask
 from .prng import SplitMix64
 
 # Rows per fixed-shape product in project_full.
@@ -129,6 +128,16 @@ def project_full(tokens, weights: np.ndarray, out: np.ndarray | None = None) -> 
     return out
 
 
+def binary_mask(mask, name: str = "mask") -> np.ndarray:
+    """``mask`` as a bool array, after checking that every entry is 0 or 1
+    (a bool mask always is); any other entry raises ``ValueError`` starting
+    with ``name``, where a cast would silently read 0.5 or 256 as a flag."""
+    values = np.asarray(mask)
+    if values.dtype != np.bool_ and not ((values == 0) | (values == 1)).all():
+        raise ValueError(f"{name} entries must be 0 or 1")
+    return values.astype(bool, copy=False)
+
+
 class ReuseChecker:
     """The Q/K/V reuse check of one run, fed one step at a time.
 
@@ -172,8 +181,7 @@ class ReuseChecker:
         mask = np.asarray(mask)
         if mask.shape != (n,):
             raise ValueError(f"step {t}: mask length {mask.shape} does not match {n} rows")
-        mask = binary_mask(mask, f"step {t}: mask")
-        recompute = np.flatnonzero(mask)
+        recompute = np.flatnonzero(binary_mask(mask, f"step {t}: mask"))
         reused = n - recompute.size
         if reused and t == 0:
             raise ValueError(

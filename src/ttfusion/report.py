@@ -21,8 +21,9 @@ SWEEP_FORMAT = "ttf-sweep-v1"
 # parts, echo fields and step record fields.
 _REPORT_FIELDS = {"format": str, "config": dict, "steps": list, "aggregates": dict}
 _ECHO_FIELDS = {"width": int, "height": int, "token_dim": int, "seed": int}
-_STEP_FIELDS = {"t": int, "is_keyframe": bool, "fusion_rate": float, "saved_multiplications": int,
-                "query_error": float, "key_error": float, "value_error": float}
+_STEP_FIELDS = {"t": int, "is_keyframe": bool, "fusion_rate": float, "reused_rows": int,
+                "saved_multiplications": int, "query_error": float, "key_error": float,
+                "value_error": float}
 
 
 class InvariantError(RuntimeError):

@@ -84,6 +84,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if (self.frames_dir is None) == (self.synth_frames is None):
             raise ConfigError("exactly one of frames_dir / synth_frames must be set")
+        if self.synth_frames is None:
+            # The echo says null for these, so each must hold its default.
+            stray = [f.name for f in fields(self)
+                     if f.name in _SYNTH_KEYS and getattr(self, f.name) != f.default]
+            if stray:
+                raise ConfigError(f"{', '.join(stray)} set without synth_frames")
         if self.attention_source not in ATTENTION_SOURCES:
             raise ConfigError(f"unknown attention source {self.attention_source!r}")
         if self.attention_source == ATTENTION_SOURCE_TENSOR_FILES and not self.attention_dir:

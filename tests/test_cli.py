@@ -497,7 +497,8 @@ class TestVerifyQReuse:
          ("step", "fusion_rate", 0, "float"), ("step", "is_keyframe", 0, "bool"),
          ("step", "saved_multiplications", 1.5, "int"),
          ("step", "saved_multiplications", False, "int"), ("step", "query_error", "0", "float"),
-         ("step", "key_error", None, "float"), ("step", "value_error", [0.0], "float")],
+         ("step", "key_error", None, "float"), ("step", "value_error", [0.0], "float"),
+         ("step", "reused_rows", "3", "int")],
     )
     def test_field_of_the_wrong_type_exits_4_naming_it(
         self, tmp_path, capsys, part, key, value, kind
@@ -512,6 +513,35 @@ class TestVerifyQReuse:
         what = "config echo" if part == "config" else "step record 1"
         expected = f"invariant violation: {path}: {what} has {key} = {value!r}, expected {kind}"
         assert expected in capsys.readouterr().err
+
+    def test_mask_that_disagrees_with_its_record_exits_4_naming_it(self, tmp_path, capsys):
+        # A reused patch turned recomputed still passes the Q/K/V check, but
+        # the saving it counts is no longer the report's.
+        out = self.run_with_artifacts(tmp_path)
+        target = next(
+            s for s in read_report(out)["steps"] if not s["is_keyframe"] and s["reused_rows"] > 0
+        )
+        t, reused = target["t"], target["reused_rows"]
+        path = out / "masks" / f"mask_{t:06d}.pgm"
+        image = read_pgm(path).copy()
+        image.ravel()[np.flatnonzero(image.ravel() == 0)[0]] = 255
+        write_pgm(path, image)
+        capsys.readouterr()
+        assert main(["verify-qreuse", "--run", str(out)]) == 4
+        expected = f"{path}: step {t} reuses {reused - 1} rows, but the report records {reused}"
+        assert f"invariant violation: {expected}" in capsys.readouterr().err
+
+    def test_keyframe_record_claiming_reuse_exits_4_naming_the_report(self, tmp_path, capsys):
+        out = self.run_with_artifacts(tmp_path)
+        path = out / "report.json"
+        report = json.loads(path.read_text())
+        assert report["steps"][3]["is_keyframe"]
+        report["steps"][3]["reused_rows"] = 1
+        path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["verify-qreuse", "--run", str(out)]) == 4
+        expected = f"{path}: step 3 reuses 0 rows, but the report records 1"
+        assert f"invariant violation: {expected}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", ["drop", "swap", "float"])
     def test_missing_or_reordered_step_exits_4(self, tmp_path, capsys, edit):

@@ -229,15 +229,15 @@ class TestTopK:
 
 
 class TestRateTarget:
-    def test_detectors_return_uint8_masks(self):
+    def test_detectors_return_bool_masks(self):
         scores = np.array([0.1, 0.4, 0.3, 0.2])
         for mask in (
             threshold_diffs(scores, 0.25),
             top_k_mask(scores, 2),
             rate_target_mask(scores, 0.5),
         ):
-            assert mask.dtype == np.uint8
-            assert list(mask) == [0, 1, 1, 0]
+            assert mask.dtype == np.bool_
+            assert list(mask) == [False, True, True, False]
 
 
     def test_target_030_selects_seven_of_ten(self):

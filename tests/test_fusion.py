@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from ttfusion.fusion import (
     WHOLE_FRAME_SHARE,
     FusionConfig,
     FusionState,
-    combine_masks,
-    fuse_tokens,
     is_keyframe,
     lockstep,
     SharedObservation,
@@ -127,85 +126,6 @@ class TestIsKeyframe:
             is_keyframe(2, FusionState(), 3)
 
 
-class TestCombineMasks:
-    def test_logical_or_per_patch(self):
-        pixel = np.array([0, 0, 1, 1], dtype=np.uint8)
-        attention = np.array([1, 0, 0, 1], dtype=np.uint8)
-        assert list(combine_masks(pixel, attention)) == [1, 0, 1, 1]
-
-    def test_all_ones_gives_all_ones(self):
-        ones = np.ones(4, dtype=np.uint8)
-        assert combine_masks(ones, ones).all()
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            combine_masks(np.zeros(4, dtype=np.uint8), np.zeros(5, dtype=np.uint8))
-
-    def test_non_binary_entries_rejected(self):
-        ones = np.ones(3, dtype=np.uint8)
-        for bad in (np.array([0.5, 0.0, 256.0]), np.array([0, 2, 1]), np.array([0, -1, 1])):
-            with pytest.raises(ValueError, match="pixel mask entries must be 0 or 1"):
-                combine_masks(bad, ones)
-            with pytest.raises(ValueError, match="attention mask entries must be 0 or 1"):
-                combine_masks(ones, bad)
-
-    def test_bool_masks_accepted(self):
-        pixel = np.array([True, False, False])
-        attention = np.array([0.0, 0.0, 1.0])
-        combined = combine_masks(pixel, attention)
-        assert combined.dtype == np.uint8
-        assert list(combined) == [1, 0, 1]
-
-
-class TestFuseTokens:
-    def test_all_ones_returns_current(self):
-        current = np.arange(8.0).reshape(2, 4)
-        previous = np.arange(8.0, 16.0).reshape(2, 4)
-        fused = fuse_tokens(current, previous, np.array([1, 1]))
-        assert np.array_equal(fused, current)
-
-    def test_all_zeros_returns_previous(self):
-        current = np.arange(8.0).reshape(2, 4)
-        previous = np.arange(8.0, 16.0).reshape(2, 4)
-        fused = fuse_tokens(current, previous, np.array([0, 0]))
-        assert np.array_equal(fused, previous)
-
-    def test_row_splice(self):
-        current = np.array([[1.0, 2.0], [3.0, 4.0]])
-        previous = np.array([[5.0, 6.0], [7.0, 8.0]])
-        fused = fuse_tokens(current, previous, np.array([1, 0]))
-        assert np.array_equal(fused, [[1.0, 2.0], [7.0, 8.0]])
-
-    def test_shape_mismatch_rejected(self):
-        for current, previous in (((2, 4), (3, 4)), ((2, 4), (2, 5))):
-            with pytest.raises(ValueError, match="token shapes differ"):
-                fuse_tokens(np.zeros(current), np.zeros(previous), np.array([1, 0]))
-        with pytest.raises(ValueError, match="mask length"):
-            fuse_tokens(np.zeros((2, 4)), np.zeros((2, 4)), np.array([1, 0, 1]))
-
-    @pytest.mark.parametrize("shape", [(2,), (2, 4, 1)])
-    def test_tokens_must_be_two_dimensional(self, shape):
-        with pytest.raises(ValueError, match="patches x dim"):
-            fuse_tokens(np.zeros(shape), np.zeros(shape), np.array([1, 0]))
-
-    def test_non_binary_mask_rejected(self):
-        current = np.zeros((3, 2))
-        previous = np.ones((3, 2))
-        for bad in (np.array([0.5, 0.0, 256.0]), np.array([1, 2, 0])):
-            with pytest.raises(ValueError, match="fusion mask entries must be 0 or 1"):
-                fuse_tokens(current, previous, bad)
-
-    def test_rows_are_exact_copies(self):
-        rng = np.random.default_rng(4)
-        current = rng.standard_normal((16, 8))
-        previous = rng.standard_normal((16, 8))
-        mask = rng.integers(0, 2, size=16).astype(np.uint8)
-        fused = fuse_tokens(current, previous, mask)
-        for i in range(16):
-            source = current if mask[i] else previous
-            assert np.array_equal(fused[i], source[i])
-
-
 class TestStep:
     def test_first_step_is_keyframe_with_rate_zero(self):
         frames = small_frames(1)
@@ -262,6 +182,19 @@ class TestStep:
         for result in results:
             assert not result.attention_mask.any()
             assert np.array_equal(result.fusion_mask, result.pixel_mask)
+
+    def test_fusion_mask_is_the_or_of_both_masks(self):
+        frames = small_frames(12, walker=True, noise_amplitude=0.05, seed=6)
+        steps = run_steps(frames, small_encoder(), small_config(keyframe_interval=4))
+        non_keyframe = [s for s in steps if not s.is_keyframe]
+        # Each detector flags a patch the other leaves, so the OR is exact
+        # only if it adds both.
+        assert any(s.fusion_rate > 0 for s in non_keyframe)
+        assert any((s.pixel_mask & ~s.attention_mask).any() for s in non_keyframe)
+        assert any((s.attention_mask & ~s.pixel_mask).any() for s in non_keyframe)
+        for result in non_keyframe:
+            assert np.array_equal(result.fusion_mask, result.pixel_mask | result.attention_mask)
+            assert result.fusion_rate == 1 - result.fusion_mask.sum() / 4
 
     def test_attention_only_mode_fusion_mask_equals_attention_mask(self, monkeypatch):
         config = small_config(keyframe_interval=100, top_k=1, enable_pixel=False)
@@ -340,6 +273,14 @@ class TestStep:
         with pytest.raises(ValueError, match="non-finite"):
             step(state, frames[1], encoder, config)
 
+    @pytest.mark.parametrize("shape", [(4,), (3, 8), (4, 8, 1)])
+    def test_encoder_tokens_of_another_shape_rejected(self, shape):
+        # Token rows are checked once, where the encoder returns them.
+        encoder = StubEncoder({0: np.zeros(shape)})
+        expected = re.escape(f"encoder produced {shape} tokens for 4 patches of timestep 0")
+        with pytest.raises(ValueError, match=expected):
+            step(FusionState(), small_frames(1)[0], encoder, small_config())
+
     def test_non_finite_reused_row_is_never_read(self):
         # Row 1 is reused at step 1, so its NaN is never encoded or checked.
         tokens = {0: np.zeros((4, 8)), 1: np.ones((4, 8))}
@@ -412,6 +353,64 @@ class TestStep:
             assert np.array_equal(together.pixel_mask, alone.pixel_mask)
         with pytest.raises(ValueError, match="another frame"):
             step(state, small_frames(2, seed=7)[1], encoder, config, shared=shared)
+
+
+class TestHardFusion:
+    """One non-keyframe ``step`` on pinned detector masks: the fusion mask is
+    their OR, flagged rows come from this frame's tokens and the others are
+    bit-exact copies of the previous step's fused tokens."""
+
+    @staticmethod
+    def fuse(monkeypatch, pixel, attention):
+        """Steps 0 and 1 with the pixel and attention masks of step 1 pinned;
+        returns step 0's result, step 1's result, step 1's encoder tokens and
+        the counting encoder."""
+        rng = np.random.default_rng(4)
+        tokens = {0: rng.standard_normal((4, 8)), 1: rng.standard_normal((4, 8))}
+        encoder = CountingEncoder(StubEncoder(tokens))
+        text = np.array([[[0.4, 0.1, 0.3, 0.2]]] * 2)
+        encoder.inner.slice_ = AttentionSlice(text_rows=text, action_row=None, source_timestep=0)
+        monkeypatch.setattr(
+            ttfusion.detection, "threshold_diffs", lambda *args: np.array(pixel, dtype=bool)
+        )
+        monkeypatch.setattr(
+            ttfusion.detection, "top_k_mask", lambda *args: np.array(attention, dtype=bool)
+        )
+        frames = small_frames(2)
+        config = small_config(keyframe_interval=100)
+        first, state = step(FusionState(), frames[0], encoder, config)
+        second, _ = step(state, frames[1], encoder, config)
+        return first, second, tokens[1], encoder
+
+    def test_fusion_mask_is_the_per_patch_or(self, monkeypatch):
+        _, result, _, _ = self.fuse(monkeypatch, [0, 0, 1, 1], [1, 0, 0, 1])
+        assert result.fusion_mask.dtype == np.bool_
+        assert list(result.fusion_mask) == [1, 0, 1, 1]
+        assert result.fusion_rate == 0.25
+
+    def test_all_flagged_returns_this_frames_tokens(self, monkeypatch):
+        _, result, current, _ = self.fuse(monkeypatch, [1, 1, 1, 1], [0, 0, 0, 0])
+        assert np.array_equal(result.fused_tokens, current)
+        assert result.fusion_rate == 0.0
+
+    def test_none_flagged_returns_the_previous_tokens_and_encodes_no_row(self, monkeypatch):
+        first, result, _, encoder = self.fuse(monkeypatch, [0, 0, 0, 0], [0, 0, 0, 0])
+        assert np.array_equal(result.fused_tokens, first.fused_tokens)
+        assert result.fusion_rate == 1.0
+        assert encoder.rows_by_frame().get(1, []) == []
+
+    def test_row_splice(self, monkeypatch):
+        first, result, current, encoder = self.fuse(monkeypatch, [1, 0, 0, 0], [0, 0, 0, 1])
+        assert encoder.rows_by_frame()[1] == [0, 3]
+        for i, source in enumerate((current, first.fused_tokens, first.fused_tokens, current)):
+            assert np.array_equal(result.fused_tokens[i], source[i])
+
+    def test_splice_leaves_the_previous_steps_tokens_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        before = rng.standard_normal((4, 8))
+        first, result, _, _ = self.fuse(monkeypatch, [0, 1, 0, 0], [0, 0, 1, 0])
+        assert np.array_equal(first.fused_tokens, before)
+        assert result.fused_tokens is not first.fused_tokens
 
 
 class TestLockstepOneConfig:
@@ -627,6 +626,10 @@ class TestLockstep:
         assert not all(r.is_keyframe for r in results)
         for result, state in zip(results, states):
             assert state.prev_tokens is result.fused_tokens
+            for mask in (result.pixel_mask, result.attention_mask, result.fusion_mask):
+                assert type(mask) is np.ndarray
+                assert mask.shape == (4,)
+                assert mask.dtype == np.bool_
             for array, shape in ((result.fused_tokens, (4, 8)), (state.prev_gray, (28, 28))):
                 assert type(array) is np.ndarray
                 assert array.shape == shape

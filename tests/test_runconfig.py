@@ -134,6 +134,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"^{key} set without synth_frames$"):
             config_from(f"frames_dir = frames\n{key} = {raw}\n")
 
+    def test_replaced_synth_field_of_a_frames_dir_config_rejected(self):
+        # A key-presence check cannot see a replaced field; the echo would
+        # say null for a value the config holds.
+        config = config_from("frames_dir = frames\n")
+        with pytest.raises(ConfigError, match="^synth_noise set without synth_frames$"):
+            replace(config, synth_noise=0.5)
+        with pytest.raises(
+            ConfigError, match="^synth_change_fraction, synth_walker set without synth_frames$"
+        ):
+            replace(config, synth_walker=True, synth_change_fraction=0.25)
+        assert replace(config, synth_noise=SynthSpec.noise_amplitude) == config
+
     @pytest.mark.parametrize(
         "key,message",
         [("token_dim", "token dim must be positive"), ("text_tokens", "at least one text token"),
