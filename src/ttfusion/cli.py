@@ -71,20 +71,8 @@ def _load_config(args):
     return config
 
 
-def _require_exact_reuse(labelled_checks) -> None:
-    """Print every nonzero Q/K/V reuse error and raise if there is any.
-
-    ``labelled_checks`` holds ``(label, checks)`` pairs, each failure line
-    prefixed with its label: one pair with an empty label for a run, one
-    per point naming its value for a sweep.
-    """
-    from .projection import equivalence_failures
-
-    failures = [
-        label + failure
-        for label, checks in labelled_checks
-        for failure in equivalence_failures(checks)
-    ]
+def _require_exact_reuse(failures: list[str]) -> None:
+    """Print every nonzero Q/K/V reuse error line and raise if there is any."""
     if failures:
         for failure in failures:
             print(f"reuse-equivalence violation: {failure}", file=sys.stderr)
@@ -97,7 +85,7 @@ def _cmd_run(args) -> int:
     config = _load_config(args)
     result = run_experiment(config, out_dir=config.output_dir)
     report_path = os.path.join(config.output_dir, REPORT_NAME)
-    _require_exact_reuse([("", result.checks)])
+    _require_exact_reuse(result.failures)
     aggregates = result.report["aggregates"]
     print(
         f"wrote {report_path}: {aggregates['steps']} steps, "
@@ -134,7 +122,8 @@ def _cmd_sweep(args) -> int:
     with open(csv_path, "w", encoding="ascii") as fh:
         fh.write(sweep_csv(summary))
     _require_exact_reuse(
-        [(f"{args.param} = {value}: ", result.checks) for value, result in zip(values, results)]
+        [f"{args.param} = {value}: {failure}"
+         for value, result in zip(values, results) for failure in result.failures]
     )
     for point in summary["points"]:
         print(
@@ -148,12 +137,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify_qreuse(args) -> int:
     from .experiment import replay_run_dir
 
-    _, checks = replay_run_dir(args.run)
-    _require_exact_reuse([("", checks)])
-    total = sum(check.saved_multiplications for check in checks)
+    report, failures = replay_run_dir(args.run)
+    _require_exact_reuse(failures)
+    aggregates = report["aggregates"]
     print(
-        f"verified {len(checks)} steps: all Q/K/V reuse errors are exactly 0 "
-        f"({total} multiplications saved)"
+        f"verified {aggregates['steps']} steps: all Q/K/V reuse errors are exactly 0 "
+        f"({aggregates['total_saved_multiplications']} multiplications saved)"
     )
     return EXIT_OK
 

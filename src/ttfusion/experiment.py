@@ -26,12 +26,13 @@ from .frames import (
     write_pgm,
 )
 from .fusion import StepResult, lockstep
-from .projection import EquivalenceCheck, ProjectionSet, ReuseChecker
+from .projection import ProjectionSet, ReuseChecker, equivalence_failures
 from .report import (
     InvariantError,
     build_report,
     build_sweep_summary,
     load_report,
+    mask_counts,
     step_record,
     write_report,
 )
@@ -54,10 +55,10 @@ _ATTENTION_NAMES = {TEXT_TO_VISION: TEXT_ATTENTION_NAME, ACTION_TO_VISION: ACTIO
 
 @dataclass
 class ExperimentResult:
-    """One point of a run: one Q/K/V reuse check per step, and its report."""
+    """One point of a run: its report and its Q/K/V reuse failure lines."""
 
-    checks: list[EquivalenceCheck]
     report: dict
+    failures: list[str]
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ def open_frames(config: RunConfig) -> tuple[Iterable[FrameObservation], int]:
 
 class _Point:
     """One config's share of the streaming pass: its Q/K/V reuse check, its
-    report records, and its mask and token dumps when it has a directory."""
+    report records and failure lines, and its mask and token dumps if asked."""
 
     def __init__(self, config: RunConfig, out_dir: str | os.PathLike | None):
         self.config = config
@@ -197,8 +198,8 @@ class _Point:
             ProjectionSet.generate(config.token_dim, config.seed),
             config.fusion.grid.patch_count,
         )
-        self.checks: list[EquivalenceCheck] = []
         self.records: list[dict] = []
+        self.failures: list[str] = []
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
             # report.json is written last, so a directory without one holds
@@ -220,8 +221,8 @@ class _Point:
 
     def add(self, step: StepResult) -> None:
         check = self.checker.check(step.fused_tokens, step.fusion_mask)
-        self.checks.append(check)
         self.records.append(step_record(step, check))
+        self.failures += equivalence_failures([check])
         if self.out_dir is None:
             return
         t = step.timestep
@@ -243,9 +244,9 @@ class _Point:
             aggregates["steps"],
             aggregates["mean_fusion_rate_all"],
             aggregates["mean_fusion_rate_non_keyframe"],
-            max((c.max_error for c in self.checks), default=0.0),
+            max(aggregates[f"max_reuse_error_{name}"] for name in ("query", "key", "value")),
         )
-        result = ExperimentResult(checks=self.checks, report=report)
+        result = ExperimentResult(report=report, failures=self.failures)
         if self.out_dir is not None:
             write_report(os.path.join(self.out_dir, REPORT_NAME), report)
         return result
@@ -319,8 +320,9 @@ def run_sweep(
     return build_sweep_summary(parameter, points), results
 
 
-def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[EquivalenceCheck]]:
-    """Re-check a recorded run from its report, token dumps, and mask files.
+def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[str]]:
+    """Re-check a recorded run from its report, token dumps, and mask files;
+    returns the report and a line for each nonzero Q/K/V reuse error.
 
     The run must have been written with ``emit_tokens`` (and ``emit_masks``
     unless every step was a keyframe); projection weights are regenerated
@@ -328,21 +330,32 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[EquivalenceCh
     order.  A token dump that is not (patches, token_dim) raises
     ``TensorFormatError`` and a mask that is not the patch grid raises
     ``FrameError``, each naming the file and both shapes.  A report that
-    ``load_report`` rejects, and a step whose mask reuses another number of
-    rows than its record says, raise ``InvariantError`` naming the mask
-    file, or the report for a keyframe.  Each step's dump and mask are read
-    as the check reaches the step.
+    ``load_report`` rejects, a wrong ``is_keyframe`` for the echo's
+    ``keyframe_interval``, a ``mask_counts`` field other than the mask gives
+    (naming the mask file, or the report for a keyframe), and detector
+    counts that cannot OR into ``fusion_updates`` raise ``InvariantError``,
+    so the report's aggregates are the replay's.  Each step's dump and mask
+    are read as the check reaches the step.
     """
     report_path = os.path.join(run_dir, REPORT_NAME)
     report = load_report(report_path)
     config = report["config"]
+    interval = config["keyframe_interval"]
+    if interval < 1:
+        raise InvariantError(f"{report_path}: keyframe_interval = {interval}, expected at least 1")
     grid = PatchGrid.from_dims(config["width"], config["height"])
-    token_shape = (grid.patch_count, config["token_dim"])
-    projections = ProjectionSet.generate(config["token_dim"], config["seed"])
-    checker = ReuseChecker(projections, grid.patch_count)
-    checks = []
+    n = grid.patch_count
+    token_shape = (n, config["token_dim"])
+    checker = ReuseChecker(ProjectionSet.generate(config["token_dim"], config["seed"]), n)
+    failures = []
     for record in report["steps"]:
         t = record["t"]
+        keyframe = t % interval == 0
+        if record["is_keyframe"] != keyframe:
+            raise InvariantError(
+                f"{report_path}: step {t} has is_keyframe = {record['is_keyframe']}, "
+                f"but keyframe_interval = {interval} makes it {keyframe}"
+            )
         token_path = os.path.join(run_dir, TOKEN_DIR, TOKEN_NAME.format(t))
         if not os.path.exists(token_path):
             raise FileNotFoundError(
@@ -355,28 +368,36 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[EquivalenceCh
                 f"{token_path}: token dump is {tokens.shape}, expected "
                 f"{token_shape} (patches, token_dim)",
             )
-        if record["is_keyframe"]:
-            mask = np.ones(grid.patch_count, dtype=bool)
+        if keyframe:
+            source, mask = report_path, np.ones(n, dtype=bool)
         else:
-            mask_path = os.path.join(run_dir, MASK_DIR, MASK_NAME.format(t))
-            if not os.path.exists(mask_path):
+            source = os.path.join(run_dir, MASK_DIR, MASK_NAME.format(t))
+            if not os.path.exists(source):
                 raise FileNotFoundError(
-                    f"mask file not found: {mask_path} (run with emit_masks = true)"
+                    f"mask file not found: {source} (run with emit_masks = true)"
                 )
-            image = read_pgm(mask_path)
+            image = read_pgm(source)
             if image.shape != (grid.rows, grid.cols):
                 raise FrameError(
                     "bad-dimensions",
-                    f"{mask_path}: mask is {image.shape}, expected "
+                    f"{source}: mask is {image.shape}, expected "
                     f"{(grid.rows, grid.cols)} (patch grid rows, cols)",
                 )
             mask = image.ravel() > 0
         check = checker.check(tokens, mask)
-        if check.reused_rows != record["reused_rows"]:
-            source = report_path if record["is_keyframe"] else mask_path
+        for field, value in mask_counts(check, n).items():
+            if record[field] != value:
+                raise InvariantError(
+                    f"{source}: step {t} has {field} = {value!r} by its mask, "
+                    f"but the report records {record[field]!r}"
+                )
+        fused, pixel, attention = (
+            record[field] for field in ("fusion_updates", "pixel_updates", "attention_updates")
+        )
+        if max(pixel, attention) > fused or pixel + attention < fused:
             raise InvariantError(
-                f"{source}: step {t} reuses {check.reused_rows} rows, "
-                f"but the report records {record['reused_rows']}"
+                f"{report_path}: step {t} has pixel_updates = {pixel} and attention_updates = "
+                f"{attention}, which cannot OR into fusion_updates = {fused}"
             )
-        checks.append(check)
-    return report, checks
+        failures += equivalence_failures([check])
+    return report, failures

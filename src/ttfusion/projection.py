@@ -146,10 +146,12 @@ class ReuseChecker:
     product; only that previous projection is kept between steps, so a
     stream of steps can be checked as it is produced.
 
-    The chained projections, one buffer for the full products and two for
-    the recomputed rows and their projection are allocated here for tokens
-    of ``rows`` x d, the one shape every check takes, so a check allocates
-    no array of that size.  Allocating them before the run's first frame
+    The chained projections, one buffer for the full products and one for
+    the recomputed rows are allocated here for tokens of ``rows`` x d, the
+    one shape every check takes, so a check allocates no array of that
+    size.  The recomputed rows' projection is written into the head of the
+    full products' buffer, which the full product overwrites only after
+    those rows are copied out.  Allocating them before the run's first frame
     also keeps them below the per-frame temporaries, which then reuse the
     same heap pages frame after frame.
     """
@@ -161,7 +163,6 @@ class ReuseChecker:
         self._selective = {name: np.empty(self.shape) for name in ("query", "key", "value")}
         self._reference = np.empty(self.shape)
         self._rows = np.empty(self.shape)
-        self._projected = np.empty(self.shape)
 
     def check(self, tokens, mask) -> EquivalenceCheck:
         """Check the next step: its fused token rows (n x d) and fusion mask
@@ -201,7 +202,7 @@ class ReuseChecker:
             elif recompute.size:
                 # Only the recomputed rows are projected; the reused ones
                 # keep the previous step's values.
-                out = self._projected[: recompute.size]
+                out = self._reference[: recompute.size]
                 selective[recompute] = project_full(rows, weights, out=out)
             reference = project_full(values, weights, out=self._reference)
             errors[name], worst = _gap(selective, reference)

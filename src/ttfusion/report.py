@@ -20,8 +20,10 @@ SWEEP_FORMAT = "ttf-sweep-v1"
 # What load_report reads of a report, by the type the writer gives it: its
 # parts, echo fields and step record fields.
 _REPORT_FIELDS = {"format": str, "config": dict, "steps": list, "aggregates": dict}
-_ECHO_FIELDS = {"width": int, "height": int, "token_dim": int, "seed": int}
-_STEP_FIELDS = {"t": int, "is_keyframe": bool, "fusion_rate": float, "reused_rows": int,
+_ECHO_FIELDS = {"width": int, "height": int, "token_dim": int, "seed": int,
+                "keyframe_interval": int}
+_STEP_FIELDS = {"t": int, "is_keyframe": bool, "pixel_updates": int, "attention_updates": int,
+                "fusion_updates": int, "fusion_rate": float, "reused_rows": int,
                 "saved_multiplications": int, "query_error": float, "key_error": float,
                 "value_error": float}
 
@@ -39,13 +41,22 @@ def step_record(step: StepResult, check: EquivalenceCheck) -> dict:
         "is_keyframe": step.is_keyframe,
         "pixel_updates": int(step.pixel_mask.sum()),
         "attention_updates": int(step.attention_mask.sum()),
-        "fusion_updates": int(step.fusion_mask.sum()),
-        "fusion_rate": step.fusion_rate,
-        "reused_rows": check.reused_rows,
-        "saved_multiplications": check.saved_multiplications,
+        **mask_counts(check, len(step.fusion_mask)),
         "query_error": check.query_error,
         "key_error": check.key_error,
         "value_error": check.value_error,
+    }
+
+
+def mask_counts(check: EquivalenceCheck, n: int) -> dict:
+    """The record fields that a step's fusion mask fixes, from its Q/K/V check
+    of ``n`` rows: the one rule the writer and ``verify-qreuse`` both use."""
+    reused = check.reused_rows
+    return {
+        "reused_rows": reused,
+        "fusion_updates": n - reused,
+        "fusion_rate": reused / n,
+        "saved_multiplications": check.saved_multiplications,
     }
 
 

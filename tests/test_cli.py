@@ -419,10 +419,100 @@ class TestVerifyQReuse:
         assert main(["run", "--config", config, "--out", str(out)]) == 0
         return out
 
+    def run_with_detectors(self, tmp_path):
+        # 16 patches; step 1 recomputes 5 of them, 4 flagged by pixels and
+        # 3 by attention, so a count can be raised or lowered off its mask.
+        config = write_config(
+            tmp_path,
+            "synth_frames = 7\nwidth = 56\nheight = 56\ntoken_dim = 8\ntop_k = 3\n"
+            "seed = 13\nsynth_walker = true\nsynth_change_fraction = 0.1\n"
+            "synth_noise = 0.05\nemit_masks = true\nemit_tokens = true\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        step = read_report(out)["steps"][1]
+        assert (step["fusion_updates"], step["pixel_updates"], step["attention_updates"]) == (
+            5, 4, 3
+        )
+        return out
+
+    def rewrite_report(self, out, edit):
+        """Apply ``edit`` to the report's steps and rewrite the aggregates to
+        match, so that only the replay can tell."""
+        path = out / "report.json"
+        report = json.loads(path.read_text())
+        edit(report["steps"])
+        report["aggregates"] = _aggregates_from_steps(report["steps"])
+        path.write_text(json.dumps(report))
+        return path
+
     def test_clean_run_verifies(self, tmp_path, capsys):
         out = self.run_with_artifacts(tmp_path)
         assert main(["verify-qreuse", "--run", str(out)]) == 0
-        assert "exactly 0" in capsys.readouterr().out
+        total = read_report(out)["aggregates"]["total_saved_multiplications"]
+        assert f"exactly 0 ({total} multiplications saved)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [("saved_multiplications", 2112 + 4096,
+          "{mask}: step 1 has saved_multiplications = 2112 by its mask, "
+          "but the report records 6208"),
+         ("fusion_rate", 0.5,
+          "{mask}: step 1 has fusion_rate = 0.6875 by its mask, but the report records 0.5"),
+         ("fusion_updates", 3,
+          "{mask}: step 1 has fusion_updates = 5 by its mask, but the report records 3"),
+         ("pixel_updates", 999,
+          "{report}: step 1 has pixel_updates = 999 and attention_updates = 3, "
+          "which cannot OR into fusion_updates = 5"),
+         ("attention_updates", 0,
+          "{report}: step 1 has pixel_updates = 4 and attention_updates = 0, "
+          "which cannot OR into fusion_updates = 5")],
+    )
+    def test_record_field_off_its_mask_exits_4_naming_it(
+        self, tmp_path, capsys, key, value, message
+    ):
+        out = self.run_with_detectors(tmp_path)
+        report = self.rewrite_report(out, lambda steps: steps[1].update({key: value}))
+        capsys.readouterr()
+        assert main(["verify-qreuse", "--run", str(out)]) == 4
+        expected = message.format(mask=out / "masks" / "mask_000001.pgm", report=report)
+        assert f"invariant violation: {expected}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t,keyframe", [(1, True), (3, False)])
+    def test_step_relabelled_against_the_keyframe_interval_exits_4(
+        self, tmp_path, capsys, t, keyframe
+    ):
+        out = self.run_with_detectors(tmp_path)
+
+        def edit(steps):
+            step = steps[t]
+            step["is_keyframe"] = keyframe
+            if keyframe:
+                # Every count a keyframe's record has, so only its place
+                # gives it away.
+                step.update(pixel_updates=16, attention_updates=16, fusion_updates=16,
+                            fusion_rate=0.0, reused_rows=0, saved_multiplications=0)
+
+        path = self.rewrite_report(out, edit)
+        if keyframe:
+            (out / "masks" / f"mask_{t:06d}.pgm").unlink()
+        capsys.readouterr()
+        assert main(["verify-qreuse", "--run", str(out)]) == 4
+        expected = (
+            f"{path}: step {t} has is_keyframe = {keyframe}, "
+            f"but keyframe_interval = 3 makes it {not keyframe}"
+        )
+        assert f"invariant violation: {expected}" in capsys.readouterr().err
+
+    def test_keyframe_interval_below_1_exits_4(self, tmp_path, capsys):
+        out = self.run_with_artifacts(tmp_path)
+        path = out / "report.json"
+        report = json.loads(path.read_text())
+        report["config"]["keyframe_interval"] = 0
+        path.write_text(json.dumps(report))
+        assert main(["verify-qreuse", "--run", str(out)]) == 4
+        expected = f"{path}: keyframe_interval = 0, expected at least 1"
+        assert expected in capsys.readouterr().err
 
     def test_corrupted_token_dump_exits_4(self, tmp_path, capsys):
         out = self.run_with_artifacts(tmp_path)
@@ -498,7 +588,9 @@ class TestVerifyQReuse:
          ("step", "saved_multiplications", 1.5, "int"),
          ("step", "saved_multiplications", False, "int"), ("step", "query_error", "0", "float"),
          ("step", "key_error", None, "float"), ("step", "value_error", [0.0], "float"),
-         ("step", "reused_rows", "3", "int")],
+         ("step", "reused_rows", "3", "int"), ("step", "fusion_updates", 2.0, "int"),
+         ("step", "pixel_updates", None, "int"), ("step", "attention_updates", "2", "int"),
+         ("config", "keyframe_interval", "3", "int")],
     )
     def test_field_of_the_wrong_type_exits_4_naming_it(
         self, tmp_path, capsys, part, key, value, kind
@@ -528,7 +620,10 @@ class TestVerifyQReuse:
         write_pgm(path, image)
         capsys.readouterr()
         assert main(["verify-qreuse", "--run", str(out)]) == 4
-        expected = f"{path}: step {t} reuses {reused - 1} rows, but the report records {reused}"
+        expected = (
+            f"{path}: step {t} has reused_rows = {reused - 1} by its mask, "
+            f"but the report records {reused}"
+        )
         assert f"invariant violation: {expected}" in capsys.readouterr().err
 
     def test_keyframe_record_claiming_reuse_exits_4_naming_the_report(self, tmp_path, capsys):
@@ -540,7 +635,7 @@ class TestVerifyQReuse:
         path.write_text(json.dumps(report))
         capsys.readouterr()
         assert main(["verify-qreuse", "--run", str(out)]) == 4
-        expected = f"{path}: step 3 reuses 0 rows, but the report records 1"
+        expected = f"{path}: step 3 has reused_rows = 0 by its mask, but the report records 1"
         assert f"invariant violation: {expected}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", ["drop", "swap", "float"])
