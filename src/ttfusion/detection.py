@@ -70,30 +70,43 @@ def _check_rows(rows: np.ndarray) -> None:
         raise ValueError("attention rows must sum to at most 1")
 
 
-def patch_diffs(gray_t: np.ndarray, gray_prev: np.ndarray, grid: PatchGrid) -> np.ndarray:
+def diff_band(grid: PatchGrid) -> np.ndarray:
+    """A float64 scratch band for :func:`patch_diffs` on frames of ``grid``:
+    as many whole patch rows as fit in about ``DIFF_BAND_PIXELS`` pixels,
+    at least one and at most the grid's."""
+    width = grid.cols * PATCH_SIDE
+    band = max(1, DIFF_BAND_PIXELS // (PATCH_SIDE * width))
+    return np.empty((min(band, grid.rows) * PATCH_SIDE, width))
+
+
+def patch_diffs(
+    gray_t: np.ndarray, gray_prev: np.ndarray, grid: PatchGrid, band: np.ndarray | None = None
+) -> np.ndarray:
     """Mean absolute luminance difference of each patch between two
     grayscale planes (from ``frames.to_grayscale``).
 
     Depends on the frame pair alone, so one result can serve every
     threshold applied to it.  The differences are taken a band of whole
-    patch rows at a time, about ``DIFF_BAND_PIXELS`` pixels, in one small
-    reused buffer: a frame-sized temporary, freed at once, would leave the
-    heap to be trimmed and grown again frame after frame.  Each patch sums
-    its pixels in the same order as over the whole frame, so the result
-    does not depend on the band size.
+    patch rows at a time in ``band``, a scratch array from
+    :func:`diff_band` that the caller may keep for the next call (a new
+    one when None).  Each patch sums its pixels in the same order as over
+    the whole frame, so the result does not depend on the band size.
     """
     a, b = np.asarray(gray_t), np.asarray(gray_prev)
     if a.shape != b.shape:
         raise ValueError(f"grayscale shapes differ: {a.shape} vs {b.shape}")
     if a.shape != (grid.rows * PATCH_SIDE, grid.cols * PATCH_SIDE):
         raise ValueError(f"grayscale shape {a.shape} does not match grid {grid.rows}x{grid.cols}")
-    band = max(1, DIFF_BAND_PIXELS // (PATCH_SIDE * a.shape[1]))
+    if band is None:
+        band = diff_band(grid)
+    step = len(band) // PATCH_SIDE
+    if band.dtype != np.float64 or band.shape[1:] != a.shape[1:] or not step:
+        raise ValueError(f"band {band.shape} is no diff_band of {a.shape[1]} px wide frames")
     sums = np.empty((grid.rows, grid.cols))
-    delta = np.empty((min(band, grid.rows) * PATCH_SIDE, a.shape[1]))
-    for r0 in range(0, grid.rows, band):
-        r1 = min(r0 + band, grid.rows)
+    for r0 in range(0, grid.rows, step):
+        r1 = min(r0 + step, grid.rows)
         pixels = slice(r0 * PATCH_SIDE, r1 * PATCH_SIDE)
-        d = delta[: (r1 - r0) * PATCH_SIDE]
+        d = band[: (r1 - r0) * PATCH_SIDE]
         np.subtract(a[pixels], b[pixels], out=d)
         np.abs(d, out=d)
         d.reshape(r1 - r0, PATCH_SIDE, grid.cols, PATCH_SIDE).sum(axis=(1, 3), out=sums[r0:r1])

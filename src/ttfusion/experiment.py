@@ -36,7 +36,13 @@ from .report import (
     step_record,
     write_report,
 )
-from .runconfig import ATTENTION_SOURCE_TENSOR_FILES, RunConfig, apply_parameter, config_echo
+from .runconfig import (
+    ATTENTION_SOURCE_TENSOR_FILES,
+    RunConfig,
+    apply_parameter,
+    config_echo,
+    seed_in_range,
+)
 from .synthetic import FRAME_NAME, iter_frames
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
 from .toy_encoder import ToyEncoder
@@ -329,20 +335,26 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[str]]:
     from the config echo, and one ``ReuseChecker`` checks the steps in
     order.  A token dump that is not (patches, token_dim) raises
     ``TensorFormatError`` and a mask that is not the patch grid raises
-    ``FrameError``, each naming the file and both shapes.  A report that
-    ``load_report`` rejects, a wrong ``is_keyframe`` for the echo's
-    ``keyframe_interval``, a ``mask_counts`` field other than the mask gives
-    (naming the mask file, or the report for a keyframe), and detector
-    counts that cannot OR into ``fusion_updates`` raise ``InvariantError``,
-    so the report's aggregates are the replay's.  Each step's dump and mask
-    are read as the check reaches the step.
+    ``FrameError``, each naming the file and both shapes; an echo size off
+    the patch grid raises ``FrameError`` too.  A report that ``load_report``
+    rejects, an echo ``keyframe_interval``, ``width`` or ``height`` below 1,
+    an echo ``seed`` outside ``runconfig.seed_in_range``, a wrong
+    ``is_keyframe`` for the echo's ``keyframe_interval``, a
+    ``mask_counts`` field other than the mask gives (naming the mask file,
+    or the report for a keyframe), and detector counts that cannot OR into
+    ``fusion_updates`` raise ``InvariantError``, so the report's aggregates
+    are the replay's.  Each step's dump and mask are read as the check
+    reaches the step.
     """
     report_path = os.path.join(run_dir, REPORT_NAME)
     report = load_report(report_path)
     config = report["config"]
+    for field in ("keyframe_interval", "width", "height"):
+        if config[field] < 1:
+            raise InvariantError(f"{report_path}: {field} = {config[field]}, expected at least 1")
+    if not seed_in_range(config["seed"]):
+        raise InvariantError(f"{report_path}: seed = {config['seed']}, expected one in [0, 2**64)")
     interval = config["keyframe_interval"]
-    if interval < 1:
-        raise InvariantError(f"{report_path}: keyframe_interval = {interval}, expected at least 1")
     grid = PatchGrid.from_dims(config["width"], config["height"])
     n = grid.patch_count
     token_shape = (n, config["token_dim"])

@@ -19,6 +19,8 @@ PATCH_PIXELS = PATCH_SIDE * PATCH_SIDE
 # every value correctly rounded and inside [0, 1].
 _LUMA_WEIGHTS = np.array([299.0, 587.0, 114.0])
 _LUMA_SCALE = 255000.0
+# Pixels per band of rows when an RGB frame is converted to grayscale.
+GRAY_BAND_PIXELS = 4096
 
 
 class FrameError(ValueError):
@@ -108,23 +110,34 @@ class PatchGrid:
         return u0, v0, u0 + PATCH_SIDE - 1, v0 + PATCH_SIDE - 1
 
 
-def to_grayscale(frame: FrameObservation) -> np.ndarray:
+def to_grayscale(frame: FrameObservation, out: np.ndarray | None = None) -> np.ndarray:
     """The frame's (height, width) float64 luminance plane,
-    (0.299 R + 0.587 G + 0.114 B) / 255, every value in [0, 1]."""
+    (0.299 R + 0.587 G + 0.114 B) / 255, every value in [0, 1]; written
+    into ``out`` (a C-contiguous float64 array of that shape) if given.
+
+    An RGB frame is converted a band of about ``GRAY_BAND_PIXELS`` pixels
+    at a time, so no float64 copy of the whole frame is made.  Each weighted
+    sum is an exact integer, so the result does not depend on the band.
+    """
     pixels = frame.pixels
-    # The result outlives the call, the float64 copy of the pixels does not:
-    # allocating the result first leaves the copy on top of the heap, where
-    # the next frame's copy reuses it instead of the heap being trimmed and
-    # grown again every frame.
-    values = np.empty(pixels.shape[:2])
+    shape = pixels.shape[:2]
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 {shape} array")
     if pixels.strides[2] == 0:
         # One plane in memory is all three channels (R = G = B), so the
-        # weighted sum is exactly 1000 times it and no copy is needed.
-        np.multiply(pixels[..., 0], _LUMA_WEIGHTS.sum(), out=values, dtype=np.float64)
-    else:
-        np.matmul(pixels.astype(np.float64), _LUMA_WEIGHTS, out=values)
-    values /= _LUMA_SCALE
-    return values
+        # weighted sum is exactly 1000 p, and 1000 p / 255000 is the same
+        # real number as p / 255: one division rounds to the same value.
+        return np.divide(pixels[..., 0], 255.0, out=out, dtype=np.float64)
+    band = max(1, GRAY_BAND_PIXELS // shape[1])
+    values = np.empty((min(band, shape[0]), shape[1], 3))
+    for r0 in range(0, shape[0], band):
+        rows = values[: min(band, shape[0] - r0)]
+        np.copyto(rows, pixels[r0 : r0 + band])
+        np.matmul(rows, _LUMA_WEIGHTS, out=out[r0 : r0 + band])
+    out /= _LUMA_SCALE
+    return out
 
 
 def _parse_netpbm_header(data: bytes, magic: bytes, path: str) -> tuple[int, int, int]:

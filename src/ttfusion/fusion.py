@@ -219,7 +219,10 @@ def lockstep(frames, encoder, configs) -> Iterator[list[StepResult]]:
     whichever step first needs them.  Frames are consumed as they arrive
     and need not be a list; between frames only each config's
     :class:`FusionState` is kept, so memory stays flat however long the
-    episode is.
+    episode is.  The grayscale planes and the pixel-diff band are the
+    loop's own, allocated at the first frame and written over at each
+    later one, so a step in steady state allocates no frame-sized array
+    but each config's fused tokens and the frame's token rows.
 
     Frame t must have timestep t: a frame off its position raises
     ``ValueError`` ("timestep gap") when the loop reaches it, and a stream
@@ -232,13 +235,19 @@ def lockstep(frames, encoder, configs) -> Iterator[list[StepResult]]:
     if not configs:
         raise ValueError("no fusion configs to run")
     states = [FusionState() for _ in configs]
+    # Frame t's grayscale goes into plane t % 2, so the other plane keeps
+    # the previous frame's, which the steps of frame t diff against.
+    planes = band = None
     index = -1
     for index, frame in enumerate(frames):
         if frame.timestep != index:
             raise ValueError(
                 f"timestep gap: frame at position {index} has timestep {frame.timestep}"
             )
-        shared = SharedObservation(frame, encoder)
+        if planes is None:
+            planes = np.empty((2, frame.height, frame.width))
+            band = detection.diff_band(PatchGrid.for_frame(frame))
+        shared = SharedObservation(frame, encoder, planes[index % 2], band)
         results = []
         for i, config in enumerate(configs):
             result, states[i] = step(states[i], frame, encoder, config, shared=shared)
@@ -260,6 +269,9 @@ class SharedObservation:
     None of these reads a ``FusionConfig`` field, so every config's step on
     the frame can use the same results.  The scores and the diffs are
     read-only because every config's step on the frame reads the same array.
+    ``gray``, when given, is the float64 (height, width) array that the
+    grayscale is written into, and ``band`` the ``detection.diff_band``
+    the diffs are taken in; without them each is allocated here.
 
     The encoder provides three methods.  ``features(frame, gray)`` returns
     whatever the other two need of the frame; it is called once.
@@ -271,9 +283,17 @@ class SharedObservation:
     which other rows are asked for with it.
     """
 
-    def __init__(self, frame: FrameObservation, encoder):
+    def __init__(
+        self,
+        frame: FrameObservation,
+        encoder,
+        gray: np.ndarray | None = None,
+        band: np.ndarray | None = None,
+    ):
         self.frame = frame
         self._encoder = encoder
+        self._gray_out = gray
+        self._band = band
         self._scores: dict[str, np.ndarray | None] = {}
         self._tokens: np.ndarray | None = None
         self._unset: np.ndarray | None = None
@@ -282,7 +302,7 @@ class SharedObservation:
 
     @cached_property
     def gray(self) -> np.ndarray:
-        return to_grayscale(self.frame)
+        return to_grayscale(self.frame, self._gray_out)
 
     @cached_property
     def features(self):
@@ -350,7 +370,7 @@ class SharedObservation:
         """``detection.patch_diffs`` of this frame against ``prev_gray``,
         computed again only when asked against another grayscale."""
         if self._diffs_base is not prev_gray:
-            diffs = detection.patch_diffs(self.gray, prev_gray, grid)
+            diffs = detection.patch_diffs(self.gray, prev_gray, grid, self._band)
             diffs.flags.writeable = False
             self._diffs, self._diffs_base = diffs, prev_gray
         return self._diffs

@@ -46,6 +46,9 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK64
+        # Scratch for the shifts of u64_block, kept for the stream's next
+        # block.
+        self._spare = np.empty(0, dtype=np.uint64)
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -63,10 +66,11 @@ class SplitMix64:
         # mixes independently; uint64 arithmetic wraps exactly like the
         # scalar path.  Each chunk is mixed in place with one spare array
         # for the shifts.
-        shifted = np.empty(min(count, RAMP_LENGTH), dtype=np.uint64)
+        if self._spare.size < min(count, RAMP_LENGTH):
+            self._spare = np.empty(min(count, RAMP_LENGTH), dtype=np.uint64)
         for start in range(0, count, RAMP_LENGTH):
             chunk = z[start : start + RAMP_LENGTH]
-            spare = shifted[: chunk.size]
+            spare = self._spare[: chunk.size]
             np.add(_RAMP[: chunk.size], np.uint64(self._state), out=chunk)
             chunk ^= np.right_shift(chunk, np.uint64(30), out=spare)
             chunk *= np.uint64(_MIX1)

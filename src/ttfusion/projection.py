@@ -128,6 +128,16 @@ def project_full(tokens, weights: np.ndarray, out: np.ndarray | None = None) -> 
     return out
 
 
+def gather_rows(values: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``values[rows]`` for an index array ``rows``, written into the head
+    of ``out``.  A row outside [0, len(values)) raises ``IndexError``; it is
+    checked here because ``np.take``, in the mode that would check it,
+    gathers into a new array first."""
+    if rows.size and (rows.min() < 0 or rows.max() >= len(values)):
+        raise IndexError(f"row index out of range [0, {len(values)})")
+    return np.take(values, rows, axis=0, out=out[: len(rows)], mode="clip")
+
+
 def binary_mask(mask, name: str = "mask") -> np.ndarray:
     """``mask`` as a bool array, after checking that every entry is 0 or 1
     (a bool mask always is); any other entry raises ``ValueError`` starting
@@ -151,9 +161,7 @@ class ReuseChecker:
     one shape every check takes, so a check allocates no array of that
     size.  The recomputed rows' projection is written into the head of the
     full products' buffer, which the full product overwrites only after
-    those rows are copied out.  Allocating them before the run's first frame
-    also keeps them below the per-frame temporaries, which then reuse the
-    same heap pages frame after frame.
+    those rows are copied out.
     """
 
     def __init__(self, projections: ProjectionSet, rows: int):
@@ -191,7 +199,7 @@ class ReuseChecker:
             )
         rows = values
         if reused:
-            rows = np.take(values, recompute, axis=0, out=self._rows[: recompute.size])
+            rows = gather_rows(values, recompute, self._rows)
         errors: dict[str, float] = {}
         worst_rows: dict[str, int] = {}
         for name in ("query", "key", "value"):

@@ -26,6 +26,12 @@ class ConfigError(ValueError):
     """Invalid configuration file or parameter value."""
 
 
+def seed_in_range(seed: int) -> bool:
+    """Whether ``seed`` is a 64-bit seed, in [0, 2**64): the range of a
+    config's seed and of the seed a report's config echo records."""
+    return 0 <= seed < 1 << 64
+
+
 def _parse_bool(raw: str) -> bool:
     lowered = raw.lower()
     if lowered == "true":
@@ -94,7 +100,7 @@ class RunConfig:
             raise ConfigError(f"unknown attention source {self.attention_source!r}")
         if self.attention_source == ATTENTION_SOURCE_TENSOR_FILES and not self.attention_dir:
             raise ConfigError("attention_source = tensor_files requires attention_dir")
-        if self.seed < 0 or self.seed >= (1 << 64):
+        if not seed_in_range(self.seed):
             raise ConfigError("seed must fit in 64 bits")
         try:
             self.synth, self.encoder_spec

@@ -19,7 +19,7 @@ import numpy as np
 
 from .detection import ACTION_TO_VISION, TEXT_TO_VISION, AttentionSlice
 from .frames import PATCH_PIXELS, PATCH_SIDE, FrameObservation, PatchGrid, to_grayscale
-from .projection import project_full
+from .projection import gather_rows, project_full
 from .prng import SplitMix64
 
 FEATURE_DIM = PATCH_PIXELS + 2
@@ -58,30 +58,42 @@ def _projection_for(spec: "EncoderSpec") -> np.ndarray:
     return (2.0 * flat - 1.0).reshape(FEATURE_DIM, spec.token_dim)
 
 
-def _patch_features(frame: FrameObservation, gray: np.ndarray | None) -> np.ndarray:
-    """(N, 198) features: patch pixels row-major, then row/rows, col/cols;
-    ``gray`` defaults to the frame's grayscale."""
-    grid = PatchGrid.for_frame(frame)
-    if gray is None:
-        gray = to_grayscale(frame)
-    if gray.shape != (frame.height, frame.width):
-        raise ValueError(f"grayscale is {gray.shape}, frame is {frame.height}x{frame.width}")
+def _feature_matrix(grid: PatchGrid) -> np.ndarray:
+    """An (N, 198) feature matrix whose position columns, row/rows and
+    col/cols, are filled in; its pixel columns are left to each frame."""
     features = np.empty((grid.patch_count, FEATURE_DIM))
-    # Splitting both axes of the pixel columns keeps them a view, so the
-    # patch layout is written straight into the matrix.
-    features[:, :PATCH_PIXELS].reshape(grid.rows, grid.cols, PATCH_SIDE, PATCH_SIDE)[...] = (
-        gray.reshape(grid.rows, PATCH_SIDE, grid.cols, PATCH_SIDE).transpose(0, 2, 1, 3)
-    )
     rows, cols = np.divmod(np.arange(grid.patch_count), grid.cols)
     np.divide(rows, grid.rows, out=features[:, PATCH_PIXELS])
     np.divide(cols, grid.cols, out=features[:, PATCH_PIXELS + 1])
     return features
 
 
+def _patch_features(
+    frame: FrameObservation, gray: np.ndarray | None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(N, 198) features: patch pixels row-major, then row/rows, col/cols;
+    ``gray`` defaults to the frame's grayscale.  The pixels are written into
+    ``out``, a :func:`_feature_matrix` of the frame's grid, if given."""
+    grid = PatchGrid.for_frame(frame)
+    if gray is None:
+        gray = to_grayscale(frame)
+    if gray.shape != (frame.height, frame.width):
+        raise ValueError(f"grayscale is {gray.shape}, frame is {frame.height}x{frame.width}")
+    features = _feature_matrix(grid) if out is None else out
+    # Splitting both axes of the pixel columns keeps them a view, so the
+    # patch layout is written straight into the matrix.
+    features[:, :PATCH_PIXELS].reshape(grid.rows, grid.cols, PATCH_SIDE, PATCH_SIDE)[...] = (
+        gray.reshape(grid.rows, PATCH_SIDE, grid.cols, PATCH_SIDE).transpose(0, 2, 1, 3)
+    )
+    return features
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in place."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _text_rows(features: np.ndarray, spec: EncoderSpec) -> np.ndarray:
@@ -94,7 +106,8 @@ def _text_rows(features: np.ndarray, spec: EncoderSpec) -> np.ndarray:
 
 def _action_row(features: np.ndarray, spec: EncoderSpec) -> np.ndarray:
     pixels = features[:, :PATCH_PIXELS]
-    contrast = pixels.max(axis=1) - pixels.min(axis=1)
+    contrast = pixels.max(axis=1)
+    contrast -= pixels.min(axis=1)
     return np.broadcast_to(_softmax(contrast), (spec.head_count, len(features))).copy()
 
 
@@ -124,22 +137,34 @@ class ToyEncoder:
 
     The loop calls ``features`` once per frame, then ``attention`` once per
     attention mode its steps use and ``tokens`` for the rows they recompute
-    (see :class:`ttfusion.fusion.SharedObservation`).
+    (see :class:`ttfusion.fusion.SharedObservation`).  The encoder keeps
+    its feature matrix and its row gather from frame to frame, so it serves
+    one loop at a time.
     """
 
     spec: EncoderSpec = field(default_factory=EncoderSpec)
+    _grid: PatchGrid | None = field(default=None, init=False, repr=False, compare=False)
+    _features: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _gather: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def features(self, frame: FrameObservation, gray: np.ndarray | None = None) -> np.ndarray:
         """The frame's (patches, 198) feature matrix, built from ``gray`` if
-        given, else from a grayscale computed here."""
-        return _patch_features(frame, gray)
+        given, else from a grayscale computed here.  The matrix is the
+        encoder's own, rewritten by the next call, so the result is valid
+        until then."""
+        grid = PatchGrid.for_frame(frame)
+        if grid != self._grid:
+            self._grid, self._features = grid, _feature_matrix(grid)
+        return _patch_features(frame, gray, self._features)
 
     def tokens(self, features: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
         """The (len(rows), d) token rows of patches ``rows``, an index array,
         or all patches when None, through ``project_full``, so a row's bits
         do not depend on the other rows asked for."""
         if rows is not None:
-            features = features[rows]
+            if self._gather is None or self._gather.shape != features.shape:
+                self._gather = np.empty(features.shape)
+            features = gather_rows(features, rows, self._gather)
         return project_full(features, self.spec.projection())
 
     def attention(self, frame: FrameObservation, features: np.ndarray, mode: str) -> AttentionSlice:

@@ -514,6 +514,32 @@ class TestVerifyQReuse:
         expected = f"{path}: keyframe_interval = 0, expected at least 1"
         assert expected in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field,value", [("width", 0), ("width", -14), ("height", 0), ("seed", -1), ("seed", 2**64)]
+    )
+    def test_echo_no_config_could_have_exits_4_naming_it(self, tmp_path, capsys, field, value):
+        # The echo width and height must be positive before they make a patch
+        # grid, and the seed must be one a config may have, as in [0, 2**64).
+        out = self.run_with_artifacts(tmp_path)
+        path = out / "report.json"
+        report = json.loads(path.read_text())
+        report["config"][field] = value
+        path.write_text(json.dumps(report))
+        assert main(["verify-qreuse", "--run", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"invariant violation: {path}: {field} = {value}, expected " in err
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_echo_seed_at_either_end_of_the_range_verifies(self, tmp_path, seed):
+        # Reuse is exact under any weights, so any seed a config may have
+        # verifies.
+        out = self.run_with_artifacts(tmp_path)
+        path = out / "report.json"
+        report = json.loads(path.read_text())
+        report["config"]["seed"] = seed
+        path.write_text(json.dumps(report))
+        assert main(["verify-qreuse", "--run", str(out)]) == 0
+
     def test_corrupted_token_dump_exits_4(self, tmp_path, capsys):
         out = self.run_with_artifacts(tmp_path)
         report = read_report(out)

@@ -5,6 +5,7 @@ from ttfusion.detection import (
     ACTION_TO_VISION,
     TEXT_TO_VISION,
     AttentionSlice,
+    diff_band,
     patch_diffs,
     rate_target_mask,
     relevance_scores,
@@ -101,6 +102,29 @@ class TestPixelDiff:
             patch_diffs(gray(np.zeros((28, 28))), gray(np.zeros((14, 14))), grid)
         with pytest.raises(ValueError):
             patch_diffs(gray(np.zeros((14, 14))), gray(np.zeros((14, 14))), grid)
+
+    @pytest.mark.parametrize("patch_rows", [1, 2, 3, 5])
+    def test_band_of_any_height_gives_the_same_diffs(self, patch_rows):
+        rng = np.random.default_rng(patch_rows)
+        a, b = rng.random((70, 42)), rng.random((70, 42))
+        grid = PatchGrid.from_dims(42, 70)
+        band = np.full((patch_rows * 14, 42), np.nan)
+        got = patch_diffs(a, b, grid, band)
+        assert got.tobytes() == patch_diffs(a, b, grid).tobytes()
+        assert np.abs(got - brute_force_diffs(a, b, grid)).max() <= 1e-12
+
+    def test_default_band_fits_the_frame(self):
+        assert diff_band(PatchGrid.from_dims(224, 224)).shape == (70, 224)
+        assert diff_band(PatchGrid.from_dims(4200, 42)).shape == (14, 4200)
+        assert diff_band(PatchGrid.from_dims(28, 28)).shape == (28, 28)
+
+    @pytest.mark.parametrize(
+        "band", [np.empty((13, 28)), np.empty((14, 42)), np.empty((14, 28), dtype=np.float32)]
+    )
+    def test_band_of_wrong_shape_or_dtype_rejected(self, band):
+        grid = PatchGrid.from_dims(28, 28)
+        with pytest.raises(ValueError, match="no diff_band"):
+            patch_diffs(gray(np.zeros((28, 28))), gray(np.zeros((28, 28))), grid, band)
 
     def test_negative_threshold_rejected(self):
         grid = PatchGrid.from_dims(14, 14)

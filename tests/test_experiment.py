@@ -1,4 +1,6 @@
 import gc
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -469,3 +471,51 @@ class TestStreaming:
         next(it)
         assert loaded == [0]
         assert [f.timestep for f in it] == [1, 2, 3]
+
+
+class TestConcurrentRuns:
+    def test_two_runs_in_two_threads_write_the_reports_they_write_alone(self, tmp_path):
+        # Every buffer the loop keeps between frames belongs to one run, so
+        # runs in two threads at once cannot write over each other's frames.
+        configs = [
+            build_run_config(
+                small_values(
+                    synth_frames=40, width=112, height=112, token_dim=16, top_k=8, seed=seed,
+                    keyframe_interval=3, synth_walker=True, synth_noise=0.02,
+                    synth_change_fraction=0.05,
+                )
+            )
+            for seed in (1, 2)
+        ]
+        alone = []
+        for i, config in enumerate(configs):
+            run_points([config], [tmp_path / str(i)])
+            alone.append((tmp_path / str(i) / "report.json").read_bytes())
+        assert alone[0] != alone[1]
+        errors = []
+
+        def run(i, barrier):
+            try:
+                barrier.wait(timeout=60)
+                run_points([configs[i]], [tmp_path / str(i)])
+            except BaseException as exc:  # re-raised below, in the test's thread
+                errors.append(exc)
+
+        # Switching threads often interleaves the two runs' frames finely;
+        # a few rounds make a missed overlap unlikely.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                barrier = threading.Barrier(len(configs))
+                threads = [threading.Thread(target=run, args=(i, barrier)) for i in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert errors == []
+                for i, report in enumerate(alone):
+                    assert (tmp_path / str(i) / "report.json").read_bytes() == report
+        finally:
+            sys.setswitchinterval(interval)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ttfusion.frames
 from ttfusion.frames import (
     FrameError,
     FrameObservation,
@@ -160,6 +161,37 @@ class TestGrayscaleLayouts:
         pixels = wide[:, ::2]
         got = to_grayscale(FrameObservation(pixels=pixels, timestep=0))
         assert np.array_equal(got, float64_grayscale(pixels))
+
+    @pytest.mark.parametrize("band_pixels", [1, 100, ttfusion.frames.GRAY_BAND_PIXELS, 10**6])
+    @pytest.mark.parametrize("width,height", [(28, 14), (448, 42), (42, 70)])
+    def test_rgb_bands_of_any_size_give_the_whole_frame_formula(
+        self, monkeypatch, band_pixels, width, height
+    ):
+        # One row per band, a partial last band, and the whole frame in one.
+        monkeypatch.setattr(ttfusion.frames, "GRAY_BAND_PIXELS", band_pixels)
+        rng = np.random.default_rng(width + height)
+        pixels = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+        got = to_grayscale(FrameObservation(pixels=pixels, timestep=0))
+        assert got.tobytes() == float64_grayscale(pixels).tobytes()
+
+    @pytest.mark.parametrize("plane", [False, True])
+    def test_out_receives_the_plane(self, plane):
+        rng = np.random.default_rng(5)
+        pixels = rng.integers(0, 256, size=(28, 42, 3), dtype=np.uint8)
+        if plane:
+            pixels = np.broadcast_to(pixels[..., :1], pixels.shape)
+        frame = FrameObservation(pixels=pixels, timestep=0)
+        out = np.full((28, 42), -1.0)
+        assert to_grayscale(frame, out) is out
+        assert np.array_equal(out, to_grayscale(frame))
+
+    @pytest.mark.parametrize(
+        "out", [np.empty((28, 28)), np.empty((28, 42), dtype=np.float32), np.empty((42, 28)).T]
+    )
+    def test_out_of_wrong_shape_dtype_or_layout_rejected(self, out):
+        frame = solid_frame(42, 28, (1, 2, 3))
+        with pytest.raises(ValueError, match="out must be"):
+            to_grayscale(frame, out)
 
 
 class TestPatchGrid:

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from ttfusion.fusion import (
     SharedObservation,
     step,
 )
-from ttfusion.synthetic import SynthSpec, generate_frames
+from ttfusion.experiment import load_frames_dir
+from ttfusion.synthetic import SynthSpec, generate_frames, iter_frames, write_sequence
 from ttfusion.toy_encoder import EncoderSpec, ToyEncoder
 
 
@@ -586,13 +588,13 @@ class TestLockstep:
         original = ttfusion.fusion.to_grayscale
         original_diffs = ttfusion.detection.patch_diffs
 
-        def counting(frame):
+        def counting(frame, out=None):
             calls.append(frame.timestep)
-            return original(frame)
+            return original(frame, out)
 
-        def counting_diffs(gray_t, gray_prev, grid):
+        def counting_diffs(gray_t, gray_prev, grid, band=None):
             diff_calls.append(calls[-1])
-            return original_diffs(gray_t, gray_prev, grid)
+            return original_diffs(gray_t, gray_prev, grid, band)
 
         monkeypatch.setattr(ttfusion.fusion, "to_grayscale", counting)
         monkeypatch.setattr(ttfusion.toy_encoder, "to_grayscale", counting)
@@ -662,6 +664,46 @@ class TestLockstep:
     def test_no_configs_rejected(self):
         with pytest.raises(ValueError, match="no fusion configs"):
             next(lockstep(small_frames(2), small_encoder(), []))
+
+
+class TestFlatStepMemory:
+    """In steady state a frame allocates no frame-sized array but each
+    config's fused tokens and the frame's token rows: the grayscale planes,
+    the pixel-diff band, the feature matrix and the row gather are kept
+    from frame to frame.  Checked with tracemalloc, so it holds whatever
+    the allocator does with freed memory."""
+
+    @pytest.mark.parametrize("source", ["synthetic", "ppm"])
+    @pytest.mark.parametrize("size,intervals", [(448, (1, 3, 6)), (224, (3,))])
+    def test_frames_after_the_third_allocate_only_tokens(self, size, intervals, source, tmp_path):
+        d = 64
+        spec = SynthSpec(frame_count=30, width=size, height=size, change_fraction=0.05,
+                         walker=True, noise_amplitude=0.02, seed=1)
+        frames = iter_frames(spec)
+        if source == "ppm":
+            # PPM frames are RGB arrays, which take to_grayscale's banded path.
+            write_sequence(spec, tmp_path)
+            frames = load_frames_dir(tmp_path)
+        configs = [FusionConfig(keyframe_interval=k, width=size, height=size) for k in intervals]
+        n = (size // 14) ** 2
+        # Each config's new fused tokens and the frame's token rows, while the
+        # previous frame's results are still held, plus small temporaries.
+        bound = (len(configs) + 1) * n * d * 8 + 128 * 1024
+        growth = []
+        tracemalloc.start()
+        try:
+            loop = lockstep(frames, ToyEncoder(EncoderSpec(token_dim=d)), configs)
+            for t, results in enumerate(loop):
+                size_now, peak = tracemalloc.get_traced_memory()
+                if t == 2:
+                    base = size_now
+                elif t > 2:
+                    growth.append(peak - base)
+                tracemalloc.reset_peak()
+        finally:
+            tracemalloc.stop()
+        assert len(growth) == 27
+        assert max(growth) <= bound
 
 
 class TestEncodesOnlyWhatTheStepReads:

@@ -7,6 +7,7 @@ from ttfusion.projection import (
     ProjectionSet,
     ReuseChecker,
     equivalence_failures,
+    gather_rows,
     project_full,
 )
 from ttfusion.synthetic import SynthSpec, generate_frames
@@ -98,6 +99,22 @@ def check_pairs(pairs, projections):
     """Feed (tokens, mask) pairs, in step order, through one ReuseChecker."""
     checker = ReuseChecker(projections, len(pairs[0][0]))
     return [checker.check(tokens, mask) for tokens, mask in pairs]
+
+
+class TestGatherRows:
+    def test_rows_land_in_the_head_of_out(self):
+        values = np.arange(24.0).reshape(6, 4)
+        out = np.full((6, 4), -1.0)
+        rows = np.array([5, 0, 3])
+        got = gather_rows(values, rows, out)
+        assert np.shares_memory(got, out) and got.shape == (3, 4)
+        assert np.array_equal(got, values[rows])
+        assert (out[3:] == -1.0).all()
+
+    @pytest.mark.parametrize("row", [-1, 6])
+    def test_row_out_of_range_rejected(self, row):
+        with pytest.raises(IndexError, match="out of range"):
+            gather_rows(np.zeros((6, 4)), np.array([0, row]), np.empty((6, 4)))
 
 
 class TestReuseCheckerOverRuns:

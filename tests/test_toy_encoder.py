@@ -299,13 +299,29 @@ class TestToyEncoder:
     def test_given_grayscale_matches_computed_one(self):
         frame = frame_from_gray_levels([10, 80, 160, 250])
         encoder = ToyEncoder(SPEC)
-        features = encoder.features(frame, to_grayscale(frame))
+        features = encoder.features(frame, to_grayscale(frame)).copy()
         assert np.array_equal(features, encoder.features(frame))
         assert np.array_equal(encoder.tokens(features, None), encode(frame, SPEC))
         text = encoder.attention(frame, features, TEXT_TO_VISION)
         action = encoder.attention(frame, features, ACTION_TO_VISION)
         assert np.array_equal(text.text_rows, synth_attention(frame, SPEC).text_rows)
         assert np.array_equal(action.action_row, synth_attention(frame, SPEC).action_row)
+
+    def test_feature_matrix_is_kept_per_grid(self):
+        # Each frame's features are written over the last frame's of the
+        # same grid, and equal a new encoder's.
+        encoder = ToyEncoder(SPEC)
+        frames = generate_frames(
+            SynthSpec(frame_count=3, width=42, height=28, walker=True, noise_amplitude=0.2)
+        )
+        first = encoder.features(frames[0])
+        for frame in frames[1:]:
+            assert encoder.features(frame) is first
+            assert first.tobytes() == ToyEncoder(SPEC).features(frame).tobytes()
+        other = frame_from_gray_levels([1, 2, 3, 4, 5, 6], width=28, height=42)
+        features = encoder.features(other)
+        assert features is not first
+        assert features.tobytes() == ToyEncoder(SPEC).features(other).tobytes()
 
     def test_unknown_attention_mode_rejected(self):
         frame = frame_from_gray_levels([10, 80, 160, 250])
