@@ -11,7 +11,7 @@ import contextlib
 import logging
 import os
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .frames import (
     read_pgm,
     write_pgm,
 )
-from .fusion import StepResult, lockstep
+from .fusion import FusionConfig, StepResult, lockstep
 from .projection import ProjectionSet, ReuseChecker, equivalence_failures
 from .report import (
     InvariantError,
@@ -40,8 +40,8 @@ from .runconfig import (
     ATTENTION_SOURCE_TENSOR_FILES,
     RunConfig,
     apply_parameter,
+    build_run_config,
     config_echo,
-    seed_in_range,
 )
 from .synthetic import FRAME_NAME, iter_frames
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
@@ -194,16 +194,16 @@ def open_frames(config: RunConfig) -> tuple[Iterable[FrameObservation], int]:
 
 
 class _Point:
-    """One config's share of the streaming pass: its Q/K/V reuse check, its
-    report records and failure lines, and its mask and token dumps if asked."""
+    """One config's share of the streaming pass: its Q/K/V reuse check with
+    the run's shared weights, its report records and failure lines, and its
+    mask and token dumps if asked."""
 
-    def __init__(self, config: RunConfig, out_dir: str | os.PathLike | None):
+    def __init__(
+        self, config: RunConfig, projections: ProjectionSet, out_dir: str | os.PathLike | None
+    ):
         self.config = config
         self.out_dir = out_dir
-        self.checker = ReuseChecker(
-            ProjectionSet.generate(config.token_dim, config.seed),
-            config.fusion.grid.patch_count,
-        )
+        self.checker = ReuseChecker(projections, config.fusion.grid.patch_count)
         self.records: list[dict] = []
         self.failures: list[str] = []
         if out_dir is not None:
@@ -258,27 +258,34 @@ class _Point:
         return result
 
 
-def run_points(configs: list[RunConfig], out_dirs: list | None = None) -> list[ExperimentResult]:
-    """Run the same frames once per config, in one streaming pass.
+def run_points(
+    config: RunConfig, fusions: list[FusionConfig], out_dirs: list | None = None
+) -> list[ExperimentResult]:
+    """Run the config's frames once per fusion config, in one streaming pass.
 
-    Frames and the encoder come from the first config (configs may differ
-    only in fusion knobs neither reads); an empty ``configs`` raises
-    ``ValueError`` before any frame is opened.  Every config advances
-    through the frames in lockstep (``fusion.lockstep``).  Right after its
-    step, each config's Q/K/V reuse check runs and the step is reduced to
-    its report record; its fused tokens live on only as the next step's
-    history, so memory does not grow with the episode.  With ``out_dirs``,
-    one directory per config, each config's mask and token dumps are
-    written as its steps complete and its report.json after the last step.
+    The frames, the encoder and the Q/K/V weights come from ``config``; point
+    i runs and echoes ``replace(config, fusion=fusions[i])``.  An empty
+    ``fusions`` raises ``ValueError`` before any frame is opened.  Every
+    point advances through the frames in lockstep (``fusion.lockstep``).
+    Right after its step, each point's Q/K/V reuse check runs and the step
+    is reduced to its report record; its fused tokens live on only as the
+    next step's history, so memory does not grow with the episode.  With
+    ``out_dirs``, one directory per point, each point's mask and token dumps
+    are written as its steps complete and its report.json after the last
+    step.
     """
-    if not configs:
+    if not fusions:
         raise ValueError("no fusion configs to run")
-    frames, count = open_frames(configs[0])
-    encoder = build_encoder(configs[0], count)
+    frames, count = open_frames(config)
+    encoder = build_encoder(config, count)
+    projections = ProjectionSet.generate(config.token_dim, config.seed)
     if out_dirs is None:
-        out_dirs = [None] * len(configs)
-    points = [_Point(config, out_dir) for config, out_dir in zip(configs, out_dirs, strict=True)]
-    for steps in lockstep(frames, encoder, [config.fusion for config in configs]):
+        out_dirs = [None] * len(fusions)
+    points = [
+        _Point(replace(config, fusion=fusion), projections, out_dir)
+        for fusion, out_dir in zip(fusions, out_dirs, strict=True)
+    ]
+    for steps in lockstep(frames, encoder, fusions):
         for point, step in zip(points, steps):
             point.add(step)
     return [point.finish() for point in points]
@@ -287,7 +294,7 @@ def run_points(configs: list[RunConfig], out_dirs: list | None = None) -> list[E
 def run_experiment(config: RunConfig, out_dir: str | os.PathLike | None = None) -> ExperimentResult:
     """One full run: fusion loop plus Q/K/V reuse verification, writing its
     outputs to ``out_dir`` when given (see ``run_points``)."""
-    return run_points([config], None if out_dir is None else [out_dir])[0]
+    return run_points(config, [config.fusion], None if out_dir is None else [out_dir])[0]
 
 
 def run_sweep(
@@ -308,11 +315,11 @@ def run_sweep(
     """
     if not values:
         raise ValueError("sweep values list is empty")
-    varied = [apply_parameter(config, parameter, value) for value in values]
+    fusions = [apply_parameter(config, parameter, value) for value in values]
     out_dirs = None
     if out_dir is not None:
         out_dirs = [os.path.join(out_dir, f"{parameter}_{value}") for value in values]
-    results = run_points(varied, out_dirs)
+    results = run_points(config, fusions, out_dirs)
     points = []
     for value, result in zip(values, results):
         aggregates = result.report["aggregates"]
@@ -331,34 +338,34 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[str]]:
     returns the report and a line for each nonzero Q/K/V reuse error.
 
     The run must have been written with ``emit_tokens`` (and ``emit_masks``
-    unless every step was a keyframe); projection weights are regenerated
-    from the config echo, and one ``ReuseChecker`` checks the steps in
-    order.  A token dump that is not (patches, token_dim) raises
+    unless every step was a keyframe).  The run's config is rebuilt from
+    the echo's non-null values by ``build_run_config``, so the echo must
+    pass every rule a config file does.  Once step 0's token dump has the
+    echo's shape, projection weights are generated from that config as
+    ``run_points`` generates them, and one ``ReuseChecker`` checks the
+    steps in order.  A token dump that is not (patches, token_dim) raises
     ``TensorFormatError`` and a mask that is not the patch grid raises
-    ``FrameError``, each naming the file and both shapes; an echo size off
-    the patch grid raises ``FrameError`` too.  A report that ``load_report``
-    rejects, an echo ``keyframe_interval``, ``width`` or ``height`` below 1,
-    an echo ``seed`` outside ``runconfig.seed_in_range``, a wrong
-    ``is_keyframe`` for the echo's ``keyframe_interval``, a
-    ``mask_counts`` field other than the mask gives (naming the mask file,
-    or the report for a keyframe), and detector counts that cannot OR into
-    ``fusion_updates`` raise ``InvariantError``, so the report's aggregates
-    are the replay's.  Each step's dump and mask are read as the check
-    reaches the step.
+    ``FrameError``, each naming the file and both shapes.  A report that
+    ``load_report`` rejects, an echo that breaks a config rule (the rule's
+    message follows "config echo: "), a mask pixel other than 0 or 255
+    (naming the mask file), a wrong ``is_keyframe`` for the echo's
+    ``keyframe_interval``, a ``mask_counts`` field other than the mask
+    gives (naming the mask file, or the report for a keyframe), and
+    detector counts that cannot OR into ``fusion_updates`` raise
+    ``InvariantError``, so the report's aggregates are the replay's.  Each
+    step's dump and mask are read as the check reaches the step.
     """
     report_path = os.path.join(run_dir, REPORT_NAME)
     report = load_report(report_path)
-    config = report["config"]
-    for field in ("keyframe_interval", "width", "height"):
-        if config[field] < 1:
-            raise InvariantError(f"{report_path}: {field} = {config[field]}, expected at least 1")
-    if not seed_in_range(config["seed"]):
-        raise InvariantError(f"{report_path}: seed = {config['seed']}, expected one in [0, 2**64)")
-    interval = config["keyframe_interval"]
-    grid = PatchGrid.from_dims(config["width"], config["height"])
+    try:
+        config = build_run_config({k: v for k, v in report["config"].items() if v is not None})
+    except (ValueError, TypeError) as exc:
+        raise InvariantError(f"{report_path}: config echo: {exc}") from exc
+    interval = config.fusion.keyframe_interval
+    grid = config.fusion.grid
     n = grid.patch_count
-    token_shape = (n, config["token_dim"])
-    checker = ReuseChecker(ProjectionSet.generate(config["token_dim"], config["seed"]), n)
+    token_shape = (n, config.token_dim)
+    checker = None
     failures = []
     for record in report["steps"]:
         t = record["t"]
@@ -380,6 +387,9 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[str]]:
                 f"{token_path}: token dump is {tokens.shape}, expected "
                 f"{token_shape} (patches, token_dim)",
             )
+        if checker is None:
+            # Only a dump that agrees with the echo sizes the weights.
+            checker = ReuseChecker(ProjectionSet.generate(config.token_dim, config.seed), n)
         if keyframe:
             source, mask = report_path, np.ones(n, dtype=bool)
         else:
@@ -395,7 +405,14 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[str]]:
                     f"{source}: mask is {image.shape}, expected "
                     f"{(grid.rows, grid.cols)} (patch grid rows, cols)",
                 )
-            mask = image.ravel() > 0
+            pixels = image.ravel()
+            odd = np.flatnonzero((pixels != 0) & (pixels != 255))
+            if odd.size:
+                raise InvariantError(
+                    f"{source}: step {t} has mask pixel {odd[0]} = {pixels[odd[0]]}, "
+                    "expected 0 (reused) or 255 (recomputed)"
+                )
+            mask = pixels == 255
         check = checker.check(tokens, mask)
         for field, value in mask_counts(check, n).items():
             if record[field] != value:

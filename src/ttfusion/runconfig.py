@@ -26,12 +26,6 @@ class ConfigError(ValueError):
     """Invalid configuration file or parameter value."""
 
 
-def seed_in_range(seed: int) -> bool:
-    """Whether ``seed`` is a 64-bit seed, in [0, 2**64): the range of a
-    config's seed and of the seed a report's config echo records."""
-    return 0 <= seed < 1 << 64
-
-
 def _parse_bool(raw: str) -> bool:
     lowered = raw.lower()
     if lowered == "true":
@@ -100,7 +94,7 @@ class RunConfig:
             raise ConfigError(f"unknown attention source {self.attention_source!r}")
         if self.attention_source == ATTENTION_SOURCE_TENSOR_FILES and not self.attention_dir:
             raise ConfigError("attention_source = tensor_files requires attention_dir")
-        if not seed_in_range(self.seed):
+        if not 0 <= self.seed < 1 << 64:
             raise ConfigError("seed must fit in 64 bits")
         try:
             self.synth, self.encoder_spec
@@ -189,14 +183,13 @@ def _sweep_key(name: str) -> str:
     return SWEEP_PARAMETERS[name]
 
 
-def apply_parameter(config: RunConfig, name: str, value) -> RunConfig:
-    """A copy of the config with one sweepable fusion parameter replaced."""
+def apply_parameter(config: RunConfig, name: str, value) -> FusionConfig:
+    """The config's fusion knobs with one sweepable parameter replaced."""
     key = _sweep_key(name)
     try:
-        fusion = replace(config.fusion, **{key: value})
+        return replace(config.fusion, **{key: value})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return replace(config, fusion=fusion)
 
 
 def parse_sweep_values(name: str, raw_values: str) -> list:

@@ -5,6 +5,7 @@ import pytest
 
 from ttfusion.cli import main
 from ttfusion.frames import read_pgm, write_pgm
+from ttfusion.projection import ProjectionSet
 from ttfusion.report import _aggregates_from_steps
 from ttfusion.runconfig import SWEEP_PARAMETERS
 from ttfusion.tensor_io import read_tensor, write_tensor
@@ -511,23 +512,49 @@ class TestVerifyQReuse:
         report["config"]["keyframe_interval"] = 0
         path.write_text(json.dumps(report))
         assert main(["verify-qreuse", "--run", str(out)]) == 4
-        expected = f"{path}: keyframe_interval = 0, expected at least 1"
+        expected = f"{path}: config echo: keyframe interval must be at least 1"
         assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field,value", [("width", 0), ("width", -14), ("height", 0), ("seed", -1), ("seed", 2**64)]
+        "field,value,rule",
+        [
+            pytest.param(field, value, rule, id=f"{field}-{value}")
+            for field, value, rule in [
+                ("width", 0, "grid must have positive dimensions"),
+                ("width", -14, "grid must have positive dimensions"),
+                ("height", 0, "grid must have positive dimensions"),
+                ("seed", -1, "seed must fit in 64 bits"),
+                ("seed", 2**64, "seed must fit in 64 bits"),
+                ("attention_mode", "nope", "unknown attention mode 'nope'"),
+                ("heads", 0, "need at least one head"),
+                ("top_k", -5, "attention budget must be non-negative"),
+                ("top_k", "70", "'<' not supported between instances of 'str' and 'int'"),
+                ("pixel_threshold", -1.0, "pixel threshold must be non-negative"),
+                ("colour", "red", "unknown keys: ['colour']"),
+                ("token_dim", -1, "token dim must be positive"),
+                ("token_dim", 0, "token dim must be positive"),
+                ("synth_frames", None, "exactly one of frames_dir / synth_frames must be set"),
+            ]
+        ],
     )
-    def test_echo_no_config_could_have_exits_4_naming_it(self, tmp_path, capsys, field, value):
-        # The echo width and height must be positive before they make a patch
-        # grid, and the seed must be one a config may have, as in [0, 2**64).
+    def test_echo_no_config_could_have_exits_4_naming_it(
+        self, tmp_path, capsys, field, value, rule
+    ):
+        # The echo is rebuilt into a config by the rules a config file
+        # obeys, and the rule it breaks is named.
         out = self.run_with_artifacts(tmp_path)
         path = out / "report.json"
         report = json.loads(path.read_text())
+        if value is None:
+            # Null every synth_* key, as the echo of a frames_dir run does,
+            # so that only the missing frame source is at fault.
+            synth_keys = [key for key in report["config"] if key.startswith("synth_")]
+            report["config"].update(dict.fromkeys(synth_keys))
         report["config"][field] = value
         path.write_text(json.dumps(report))
         assert main(["verify-qreuse", "--run", str(out)]) == 4
         err = capsys.readouterr().err
-        assert f"invariant violation: {path}: {field} = {value}, expected " in err
+        assert f"invariant violation: {path}: config echo: {rule}\n" in err
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_echo_seed_at_either_end_of_the_range_verifies(self, tmp_path, seed):
@@ -652,6 +679,46 @@ class TestVerifyQReuse:
         )
         assert f"invariant violation: {expected}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [1, 128])
+    def test_mask_pixel_neither_0_nor_255_exits_4_naming_it(self, tmp_path, capsys, value):
+        # A mask pixel is 0 (reused) or 255 (recomputed); any other value is
+        # no flag, not a recompute.
+        out = self.run_with_artifacts(tmp_path)
+        path = out / "masks" / "mask_000001.pgm"
+        image = read_pgm(path).copy()
+        recomputed = np.flatnonzero(image.ravel() == 255)
+        assert recomputed.size
+        image.ravel()[recomputed] = value
+        write_pgm(path, image)
+        capsys.readouterr()
+        assert main(["verify-qreuse", "--run", str(out)]) == 4
+        expected = (
+            f"{path}: step 1 has mask pixel {recomputed[0]} = {value}, "
+            "expected 0 (reused) or 255 (recomputed)"
+        )
+        assert f"invariant violation: {expected}" in capsys.readouterr().err
+
+    def test_echo_token_dim_off_the_dumps_exits_3_before_any_weight_is_made(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Weights of the echo's token_dim are generated only once step 0's
+        # dump has that width, so a wild token_dim allocates nothing.
+        out = self.run_with_artifacts(tmp_path)
+        path = out / "report.json"
+        report = json.loads(path.read_text())
+        report["config"]["token_dim"] = 2**20
+        path.write_text(json.dumps(report))
+
+        def refuse(dim, seed):
+            pytest.fail(f"weights of width {dim} generated before any dump was read")
+
+        monkeypatch.setattr(ProjectionSet, "generate", refuse)
+        capsys.readouterr()
+        assert main(["verify-qreuse", "--run", str(out)]) == 3
+        dump = out / "tokens" / "fused_000000.ttft"
+        expected = f"{dump}: token dump is (4, 8), expected (4, {2**20}) (patches, token_dim)"
+        assert f"i/o error: {expected}" in capsys.readouterr().err
+
     def test_keyframe_record_claiming_reuse_exits_4_naming_the_report(self, tmp_path, capsys):
         out = self.run_with_artifacts(tmp_path)
         path = out / "report.json"
@@ -686,13 +753,15 @@ class TestVerifyQReuse:
                      "float": "step record 1 has t = 1.0, expected 1"}[edit]
         assert f"{path}: {first_bad}" in capsys.readouterr().err
 
-    def test_width_off_the_patch_grid_exits_3(self, tmp_path, capsys):
+    def test_width_off_the_patch_grid_exits_4_naming_the_report(self, tmp_path, capsys):
         out = self.run_with_artifacts(tmp_path)
-        payload = json.loads((out / "report.json").read_text())
+        path = out / "report.json"
+        payload = json.loads(path.read_text())
         payload["config"]["width"] = 30
-        (out / "report.json").write_text(json.dumps(payload))
-        assert main(["verify-qreuse", "--run", str(out)]) == 3
-        assert "30x28" in capsys.readouterr().err
+        path.write_text(json.dumps(payload))
+        assert main(["verify-qreuse", "--run", str(out)]) == 4
+        expected = f"{path}: config echo: dimensions 30x28 are not multiples of 14"
+        assert f"invariant violation: {expected}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "bad_shape",

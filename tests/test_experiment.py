@@ -1,4 +1,5 @@
 import gc
+import json
 import sys
 import threading
 import tracemalloc
@@ -360,6 +361,28 @@ class TestSeed:
         assert serialize_report(report) == serialize_report(run_experiment(written).report)
 
 
+class TestEchoRoundTrip:
+    @pytest.mark.parametrize("source", ["synthetic", "frames_dir", "tensor_files"])
+    def test_written_echo_rebuilds_the_config_that_wrote_it(self, tmp_path, source):
+        # verify-qreuse rebuilds a run's config from its echo's non-null
+        # values, so that config must be the run's and echo the same values.
+        values = small_values(keyframe_interval=3, synth_walker=True, synth_noise=0.05)
+        if source == "frames_dir":
+            write_sequence(build_run_config(values).synth, tmp_path / "frames")
+            values = {k: v for k, v in values.items() if not k.startswith("synth_")}
+            values["frames_dir"] = str(tmp_path / "frames")
+        elif source == "tensor_files":
+            write_attention_files(tmp_path / "attn", frame_count=5)
+            values.update(attention_source="tensor_files", attention_dir=str(tmp_path / "attn"),
+                          text_tokens=2, heads=2)
+        config = build_run_config(values)
+        run_experiment(config, out_dir=tmp_path / "out")
+        echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+        rebuilt = build_run_config({k: v for k, v in echo.items() if v is not None})
+        assert rebuilt == config
+        assert config_echo(rebuilt) == echo
+
+
 class TestOutputs:
     def test_token_dumps_written_for_every_step(self, tmp_path):
         config = build_run_config(small_values(emit_tokens=True))
@@ -385,20 +408,21 @@ class TestOutputs:
 
 
 class TestStreaming:
-    def sweep_configs(self, frames, size=224, top_k=70):
+    def sweep(self, frames, size=224, top_k=70):
+        """A run config and the fusion configs of its K = 1, 3, 6 points."""
         config = build_run_config(
             small_values(
                 synth_frames=frames, width=size, height=size, token_dim=64, top_k=top_k,
                 synth_walker=True, synth_noise=0.02, synth_change_fraction=0.05,
             )
         )
-        return [apply_parameter(config, "K", k) for k in (1, 3, 6)]
+        return config, [apply_parameter(config, "K", k) for k in (1, 3, 6)]
 
     def traced_peak(self, frames):
-        configs = self.sweep_configs(frames)
+        config, fusions = self.sweep(frames)
         tracemalloc.start()
         try:
-            run_points(configs)
+            run_points(config, fusions)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -407,7 +431,7 @@ class TestStreaming:
         opened = []
         monkeypatch.setattr(ttfusion.experiment, "open_frames", opened.append)
         with pytest.raises(ValueError, match="no fusion configs to run"):
-            run_points([])
+            run_points(self.sweep(3)[0], [])
         assert opened == []
 
     def test_loop_looks_up_step_through_the_module(self, monkeypatch):
@@ -421,9 +445,23 @@ class TestStreaming:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(ttfusion.fusion, "step", counting)
-        configs = self.sweep_configs(7, size=56, top_k=2)
-        run_points(configs)
-        assert calls == [t for t in range(7) for _ in configs]
+        config, fusions = self.sweep(7, size=56, top_k=2)
+        run_points(config, fusions)
+        assert calls == [t for t in range(7) for _ in fusions]
+
+    def test_weights_are_generated_once_per_call(self, monkeypatch):
+        # Every point checks its reuse with the run's one set of weights.
+        generated = []
+        original = ProjectionSet.generate
+
+        def counting(dim, seed):
+            generated.append((dim, seed))
+            return original(dim, seed)
+
+        monkeypatch.setattr(ProjectionSet, "generate", counting)
+        config, fusions = self.sweep(4, size=56, top_k=2)
+        run_points(config, fusions)
+        assert generated == [(config.token_dim, config.seed)]
 
     def test_memory_does_not_grow_with_the_episode(self):
         # Only each point's last step and its projections live between
@@ -435,8 +473,9 @@ class TestStreaming:
         # Each record holds its check's counts and three errors, and a check
         # has worst rows exactly when an error is nonzero, so equal report
         # bytes and no failures mean equal checks.
-        configs = self.sweep_configs(13, size=56, top_k=2)
-        for config, result in zip(configs, run_points(configs)):
+        run, fusions = self.sweep(13, size=56, top_k=2)
+        configs = [replace(run, fusion=fusion) for fusion in fusions]
+        for config, result in zip(configs, run_points(run, fusions)):
             steps = run_steps(config)
             projections = ProjectionSet.generate(config.token_dim, config.seed)
             checker = ReuseChecker(projections, config.fusion.grid.patch_count)
@@ -450,7 +489,7 @@ class TestStreaming:
         assert result.report["aggregates"]["mean_fusion_rate_non_keyframe"] > 0.0
 
     def test_no_step_check_outlives_its_record(self):
-        results = run_points(self.sweep_configs(7, size=56, top_k=2))
+        results = run_points(*self.sweep(7, size=56, top_k=2))
         gc.collect()
         assert not [obj for obj in gc.get_objects() if isinstance(obj, EquivalenceCheck)]
         assert all(len(result.report["steps"]) == 7 for result in results)
@@ -489,7 +528,7 @@ class TestConcurrentRuns:
         ]
         alone = []
         for i, config in enumerate(configs):
-            run_points([config], [tmp_path / str(i)])
+            run_points(config, [config.fusion], [tmp_path / str(i)])
             alone.append((tmp_path / str(i) / "report.json").read_bytes())
         assert alone[0] != alone[1]
         errors = []
@@ -497,7 +536,7 @@ class TestConcurrentRuns:
         def run(i, barrier):
             try:
                 barrier.wait(timeout=60)
-                run_points([configs[i]], [tmp_path / str(i)])
+                run_points(configs[i], [configs[i].fusion], [tmp_path / str(i)])
             except BaseException as exc:  # re-raised below, in the test's thread
                 errors.append(exc)
 

@@ -101,7 +101,7 @@ def assert_loop_matches_reference(configs):
     frames, count = open_frames(configs[0])
     encoder = build_encoder(configs[0], count)
     loop = list(lockstep(frames, encoder, [config.fusion for config in configs]))
-    results = run_points(configs)
+    results = run_points(configs[0], [config.fusion for config in configs])
     for i, (config, result) in enumerate(zip(configs, results)):
         steps, records = reference_run(config)
         assert len(loop) == len(steps)

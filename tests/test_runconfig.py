@@ -182,9 +182,10 @@ class TestValidation:
 class TestSweepParameters:
     def test_aliases_map_to_canonical_fields(self):
         config = config_from(MINIMAL)
-        assert apply_parameter(config, "K", 7).fusion.keyframe_interval == 7
-        assert apply_parameter(config, "tau_pixel", 0.5).fusion.pixel_threshold == 0.5
-        assert apply_parameter(config, "k", 10).fusion.top_k == 10
+        fusion = config.fusion
+        assert apply_parameter(config, "K", 7) == replace(fusion, keyframe_interval=7)
+        assert apply_parameter(config, "tau_pixel", 0.5) == replace(fusion, pixel_threshold=0.5)
+        assert apply_parameter(config, "k", 10) == replace(fusion, top_k=10)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError, match="unknown sweep parameter"):
