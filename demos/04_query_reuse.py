@@ -9,6 +9,7 @@ completes, and totals the avoided work.
 """
 
 from ttfusion import FusionConfig, ProjectionSet, ReuseChecker, SynthSpec, iter_frames, lockstep
+from ttfusion.report import step_record
 from ttfusion.toy_encoder import EncoderSpec, ToyEncoder
 
 frames = iter_frames(
@@ -17,24 +18,30 @@ frames = iter_frames(
 config = FusionConfig(keyframe_interval=3)
 checker = ReuseChecker(ProjectionSet.generate(dim=64, seed=5), rows=256)
 
-checks, rates_match = [], True
+records, rates_match = [], True
 for [step] in lockstep(frames, ToyEncoder(EncoderSpec(token_dim=64, seed=5)), [config]):
-    check = checker.check(step.fused_tokens, step.fusion_mask)
-    checks.append(check)
-    rates_match = rates_match and check.reused_rows / 256 == step.fusion_rate
+    errors, _ = checker.check(step.fused_tokens, step.fusion_mask)
+    record = step_record(step, errors)
+    records.append(record)
+    rates_match = rates_match and record["reused_rows"] / 256 == step.fusion_rate
+
+
+def max_error(record):
+    return max(record["query_error"], record["key_error"], record["value_error"])
+
 
 print(f"{'t':>3} {'reused rows':>11} {'saved mults':>12} {'max |selective - full|':>23}")
-for check in checks[:10]:
+for record in records[:10]:
     print(
-        f"{check.timestep:>3} {check.reused_rows:>11} {check.saved_multiplications:>12}"
-        f" {check.max_error:>23}"
+        f"{record['t']:>3} {record['reused_rows']:>11} {record['saved_multiplications']:>12}"
+        f" {max_error(record):>23}"
     )
 print("  ...")
 
-total_saved = sum(c.saved_multiplications for c in checks)
-full_cost = len(checks) * 256 * 64 * 64 * 3
-worst = max(c.max_error for c in checks)
-print(f"\nworst error across {len(checks)} steps and 3 matrices: {worst}")
+total_saved = sum(r["saved_multiplications"] for r in records)
+full_cost = len(records) * 256 * 64 * 64 * 3
+worst = max(max_error(r) for r in records)
+print(f"\nworst error across {len(records)} steps and 3 matrices: {worst}")
 assert worst == 0.0
 print(f"saved multiplications: {total_saved:,} of {full_cost:,} "
       f"({100 * total_saved / full_cost:.1f}% of projection work)")

@@ -36,7 +36,7 @@ from .fusion import (
     lockstep,
     step,
 )
-from .projection import EquivalenceCheck, ProjectionSet, ReuseChecker, project_full
+from .projection import ProjectionSet, ReuseChecker, project_full
 from .prng import SplitMix64
 from .runconfig import ConfigError, RunConfig, load_config_file
 from .synthetic import SynthSpec, generate_frames, iter_frames, walker_patch, write_sequence
@@ -52,7 +52,6 @@ __all__ = [
     "AttentionSlice",
     "ConfigError",
     "EncoderSpec",
-    "EquivalenceCheck",
     "FrameError",
     "FrameObservation",
     "FusionConfig",

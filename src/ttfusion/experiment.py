@@ -26,7 +26,7 @@ from .frames import (
     write_pgm,
 )
 from .fusion import FusionConfig, StepResult, lockstep
-from .projection import ProjectionSet, ReuseChecker, equivalence_failures
+from .projection import ProjectionSet, ReuseChecker
 from .report import (
     InvariantError,
     build_report,
@@ -56,6 +56,7 @@ TOKEN_NAME = "fused_{:06d}.ttft"
 TEXT_ATTENTION_NAME = "attn_text_{:06d}.ttft"
 ACTION_ATTENTION_NAME = "attn_action_{:06d}.ttft"
 REPORT_NAME = "report.json"
+_DUMPS = ((MASK_DIR, MASK_NAME), (TOKEN_DIR, TOKEN_NAME))
 _ATTENTION_NAMES = {TEXT_TO_VISION: TEXT_ATTENTION_NAME, ACTION_TO_VISION: ACTION_ATTENTION_NAME}
 
 
@@ -214,10 +215,7 @@ class _Point:
                 os.remove(os.path.join(out_dir, REPORT_NAME))
             # Nor may an earlier run's dumps outlive it: verify-qreuse would
             # replay them as this run's.
-            for wanted, subdir, name in (
-                (config.emit_masks, MASK_DIR, MASK_NAME),
-                (config.emit_tokens, TOKEN_DIR, TOKEN_NAME),
-            ):
+            for (subdir, name), wanted in zip(_DUMPS, (config.emit_masks, config.emit_tokens)):
                 folder = os.path.join(out_dir, subdir)
                 if os.path.isdir(folder):
                     for entry in numbered_files(folder, name).values():
@@ -226,9 +224,9 @@ class _Point:
                     os.makedirs(folder, exist_ok=True)
 
     def add(self, step: StepResult) -> None:
-        check = self.checker.check(step.fused_tokens, step.fusion_mask)
-        self.records.append(step_record(step, check))
-        self.failures += equivalence_failures([check])
+        errors, failures = self.checker.check(step.fused_tokens, step.fusion_mask)
+        self.records.append(step_record(step, errors))
+        self.failures += failures
         if self.out_dir is None:
             return
         t = step.timestep
@@ -252,10 +250,9 @@ class _Point:
             aggregates["mean_fusion_rate_non_keyframe"],
             max(aggregates[f"max_reuse_error_{name}"] for name in ("query", "key", "value")),
         )
-        result = ExperimentResult(report=report, failures=self.failures)
         if self.out_dir is not None:
             write_report(os.path.join(self.out_dir, REPORT_NAME), report)
-        return result
+        return ExperimentResult(report=report, failures=self.failures)
 
 
 def run_points(
@@ -340,34 +337,59 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[str]]:
     The run must have been written with ``emit_tokens`` (and ``emit_masks``
     unless every step was a keyframe).  The run's config is rebuilt from
     the echo's non-null values by ``build_run_config``, so the echo must
-    pass every rule a config file does.  Once step 0's token dump has the
-    echo's shape, projection weights are generated from that config as
-    ``run_points`` generates them, and one ``ReuseChecker`` checks the
-    steps in order.  A token dump that is not (patches, token_dim) raises
-    ``TensorFormatError`` and a mask that is not the patch grid raises
-    ``FrameError``, each naming the file and both shapes.  A report that
-    ``load_report`` rejects, an echo that breaks a config rule (the rule's
-    message follows "config echo: "), a mask pixel other than 0 or 255
-    (naming the mask file), a wrong ``is_keyframe`` for the echo's
-    ``keyframe_interval``, a ``mask_counts`` field other than the mask
-    gives (naming the mask file, or the report for a keyframe), and
-    detector counts that cannot OR into ``fusion_updates`` raise
-    ``InvariantError``, so the report's aggregates are the replay's.  Each
-    step's dump and mask are read as the check reaches the step.
+    pass every rule and field type a config does, and must then be that
+    config's echo.  Once step 0's token dump has the echo's shape,
+    projection weights are generated from that config as ``run_points``
+    generates them, and one ``ReuseChecker`` checks the steps in order.  A
+    token dump that is not (patches, token_dim) raises ``TensorFormatError``
+    and a mask that is not the patch grid raises ``FrameError``, each naming
+    the file and both shapes.  A report that ``load_report`` rejects, an
+    echo that breaks a config rule (the rule's message follows "config
+    echo: ") or leaves a key out, a synthetic echo whose ``synth_frames``
+    is not the step count, a dump past the last step (naming the first), a
+    mask pixel other than 0 or 255 (naming the mask file), a wrong
+    ``is_keyframe`` for the echo's ``keyframe_interval``, a ``mask_counts``
+    field other than the mask gives (naming the mask file, or the report
+    for a keyframe), and detector counts that cannot OR into
+    ``fusion_updates`` raise ``InvariantError``, so the report's aggregates
+    are the replay's.  Each step's dump and mask are read as the check
+    reaches the step.
     """
     report_path = os.path.join(run_dir, REPORT_NAME)
     report = load_report(report_path)
+    echo, steps = report["config"], report["steps"]
     try:
-        config = build_run_config({k: v for k, v in report["config"].items() if v is not None})
+        config = build_run_config({k: v for k, v in echo.items() if v is not None})
     except (ValueError, TypeError) as exc:
         raise InvariantError(f"{report_path}: config echo: {exc}") from exc
+    # A key left out or null takes its default, which the echo must hold.
+    lost = [key for key, value in config_echo(config).items()
+            if key not in echo or echo[key] != value]
+    if lost:
+        raise InvariantError(f"{report_path}: config echo: {', '.join(lost)} missing or null")
+    # A report cut short passes every per-step rule, so its length is
+    # checked against the echo and the dumps.
+    if config.synth_frames not in (None, len(steps)):
+        raise InvariantError(
+            f"{report_path}: config echo: synth_frames = {config.synth_frames}, "
+            f"but the report records {len(steps)} steps"
+        )
+    for subdir, name in _DUMPS:
+        folder = os.path.join(run_dir, subdir)
+        files = numbered_files(folder, name) if os.path.isdir(folder) else {}
+        extra = min((i for i in files if i >= len(steps)), default=None)
+        if extra is not None:
+            raise InvariantError(
+                f"extra dump in {folder}: {files[extra]} (index {extra}), "
+                f"but {report_path} has steps up to index {len(steps) - 1} only"
+            )
     interval = config.fusion.keyframe_interval
     grid = config.fusion.grid
     n = grid.patch_count
     token_shape = (n, config.token_dim)
     checker = None
     failures = []
-    for record in report["steps"]:
+    for record in steps:
         t = record["t"]
         keyframe = t % interval == 0
         if record["is_keyframe"] != keyframe:
@@ -413,8 +435,9 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[str]]:
                     "expected 0 (reused) or 255 (recomputed)"
                 )
             mask = pixels == 255
-        check = checker.check(tokens, mask)
-        for field, value in mask_counts(check, n).items():
+        _, step_failures = checker.check(tokens, mask)
+        reused = n - int(mask.sum())
+        for field, value in mask_counts(reused, n, config.token_dim).items():
             if record[field] != value:
                 raise InvariantError(
                     f"{source}: step {t} has {field} = {value!r} by its mask, "
@@ -428,5 +451,5 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[str]]:
                 f"{report_path}: step {t} has pixel_updates = {pixel} and attention_updates = "
                 f"{attention}, which cannot OR into fusion_updates = {fused}"
             )
-        failures += equivalence_failures([check])
+        failures += step_failures
     return report, failures

@@ -11,7 +11,7 @@ them.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -50,6 +50,7 @@ class FusionConfig:
     enable_attention: bool = True
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.keyframe_interval < 1:
             raise ValueError("keyframe interval must be at least 1")
         if self.pixel_threshold < 0.0:
@@ -67,6 +68,25 @@ class FusionConfig:
     @property
     def grid(self) -> PatchGrid:
         return PatchGrid.from_dims(self.width, self.height)
+
+
+# The types a config field of each annotation takes: an int may stand for a
+# float, and a bool, though an int subclass, stands for a bool alone.
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+                "FusionConfig": FusionConfig}
+
+
+def check_field_types(config) -> None:
+    """Raise ``TypeError`` for the first field of the config dataclass
+    ``config`` whose value is not of its annotated type; an optional field
+    (``T | None``) may also be None."""
+    for f in fields(config):
+        kind, value = f.type.removesuffix(" | None"), getattr(config, f.name)
+        if value is None and kind != f.type:
+            continue
+        wrong = not isinstance(value, _FIELD_TYPES[kind])
+        if wrong or isinstance(value, bool) != (kind == "bool"):
+            raise TypeError(f"{f.name} must be {kind}, got {value!r}")
 
 
 @dataclass

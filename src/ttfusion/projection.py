@@ -4,10 +4,11 @@ Because the query matrix is the fused tokens times a fixed weight matrix,
 any token row reused from the previous step yields a projection row
 bit-identical to the previous step's, so the row can be copied instead of
 recomputed.  :class:`ReuseChecker` takes a run's fused tokens and fusion
-masks one step at a time, counts the multiplications that copying avoids,
-and checks the shortcut against a full recomputation.  Equality is demanded
-bit-exact, which requires each output row to be a deterministic function
-of its own token row alone.  A plain batched ``x @ W`` does not qualify,
+masks one step at a time and checks the shortcut against a full
+recomputation; the multiplications that copying avoids follow from the
+mask alone (``report.mask_counts``).  Equality is demanded bit-exact,
+which requires each output row to be a deterministic function of its own
+token row alone.  A plain batched ``x @ W`` does not qualify,
 because BLAS may sum a row in a different order depending on how many
 rows share the call: at d = 64 a row computed alone differs in the last
 bits from the same row inside a batch of 256.  :func:`project_full`
@@ -28,7 +29,7 @@ a failure are computed only when that test fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,23 +72,6 @@ class ProjectionSet:
             return (2.0 * stream.float_block(dim * dim) - 1.0).reshape(dim, dim)
 
         return cls(query=draw(), key=draw(), value=draw())
-
-
-@dataclass
-class EquivalenceCheck:
-    """Per-step verification record for the three projections."""
-
-    timestep: int
-    query_error: float
-    key_error: float
-    value_error: float
-    reused_rows: int
-    saved_multiplications: int
-    worst_rows: dict = field(default_factory=dict)
-
-    @property
-    def max_error(self) -> float:
-        return max(self.query_error, self.key_error, self.value_error)
 
 
 def project_full(tokens, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -138,16 +122,6 @@ def gather_rows(values: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.nda
     return np.take(values, rows, axis=0, out=out[: len(rows)], mode="clip")
 
 
-def binary_mask(mask, name: str = "mask") -> np.ndarray:
-    """``mask`` as a bool array, after checking that every entry is 0 or 1
-    (a bool mask always is); any other entry raises ``ValueError`` starting
-    with ``name``, where a cast would silently read 0.5 or 256 as a flag."""
-    values = np.asarray(mask)
-    if values.dtype != np.bool_ and not ((values == 0) | (values == 1)).all():
-        raise ValueError(f"{name} entries must be 0 or 1")
-    return values.astype(bool, copy=False)
-
-
 class ReuseChecker:
     """The Q/K/V reuse check of one run, fed one step at a time.
 
@@ -172,25 +146,30 @@ class ReuseChecker:
         self._reference = np.empty(self.shape)
         self._rows = np.empty(self.shape)
 
-    def check(self, tokens, mask) -> EquivalenceCheck:
+    def check(self, tokens, mask) -> tuple[dict[str, float], list[str]]:
         """Check the next step: its fused token rows (n x d) and fusion mask
         (n entries, 1 = recomputed, 0 = reused from the previous step).
 
-        For each of the query, key and value matrices any gap is reported
-        with its step, matrix and worst row.  ``ValueError`` is raised for
-        tokens of another shape than the checker's, for a mask of the wrong
-        length or with an entry other than 0 or 1, and for reused rows at
-        step 0, which has no previous projection to copy them from.
+        Returns the max-norm gap of each matrix, keyed ``query_error``,
+        ``key_error`` and ``value_error`` as in the step's report record,
+        and a line ``step {t}: {matrix} row {row} reuse error {err:.3e}``
+        for each nonzero gap, naming its worst row.  ``ValueError`` is
+        raised for tokens of another shape than the checker's, for a mask of
+        the wrong length or with an entry other than 0 or 1, and for reused
+        rows at step 0, which has no previous projection to copy them from.
         """
         t = self.timestep
         values = np.asarray(tokens, dtype=np.float64)
         if values.shape != self.shape:
             raise ValueError(f"step {t}: tokens are {values.shape}, expected {self.shape}")
-        n, d = values.shape
+        n = len(values)
         mask = np.asarray(mask)
         if mask.shape != (n,):
             raise ValueError(f"step {t}: mask length {mask.shape} does not match {n} rows")
-        recompute = np.flatnonzero(binary_mask(mask, f"step {t}: mask"))
+        # A cast would silently read 0.5 or 256 as a flag.
+        if mask.dtype != np.bool_ and not ((mask == 0) | (mask == 1)).all():
+            raise ValueError(f"step {t}: mask entries must be 0 or 1")
+        recompute = np.flatnonzero(mask)
         reused = n - recompute.size
         if reused and t == 0:
             raise ValueError(
@@ -201,7 +180,7 @@ class ReuseChecker:
         if reused:
             rows = gather_rows(values, recompute, self._rows)
         errors: dict[str, float] = {}
-        worst_rows: dict[str, int] = {}
+        failures: list[str] = []
         for name in ("query", "key", "value"):
             weights = getattr(self.projections, name)
             selective = self._selective[name]
@@ -213,19 +192,12 @@ class ReuseChecker:
                 out = self._reference[: recompute.size]
                 selective[recompute] = project_full(rows, weights, out=out)
             reference = project_full(values, weights, out=self._reference)
-            errors[name], worst = _gap(selective, reference)
-            if worst is not None:
-                worst_rows[name] = worst
+            error, row = _gap(selective, reference)
+            errors[f"{name}_error"] = error
+            if row is not None:
+                failures.append(f"step {t}: {name} row {row} reuse error {error:.3e}")
         self.timestep = t + 1
-        return EquivalenceCheck(
-            timestep=t,
-            query_error=errors["query"],
-            key_error=errors["key"],
-            value_error=errors["value"],
-            reused_rows=reused,
-            saved_multiplications=3 * reused * d * d,
-            worst_rows=worst_rows,
-        )
+        return errors, failures
 
 
 def _gap(selective: np.ndarray, reference: np.ndarray) -> tuple[float, int | None]:
@@ -238,18 +210,3 @@ def _gap(selective: np.ndarray, reference: np.ndarray) -> tuple[float, int | Non
         return 0.0, None
     gaps = np.abs(selective - reference)
     return float(gaps.max()), int(gaps.max(axis=1).argmax())
-
-
-def equivalence_failures(checks: list[EquivalenceCheck]) -> list[str]:
-    """Human-readable descriptions of every nonzero reuse error."""
-    failures = []
-    for check in checks:
-        for name, err in (
-            ("query", check.query_error),
-            ("key", check.key_error),
-            ("value", check.value_error),
-        ):
-            if err != 0.0:
-                row = check.worst_rows.get(name)
-                failures.append(f"step {check.timestep}: {name} row {row} reuse error {err:.3e}")
-    return failures

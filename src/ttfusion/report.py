@@ -13,15 +13,13 @@ import json
 import os
 
 from .fusion import StepResult
-from .projection import EquivalenceCheck
 
 REPORT_FORMAT = "ttf-report-v1"
 SWEEP_FORMAT = "ttf-sweep-v1"
 # What load_report reads of a report, by the type the writer gives it: its
-# parts, echo fields and step record fields.
+# parts and step record fields.  The echo's fields are typed by the config
+# fields they echo (``runconfig.RunConfig``).
 _REPORT_FIELDS = {"format": str, "config": dict, "steps": list, "aggregates": dict}
-_ECHO_FIELDS = {"width": int, "height": int, "token_dim": int, "seed": int,
-                "keyframe_interval": int}
 _STEP_FIELDS = {"t": int, "is_keyframe": bool, "pixel_updates": int, "attention_updates": int,
                 "fusion_updates": int, "fusion_rate": float, "reused_rows": int,
                 "saved_multiplications": int, "query_error": float, "key_error": float,
@@ -32,31 +30,30 @@ class InvariantError(RuntimeError):
     """A stored report or run result violates one of its invariants."""
 
 
-def step_record(step: StepResult, check: EquivalenceCheck) -> dict:
-    """The report's record of one step and its Q/K/V reuse check."""
-    if check.timestep != step.timestep:
-        raise ValueError(f"check of step {check.timestep} paired with step {step.timestep}")
+def step_record(step: StepResult, errors: dict) -> dict:
+    """The report's record of one step and the errors of its Q/K/V reuse
+    check (``ReuseChecker.check``)."""
+    n, d = step.fused_tokens.shape
     return {
         "t": step.timestep,
         "is_keyframe": step.is_keyframe,
         "pixel_updates": int(step.pixel_mask.sum()),
         "attention_updates": int(step.attention_mask.sum()),
-        **mask_counts(check, len(step.fusion_mask)),
-        "query_error": check.query_error,
-        "key_error": check.key_error,
-        "value_error": check.value_error,
+        **mask_counts(n - int(step.fusion_mask.sum()), n, d),
+        **errors,
     }
 
 
-def mask_counts(check: EquivalenceCheck, n: int) -> dict:
-    """The record fields that a step's fusion mask fixes, from its Q/K/V check
-    of ``n`` rows: the one rule the writer and ``verify-qreuse`` both use."""
-    reused = check.reused_rows
+def mask_counts(reused: int, n: int, d: int) -> dict:
+    """The record fields that a step's fusion mask fixes, from its count of
+    ``reused`` rows out of ``n`` tokens of width ``d``: the one rule the
+    writer and ``verify-qreuse`` both use.  Each reused row saves its three
+    d x d projections."""
     return {
         "reused_rows": reused,
         "fusion_updates": n - reused,
         "fusion_rate": reused / n,
-        "saved_multiplications": check.saved_multiplications,
+        "saved_multiplications": 3 * reused * d * d,
     }
 
 
@@ -96,10 +93,12 @@ def write_report(path: str | os.PathLike, report: dict) -> None:
 
 
 def load_report(path: str | os.PathLike) -> dict:
-    """Load a report and check it: format, the fields that the aggregates and
-    verify-qreuse read and their types, ``t == i`` in record i, and the
-    aggregates re-derived from the records.  A defect raises
-    ``InvariantError`` naming the file."""
+    """Load a report and check it: format, the step record fields that the
+    aggregates and verify-qreuse read and their types, ``t == i`` in record
+    i, and the aggregates re-derived from the records.  The config echo is
+    checked to be a dict only; verify-qreuse rebuilds the run's config from
+    it by the config rules.  A defect raises ``InvariantError`` naming the
+    file."""
     with open(path, "r", encoding="ascii") as fh:
         try:
             report = json.load(fh)
@@ -108,7 +107,6 @@ def load_report(path: str | os.PathLike) -> dict:
     _require(path, "report", report, _REPORT_FIELDS)
     if report["format"] != REPORT_FORMAT:
         raise InvariantError(f"{path}: unknown report format {report['format']!r}")
-    _require(path, "config echo", report["config"], _ECHO_FIELDS)
     for i, record in enumerate(report["steps"]):
         # A t off its place is named as such, even when it is no integer.
         t = record.get("t") if isinstance(record, dict) else None

@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
 
-from .fusion import FusionConfig
+from .fusion import FusionConfig, check_field_types
 from .synthetic import SynthSpec
 from .toy_encoder import EncoderSpec
 
@@ -82,6 +82,7 @@ class RunConfig:
     heads: int = EncoderSpec.head_count
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if (self.frames_dir is None) == (self.synth_frames is None):
             raise ConfigError("exactly one of frames_dir / synth_frames must be set")
         if self.synth_frames is None:

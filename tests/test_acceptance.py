@@ -15,6 +15,7 @@ from ttfusion.detection import patch_diffs, threshold_diffs, top_k_mask
 from ttfusion.frames import FrameObservation, PatchGrid, to_grayscale
 from ttfusion.fusion import FusionConfig, lockstep
 from ttfusion.projection import ProjectionSet, ReuseChecker
+from ttfusion.report import step_record
 from ttfusion.synthetic import SynthSpec, generate_frames, walker_patch
 from ttfusion.toy_encoder import EncoderSpec, ToyEncoder
 
@@ -181,12 +182,13 @@ def test_c7_kqv_reuse_is_bit_exact_over_100_frame_runs():
             SynthSpec(frame_count=100, noise_amplitude=0.05, walker=True, seed=seed)
         )
         checker = ReuseChecker(ProjectionSet.generate(64, seed), rows=256)
-        checks, recount = [], 0
+        records, recount = [], 0
         for [step] in lockstep(frames, toy(seed), [FusionConfig()]):
-            checks.append(checker.check(step.fused_tokens, step.fusion_mask))
+            errors, _ = checker.check(step.fused_tokens, step.fusion_mask)
+            records.append(step_record(step, errors))
+            worst = max(worst, *errors.values())
             recount += int(np.count_nonzero(step.fusion_mask == 0)) * 64 * 64 * 3
-        worst = max(worst, max(c.max_error for c in checks))
-        if sum(c.saved_multiplications for c in checks) != recount:
+        if sum(r["saved_multiplications"] for r in records) != recount:
             ledger_ok = False
     ok = worst == 0.0 and ledger_ok
     print(f"  [c7] max reuse error {worst}, ledger recount {'OK' if ledger_ok else 'MISMATCH'}")

@@ -1,13 +1,15 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from ttfusion.cli import main
+from ttfusion.experiment import run_experiment
 from ttfusion.frames import read_pgm, write_pgm
 from ttfusion.projection import ProjectionSet
 from ttfusion.report import _aggregates_from_steps
-from ttfusion.runconfig import SWEEP_PARAMETERS
+from ttfusion.runconfig import SWEEP_PARAMETERS, build_run_config
 from ttfusion.tensor_io import read_tensor, write_tensor
 
 SMALL = """
@@ -290,11 +292,11 @@ class TestSweep:
 
         class Tampered(ttfusion.experiment.ReuseChecker):
             def check(self, tokens, mask):
-                check = super().check(tokens, mask)
-                if check.timestep == 5:  # the last of SMALL's six steps
-                    check.key_error = 0.25
-                    check.worst_rows["key"] = 2
-                return check
+                errors, failures = super().check(tokens, mask)
+                if self.timestep == 6:  # just checked the last of SMALL's six steps
+                    errors["key_error"] = 0.25
+                    failures.append("step 5: key row 2 reuse error 2.500e-01")
+                return errors, failures
 
         monkeypatch.setattr(ttfusion.experiment, "ReuseChecker", Tampered)
         config = write_config(tmp_path, SMALL)
@@ -528,7 +530,7 @@ class TestVerifyQReuse:
                 ("attention_mode", "nope", "unknown attention mode 'nope'"),
                 ("heads", 0, "need at least one head"),
                 ("top_k", -5, "attention budget must be non-negative"),
-                ("top_k", "70", "'<' not supported between instances of 'str' and 'int'"),
+                ("top_k", "70", "top_k must be int, got '70'"),
                 ("pixel_threshold", -1.0, "pixel threshold must be non-negative"),
                 ("colour", "red", "unknown keys: ['colour']"),
                 ("token_dim", -1, "token dim must be positive"),
@@ -566,6 +568,92 @@ class TestVerifyQReuse:
         report["config"]["seed"] = seed
         path.write_text(json.dumps(report))
         assert main(["verify-qreuse", "--run", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "field,value,kind",
+        [("synth_walker", "no", "bool"), ("pixel_threshold", True, "float"),
+         ("emit_masks", 1, "bool"), ("heads", True, "int")],
+    )
+    def test_echo_field_of_another_type_than_its_config_field_exits_4(
+        self, tmp_path, capsys, field, value, kind
+    ):
+        # Each value breaks no range rule: only its type gives it away.
+        out = self.run_with_artifacts(tmp_path)
+        path = out / "report.json"
+        report = json.loads(path.read_text())
+        report["config"][field] = value
+        path.write_text(json.dumps(report))
+        assert main(["verify-qreuse", "--run", str(out)]) == 4
+        expected = f"{path}: config echo: {field} must be {kind}, got {value!r}"
+        assert f"invariant violation: {expected}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,drop",
+        [("top_k", True), ("attention_dir", True), ("heads", False)],
+        ids=["drop-top_k", "drop-attention_dir", "null-heads"],
+    )
+    def test_echo_key_left_out_or_nulled_exits_4(self, tmp_path, capsys, key, drop):
+        # Rebuilt without the key, the config would take its default; an
+        # echo lacks no key, even one whose default is the value it echoes.
+        out = self.run_with_artifacts(tmp_path)
+        path = out / "report.json"
+        report = json.loads(path.read_text())
+        if drop:
+            del report["config"][key]
+        else:
+            report["config"][key] = None
+        path.write_text(json.dumps(report))
+        assert main(["verify-qreuse", "--run", str(out)]) == 4
+        expected = f"{path}: config echo: {key} missing or null"
+        assert f"invariant violation: {expected}\n" in capsys.readouterr().err
+
+    def test_int_for_a_float_echo_field_verifies(self, tmp_path):
+        # An int may stand for a float: a library caller's pixel_threshold
+        # of 0 echoes as 0 and replays.
+        values = {"synth_frames": 6, "width": 28, "height": 28, "token_dim": 8, "top_k": 2,
+                  "seed": 13, "synth_noise": 0, "pixel_threshold": 0, "emit_masks": True,
+                  "emit_tokens": True}
+        out = tmp_path / "out"
+        result = run_experiment(build_run_config(values), out)
+        assert result.report["config"]["pixel_threshold"] == 0
+        assert '"pixel_threshold": 0,' in (out / "report.json").read_text()
+        assert main(["verify-qreuse", "--run", str(out)]) == 0
+
+    def test_synth_frames_other_than_the_step_count_exits_4(self, tmp_path, capsys):
+        out = self.run_with_artifacts(tmp_path)
+        path = out / "report.json"
+        report = json.loads(path.read_text())
+        report["config"]["synth_frames"] = 7
+        path.write_text(json.dumps(report))
+        assert main(["verify-qreuse", "--run", str(out)]) == 4
+        expected = f"{path}: config echo: synth_frames = 7, but the report records 6 steps"
+        assert f"invariant violation: {expected}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["cut", "stray token", "stray mask"])
+    def test_dump_past_the_last_step_exits_4_naming_it(self, tmp_path, capsys, edit):
+        # A report cut to 4 of its 6 steps, its aggregates and echo rewritten
+        # to match, leaves the dumps of steps 4 and 5; the masks are listed
+        # first.  A stray dump past step 5 is the same fault.
+        out = self.run_with_artifacts(tmp_path)
+        path = out / "report.json"
+        if edit == "cut":
+            self.rewrite_report(out, lambda steps: steps.__delitem__(slice(4, None)))
+            report = json.loads(path.read_text())
+            report["config"]["synth_frames"] = 4
+            path.write_text(json.dumps(report))
+            folder, entry, index, last = out / "masks", "mask_000004.pgm", 4, 3
+        elif edit == "stray token":
+            shutil.copy(out / "tokens" / "fused_000005.ttft", out / "tokens" / "fused_000006.ttft")
+            folder, entry, index, last = out / "tokens", "fused_000006.ttft", 6, 5
+        else:
+            shutil.copy(out / "masks" / "mask_000005.pgm", out / "masks" / "mask_000007.pgm")
+            folder, entry, index, last = out / "masks", "mask_000007.pgm", 7, 5
+        assert main(["verify-qreuse", "--run", str(out)]) == 4
+        expected = (
+            f"extra dump in {folder}: {entry} (index {index}), "
+            f"but {path} has steps up to index {last} only"
+        )
+        assert f"invariant violation: {expected}\n" in capsys.readouterr().err
 
     def test_corrupted_token_dump_exits_4(self, tmp_path, capsys):
         out = self.run_with_artifacts(tmp_path)
@@ -655,9 +743,16 @@ class TestVerifyQReuse:
         record[key] = value
         path.write_text(json.dumps(report))
         assert main(["verify-qreuse", "--run", str(out)]) == 4
-        what = "config echo" if part == "config" else "step record 1"
-        expected = f"invariant violation: {path}: {what} has {key} = {value!r}, expected {kind}"
-        assert expected in capsys.readouterr().err
+        if part == "step":
+            expected = f"step record 1 has {key} = {value!r}, expected {kind}"
+        elif value is None:
+            # A null drops out of the rebuilt config, which then holds the
+            # default, not what the run echoed.
+            expected = f"config echo: {key} missing or null"
+        else:
+            # The echo is typed by the config fields it echoes.
+            expected = f"config echo: {key} must be {kind}, got {value!r}"
+        assert f"invariant violation: {path}: {expected}" in capsys.readouterr().err
 
     def test_mask_that_disagrees_with_its_record_exits_4_naming_it(self, tmp_path, capsys):
         # A reused patch turned recomputed still passes the Q/K/V check, but

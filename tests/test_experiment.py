@@ -1,4 +1,3 @@
-import gc
 import json
 import sys
 import threading
@@ -20,7 +19,7 @@ from ttfusion.experiment import (
     run_sweep,
 )
 from ttfusion.fusion import lockstep
-from ttfusion.projection import EquivalenceCheck, ProjectionSet, ReuseChecker
+from ttfusion.projection import ProjectionSet, ReuseChecker
 from ttfusion.report import build_report, serialize_report, step_record
 from ttfusion.runconfig import ConfigError, apply_parameter, build_run_config, config_echo
 from ttfusion.synthetic import SynthSpec, generate_frames, write_sequence
@@ -470,29 +469,25 @@ class TestStreaming:
         assert long - short < 1_000_000, (short, long)
 
     def test_streaming_matches_one_point_at_a_time(self):
-        # Each record holds its check's counts and three errors, and a check
-        # has worst rows exactly when an error is nonzero, so equal report
-        # bytes and no failures mean equal checks.
+        # Each record holds its mask's counts and its check's three errors,
+        # and a check has failure lines exactly when an error is nonzero, so
+        # equal report bytes and no failures mean equal checks.
         run, fusions = self.sweep(13, size=56, top_k=2)
         configs = [replace(run, fusion=fusion) for fusion in fusions]
         for config, result in zip(configs, run_points(run, fusions)):
             steps = run_steps(config)
             projections = ProjectionSet.generate(config.token_dim, config.seed)
             checker = ReuseChecker(projections, config.fusion.grid.patch_count)
-            checks = [checker.check(s.fused_tokens, s.fusion_mask) for s in steps]
-            assert result.failures == []
-            report = build_report(
-                config_echo(config), [step_record(s, c) for s, c in zip(steps, checks)]
-            )
+            records, lines = [], []
+            for s in steps:
+                errors, failures = checker.check(s.fused_tokens, s.fusion_mask)
+                records.append(step_record(s, errors))
+                lines += failures
+            assert result.failures == lines == []
+            report = build_report(config_echo(config), records)
             assert serialize_report(report) == serialize_report(result.report)
         assert configs[0].fusion.keyframe_interval == 1
         assert result.report["aggregates"]["mean_fusion_rate_non_keyframe"] > 0.0
-
-    def test_no_step_check_outlives_its_record(self):
-        results = run_points(*self.sweep(7, size=56, top_k=2))
-        gc.collect()
-        assert not [obj for obj in gc.get_objects() if isinstance(obj, EquivalenceCheck)]
-        assert all(len(result.report["steps"]) == 7 for result in results)
 
     def test_frames_load_as_the_loop_reaches_them(self, tmp_path, monkeypatch):
         write_sequence(SynthSpec(frame_count=4, width=28, height=28, seed=9), tmp_path / "f")

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from ttfusion.fusion import FusionConfig, lockstep
-from ttfusion.projection import (
-    EquivalenceCheck,
-    ProjectionSet,
-    ReuseChecker,
-    equivalence_failures,
-    gather_rows,
-    project_full,
-)
+from ttfusion.projection import ProjectionSet, ReuseChecker, gather_rows, project_full
+from ttfusion.report import mask_counts, step_record
 from ttfusion.synthetic import SynthSpec, generate_frames
 from ttfusion.toy_encoder import EncoderSpec, ToyEncoder
 
@@ -96,9 +90,21 @@ def pairs_of(steps):
 
 
 def check_pairs(pairs, projections):
-    """Feed (tokens, mask) pairs, in step order, through one ReuseChecker."""
+    """Feed (tokens, mask) pairs, in step order, through one ReuseChecker;
+    returns each step's (errors, failure lines)."""
     checker = ReuseChecker(projections, len(pairs[0][0]))
     return [checker.check(tokens, mask) for tokens, mask in pairs]
+
+
+def max_error(checks):
+    return max(max(errors.values()) for errors, _ in checks)
+
+
+def failures_of(checks):
+    return [line for _, lines in checks for line in lines]
+
+
+ZERO_ERRORS = {"query_error": 0.0, "key_error": 0.0, "value_error": 0.0}
 
 
 class TestGatherRows:
@@ -136,22 +142,22 @@ class TestReuseCheckerOverRuns:
         steps = self.run_small_sequence()
         projections = ProjectionSet.generate(8, 9)
         checks = check_pairs(pairs_of(steps), projections)
-        assert max(c.max_error for c in checks) == 0.0
-        assert equivalence_failures(checks) == []
+        assert max_error(checks) == 0.0
+        assert failures_of(checks) == []
 
     def test_keyframe_steps_recompute_all_rows(self):
         steps = self.run_small_sequence()
         checks = check_pairs(pairs_of(steps), ProjectionSet.generate(8, 9))
-        for result, check in zip(steps, checks):
+        for result, (errors, lines) in zip(steps, checks):
             if result.is_keyframe:
-                assert check.reused_rows == 0
-                assert check.max_error == 0.0
+                assert step_record(result, errors)["reused_rows"] == 0
+                assert (errors, lines) == (ZERO_ERRORS, [])
 
     def test_reused_rows_match_fusion_rate(self):
         steps = self.run_small_sequence()
         checks = check_pairs(pairs_of(steps), ProjectionSet.generate(8, 9))
-        for result, check in zip(steps, checks):
-            assert check.reused_rows / 4 == result.fusion_rate
+        for result, (errors, _) in zip(steps, checks):
+            assert step_record(result, errors)["reused_rows"] / 4 == result.fusion_rate
 
     def test_savings_match_independent_recount(self):
         steps = self.run_small_sequence()
@@ -160,13 +166,14 @@ class TestReuseCheckerOverRuns:
             int(np.count_nonzero(step.fusion_mask == 0)) * 8 * 8 * 3
             for step in steps
         )
-        assert sum(c.saved_multiplications for c in checks) == recount
+        records = [step_record(s, errors) for s, (errors, _) in zip(steps, checks)]
+        assert sum(r["saved_multiplications"] for r in records) == recount
 
     def test_accepts_token_mask_pairs(self):
         steps = self.run_small_sequence(frame_count=6)
         pairs = [(s.fused_tokens, s.fusion_mask) for s in steps]
         checks = check_pairs(pairs, ProjectionSet.generate(8, 9))
-        assert max(c.max_error for c in checks) == 0.0
+        assert max_error(checks) == 0.0
 
     def test_corruption_is_reported_with_row_and_matrix(self):
         steps = self.run_small_sequence(frame_count=6, keyframe_interval=100)
@@ -179,7 +186,7 @@ class TestReuseCheckerOverRuns:
         target = int(reused_rows[0])
         pairs[2][0][target] += 0.5
         checks = check_pairs(pairs, ProjectionSet.generate(8, 9))
-        failures = equivalence_failures(checks)
+        failures = failures_of(checks)
         assert failures
         assert any(f"row {target}" in failure for failure in failures)
         assert any("step 2" in failure for failure in failures)
@@ -190,17 +197,16 @@ class TestReuseCheckerOverRuns:
         ones = np.ones(6, dtype=np.uint8)
         pairs = [(rng.standard_normal((6, 8)), ones) for _ in range(3)]
         checks = check_pairs(pairs, ProjectionSet.generate(8, 2))
-        assert [(c.reused_rows, c.saved_multiplications) for c in checks] == [(0, 0)] * 3
-        assert [c.max_error for c in checks] == [0.0] * 3
-        assert all(c.worst_rows == {} for c in checks)
+        assert checks == [(ZERO_ERRORS, [])] * 3
 
     def test_all_zeros_mask_with_unchanged_tokens_copies_previous_rows(self):
         tokens = np.random.default_rng(3).standard_normal((6, 8))
         pairs = [(tokens, np.ones(6, dtype=np.uint8)), (tokens, np.zeros(6, dtype=np.uint8))]
         checks = check_pairs(pairs, ProjectionSet.generate(8, 3))
-        assert checks[1].reused_rows == 6
-        assert checks[1].max_error == 0.0
-        assert equivalence_failures(checks) == []
+        assert checks == [(ZERO_ERRORS, [])] * 2
+        # Changed tokens under the all-zeros mask: every row is a stale copy.
+        changed = [pairs[0], (tokens + 1.0, pairs[1][1])]
+        assert all(check_pairs(changed, ProjectionSet.generate(8, 3))[1][0].values())
 
     def test_saved_multiplication_counting(self):
         tokens = np.random.default_rng(4).standard_normal((256, 64))
@@ -208,8 +214,10 @@ class TestReuseCheckerOverRuns:
         mask[:110] = 0
         pairs = [(tokens, np.ones(256, dtype=np.uint8)), (tokens, mask)]
         checks = check_pairs(pairs, ProjectionSet.generate(64, 4))
-        assert checks[1].saved_multiplications == 3 * 110 * 64 * 64 == 1351680
-        assert checks[1].max_error == 0.0
+        assert checks[1] == (ZERO_ERRORS, [])
+        reused = 256 - int(mask.sum())
+        saved = mask_counts(reused, 256, 64)["saved_multiplications"]
+        assert saved == 3 * 110 * 64 * 64 == 1351680
 
     def test_corrupted_reused_row_is_localised(self):
         tokens = np.random.default_rng(5).standard_normal((6, 8))
@@ -217,13 +225,15 @@ class TestReuseCheckerOverRuns:
         changed[3, 2] += 1.0
         pairs = [(tokens, np.ones(6, dtype=np.uint8)), (changed, np.zeros(6, dtype=np.uint8))]
         projections = ProjectionSet.generate(8, 5)
-        check = check_pairs(pairs, projections)[1]
+        errors, lines = check_pairs(pairs, projections)[1]
         # The copied row 3 misses exactly token entry 2 times weight row 2.
         for name in ("query", "key", "value"):
             weights = getattr(projections, name)
-            error = getattr(check, f"{name}_error")
-            assert error == pytest.approx(np.abs(weights[2]).max())
-        assert check.worst_rows == {"query": 3, "key": 3, "value": 3}
+            assert errors[f"{name}_error"] == pytest.approx(np.abs(weights[2]).max())
+        assert lines == [
+            f"step 1: {name} row 3 reuse error {errors[f'{name}_error']:.3e}"
+            for name in ("query", "key", "value")
+        ]
 
     def test_reuse_at_first_step_rejected(self):
         pairs = [(np.zeros((4, 4)), np.array([0, 1, 1, 1], dtype=np.uint8))]
@@ -245,11 +255,16 @@ class TestReuseCheckerOverRuns:
     def test_bool_and_float_binary_masks_accepted(self):
         projections = ProjectionSet.generate(4, 1)
         tokens = np.random.default_rng(1).standard_normal((3, 4))
+        # Every row changes, so only a reused row leaves a gap: row 1.
+        changed = tokens + 1.0
         for first, second in ((np.ones(3, dtype=bool), np.array([True, False, True])),
                               (np.ones(3), np.array([1.0, 0.0, 1.0]))):
             checker = ReuseChecker(projections, 3)
             checker.check(tokens, first)
-            assert checker.check(tokens, second).reused_rows == 1
+            _, lines = checker.check(changed, second)
+            assert [line.split(" reuse")[0] for line in lines] == [
+                f"step 1: {name} row 1" for name in ("query", "key", "value")
+            ]
 
     def test_mask_length_mismatch_rejected(self):
         tokens = np.zeros((4, 4))
@@ -270,48 +285,38 @@ class TestReuseCheckerOverRuns:
 
 def reference_project_selective(tokens, prev_projection, fusion_mask, weights):
     """The per-matrix selective projection before the shared row split:
-    boolean gathers per matrix and a gap computation on every call."""
+    boolean gathers per matrix and a gap computation on every call.
+    Returns the projection, its gap to the full one and that gap's row."""
     values = np.asarray(tokens, dtype=np.float64)
     mask = np.asarray(fusion_mask, dtype=np.uint8)
-    n, d = values.shape
+    n = len(values)
     reuse = mask == 0
-    reused = int(np.count_nonzero(reuse))
     out = np.empty((n, weights.shape[1]))
     recompute = ~reuse
     if recompute.any():
         out[recompute] = project_full(values[recompute], weights)
-    if reused:
+    if reuse.any():
         out[reuse] = np.asarray(prev_projection)[reuse]
     gaps = np.abs(out - project_full(values, weights))
     error = float(gaps.max()) if n else 0.0
     worst_row = int(gaps.max(axis=1).argmax()) if error else None
-    return out, (reused, reused * d * weights.shape[1], error, worst_row)
+    return out, error, worst_row
 
 
 def reference_verify(pairs, projections):
+    """Each step's (errors, failure lines), from the per-matrix chain."""
     checks = []
     previous = {"query": None, "key": None, "value": None}
     for t, (tokens, mask) in enumerate(pairs):
-        ledgers = {}
+        errors, lines = {}, []
         for name in ("query", "key", "value"):
-            previous[name], ledgers[name] = reference_project_selective(
+            previous[name], error, row = reference_project_selective(
                 tokens, previous[name], mask, getattr(projections, name)
             )
-        checks.append(
-            EquivalenceCheck(
-                timestep=t,
-                query_error=ledgers["query"][2],
-                key_error=ledgers["key"][2],
-                value_error=ledgers["value"][2],
-                reused_rows=ledgers["query"][0],
-                saved_multiplications=sum(ledger[1] for ledger in ledgers.values()),
-                worst_rows={
-                    name: ledgers[name][3]
-                    for name in ("query", "key", "value")
-                    if ledgers[name][3] is not None
-                },
-            )
-        )
+            errors[f"{name}_error"] = error
+            if error != 0.0:
+                lines.append(f"step {t}: {name} row {row} reuse error {error:.3e}")
+        checks.append((errors, lines))
     return checks
 
 
@@ -348,14 +353,14 @@ class TestCheckerMatchesPerMatrixChain:
         assert [int(m.sum()) for _, m in pairs][0] == self.ROWS
         assert 0 < int(pairs[1][1].sum()) < self.ROWS
         checks = self.assert_same(pairs)
-        assert equivalence_failures(checks) == []
-        assert [c.reused_rows for c in checks][2] == self.ROWS
+        assert failures_of(checks) == []
+        assert not pairs[2][1].any()
 
     def test_tampered_reused_row(self):
         pairs = self.chain()
         row = int(np.flatnonzero(pairs[3][1] == 0)[0])
         pairs[3][0][row, 1] += 1e-9
-        assert equivalence_failures(self.assert_same(pairs))
+        assert failures_of(self.assert_same(pairs))
 
     def test_tampered_recomputed_row(self):
         pairs = self.chain()
@@ -367,13 +372,13 @@ class TestCheckerMatchesPerMatrixChain:
         for t, row in ((0, 3), (2, 5)):
             pairs = self.chain()
             pairs[t][0][row, 2] = np.nan
-            assert equivalence_failures(self.assert_same(pairs))
+            assert failures_of(self.assert_same(pairs))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
     def test_infinite_token(self):
         pairs = self.chain()
         pairs[0][0][4, 0] = np.inf
-        assert equivalence_failures(self.assert_same(pairs))
+        assert failures_of(self.assert_same(pairs))
 
     def test_negative_zero(self):
         pairs = self.chain()
@@ -385,7 +390,7 @@ class TestCheckerMatchesPerMatrixChain:
         pairs[2][0][6] = -0.0
         pairs[3][0][6] = -0.0
         checks = self.assert_same(pairs)
-        assert equivalence_failures(checks) == []
+        assert failures_of(checks) == []
 
 
 class TestProjectionSet:

@@ -42,6 +42,10 @@ WRONG = {
     bool: "expected true/false, got 'x'",
 }
 
+# Values of another type than a field's: bool is no int or float, int no
+# bool, str no number.
+WRONG_TYPED = {int: (True, 7.0, "7"), float: (True, "0.5"), bool: (1, "true"), str: (7, True)}
+
 
 def config_from(text):
     return build_run_config(parse_config_text(text))
@@ -171,6 +175,27 @@ class TestValidation:
             replace(config_from(MINIMAL), heads=0)
         with pytest.raises(ConfigError, match="noise amplitude"):
             replace(config_from(MINIMAL), synth_noise=2.0)
+
+    @pytest.mark.parametrize("key", sorted(key_types()))
+    def test_value_of_another_type_than_its_field_rejected(self, key):
+        kind = key_types()[key]
+        kind = OPTIONAL.get(kind, kind)
+        for value in WRONG_TYPED[kind]:
+            with pytest.raises(TypeError) as info:
+                build_run_config({"synth_frames": 6, key: value})
+            assert str(info.value) == f"{key} must be {kind.__name__}, got {value!r}"
+
+    def test_bool_seed_rejected(self):
+        with pytest.raises(TypeError, match="seed must be int, got True"):
+            RunConfig(synth_frames=6, seed=True)
+
+    def test_int_for_a_float_field_accepted_and_round_trips(self):
+        floats = [key for key, kind in key_types().items() if kind is float]
+        assert len(floats) == 4
+        config = build_run_config({"synth_frames": 6, **dict.fromkeys(floats, 0)})
+        echo = config_echo(config)
+        assert [echo[key] for key in floats] == [0] * 4
+        assert build_run_config({k: v for k, v in echo.items() if v is not None}) == config
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
