@@ -4,7 +4,9 @@ Two independent detectors feed the fusion decision.  The pixel detector
 thresholds the mean absolute luminance change of each patch; the attention
 detector aggregates transformer attention rows into per-patch scores and
 keeps the top-k (or a reuse-rate-derived budget).  Both emit bool masks
-where True means "recompute this patch".
+where True means "recompute this patch".  The fusion loop takes the pixel
+mask from a cheap per-patch sum estimate, exact by a rounding bound
+(:func:`threshold_estimate`), rather than from the means themselves.
 """
 
 from __future__ import annotations
@@ -21,8 +23,20 @@ ACTION_TO_VISION = "action_to_vision"
 ATTENTION_MODES = (TEXT_TO_VISION, ACTION_TO_VISION)
 
 _ROW_SUM_TOLERANCE = 1e-6
-# Pixels per band of patch rows in patch_diffs.
+# Pixels per band of patch rows in patch_diffs, and in patch_sum_estimate,
+# whose lighter per-band work gains from fewer, larger bands.
 DIFF_BAND_PIXELS = 16384
+ESTIMATE_BAND_PIXELS = 32768
+# patch_sum_estimate and patch_diffs add the same nonnegative doubles
+# |g_t - g_{t-1}| of a patch in different orders, so on frames W pixels wide
+# each sum lies within (W + 196) * 2**-53 of their real sum, relative.  A
+# margin of 1e-9 around 196 * threshold covers both gaps, and the few
+# roundings of that bar and of patch_diffs' division by 196, for any frame
+# narrower than ~4 M px: outside it the estimate decides as the mean does.
+ESTIMATE_MARGIN = 1e-9
+# Below this a patch's mean (sum / 196) may be subnormal, where rounding is
+# absolute, not relative, so a sum estimated there is never flagged unrefined.
+_NORMAL_SUM = 2.0**-1000
 
 
 @dataclass
@@ -70,13 +84,35 @@ def _check_rows(rows: np.ndarray) -> None:
         raise ValueError("attention rows must sum to at most 1")
 
 
-def diff_band(grid: PatchGrid) -> np.ndarray:
+def diff_band(grid: PatchGrid, pixels: int = DIFF_BAND_PIXELS) -> np.ndarray:
     """A float64 scratch band for :func:`patch_diffs` on frames of ``grid``:
-    as many whole patch rows as fit in about ``DIFF_BAND_PIXELS`` pixels,
-    at least one and at most the grid's."""
+    as many whole patch rows as fit in about ``pixels`` pixels, at least
+    one and at most the grid's."""
     width = grid.cols * PATCH_SIDE
-    band = max(1, DIFF_BAND_PIXELS // (PATCH_SIDE * width))
+    band = max(1, pixels // (PATCH_SIDE * width))
     return np.empty((min(band, grid.rows) * PATCH_SIDE, width))
+
+
+def _abs_diff_bands(gray_t, gray_prev, grid: PatchGrid, band: np.ndarray | None):
+    """Yield ``(r0, r1, d)`` for each band of patch rows r0..r1 - 1 in turn,
+    ``d`` holding |gray_t - gray_prev| over their pixel rows in ``band``."""
+    a, b = np.asarray(gray_t), np.asarray(gray_prev)
+    if a.shape != b.shape:
+        raise ValueError(f"grayscale shapes differ: {a.shape} vs {b.shape}")
+    if a.shape != (grid.rows * PATCH_SIDE, grid.cols * PATCH_SIDE):
+        raise ValueError(f"grayscale shape {a.shape} does not match grid {grid.rows}x{grid.cols}")
+    if band is None:
+        band = diff_band(grid)
+    step = len(band) // PATCH_SIDE
+    if band.dtype != np.float64 or band.shape[1:] != a.shape[1:] or not step:
+        raise ValueError(f"band {band.shape} is no diff_band of {a.shape[1]} px wide frames")
+    for r0 in range(0, grid.rows, step):
+        r1 = min(r0 + step, grid.rows)
+        pixels = slice(r0 * PATCH_SIDE, r1 * PATCH_SIDE)
+        d = band[: (r1 - r0) * PATCH_SIDE]
+        np.subtract(a[pixels], b[pixels], out=d)
+        np.abs(d, out=d)
+        yield r0, r1, d
 
 
 def patch_diffs(
@@ -92,23 +128,8 @@ def patch_diffs(
     one when None).  Each patch sums its pixels in the same order as over
     the whole frame, so the result does not depend on the band size.
     """
-    a, b = np.asarray(gray_t), np.asarray(gray_prev)
-    if a.shape != b.shape:
-        raise ValueError(f"grayscale shapes differ: {a.shape} vs {b.shape}")
-    if a.shape != (grid.rows * PATCH_SIDE, grid.cols * PATCH_SIDE):
-        raise ValueError(f"grayscale shape {a.shape} does not match grid {grid.rows}x{grid.cols}")
-    if band is None:
-        band = diff_band(grid)
-    step = len(band) // PATCH_SIDE
-    if band.dtype != np.float64 or band.shape[1:] != a.shape[1:] or not step:
-        raise ValueError(f"band {band.shape} is no diff_band of {a.shape[1]} px wide frames")
     sums = np.empty((grid.rows, grid.cols))
-    for r0 in range(0, grid.rows, step):
-        r1 = min(r0 + step, grid.rows)
-        pixels = slice(r0 * PATCH_SIDE, r1 * PATCH_SIDE)
-        d = band[: (r1 - r0) * PATCH_SIDE]
-        np.subtract(a[pixels], b[pixels], out=d)
-        np.abs(d, out=d)
+    for r0, r1, d in _abs_diff_bands(gray_t, gray_prev, grid, band):
         d.reshape(r1 - r0, PATCH_SIDE, grid.cols, PATCH_SIDE).sum(axis=(1, 3), out=sums[r0:r1])
     sums = sums.ravel()
     sums /= PATCH_PIXELS
@@ -122,6 +143,81 @@ def threshold_diffs(diffs: np.ndarray, threshold: float) -> np.ndarray:
     if threshold < 0.0:
         raise ValueError("pixel threshold must be non-negative")
     return diffs > threshold
+
+
+def estimate_scratch(grid: PatchGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scratch for :func:`patch_sum_estimate` on frames of ``grid``, which
+    the caller may keep from frame to frame: a :func:`diff_band` of
+    ``ESTIMATE_BAND_PIXELS``, a (rows, W) array for each patch row's sums
+    of its 14 pixel rows, and the (W, cols) 0/1 map of pixel column v to
+    patch column v // 14."""
+    width = grid.cols * PATCH_SIDE
+    col_map = np.repeat(np.eye(grid.cols), PATCH_SIDE, axis=0)
+    return diff_band(grid, ESTIMATE_BAND_PIXELS), np.empty((grid.rows, width)), col_map
+
+
+def patch_sum_estimate(
+    gray_t: np.ndarray,
+    gray_prev: np.ndarray,
+    grid: PatchGrid,
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Each patch's sum of absolute luminance differences between two
+    grayscale planes: 196 times its :func:`patch_diffs`, up to rounding
+    (see ``ESTIMATE_MARGIN``).
+
+    Uses no threshold, so one result serves every threshold that
+    :func:`threshold_estimate` applies to it.  The differences are taken a
+    band at a time as in :func:`patch_diffs`, each patch row's 14 pixel rows
+    are summed into the row-sum scratch, and one (rows x W)(W x cols) BLAS
+    product with the column map sums each patch's 14 columns.  ``scratch``
+    is :func:`estimate_scratch` of ``grid`` (a new one when None).
+    """
+    band, row_sums, col_map = estimate_scratch(grid) if scratch is None else scratch
+    width = grid.cols * PATCH_SIDE
+    if row_sums.shape != (grid.rows, width) or col_map.shape != (width, grid.cols):
+        raise ValueError(f"scratch is no estimate_scratch of grid {grid.rows}x{grid.cols}")
+    for r0, r1, d in _abs_diff_bands(gray_t, gray_prev, grid, band):
+        d.reshape(r1 - r0, PATCH_SIDE, width).sum(axis=1, out=row_sums[r0:r1])
+    return (row_sums @ col_map).ravel()
+
+
+def threshold_estimate(
+    estimate: np.ndarray,
+    gray_t: np.ndarray,
+    gray_prev: np.ndarray,
+    grid: PatchGrid,
+    threshold: float,
+) -> np.ndarray:
+    """``threshold_diffs(patch_diffs(gray_t, gray_prev, grid), threshold)``,
+    bit for bit, from the :func:`patch_sum_estimate` of the same planes.
+
+    A patch is flagged when its estimate lies above 196 * threshold *
+    (1 + ``ESTIMATE_MARGIN``), and cleared when it lies below 196 *
+    threshold * (1 - ``ESTIMATE_MARGIN``) or is exactly 0 (only a sum of
+    zeros is 0).  Only a patch in between has its mean taken, by
+    :func:`patch_diffs` on its strip of 14 pixel rows; a negative threshold
+    is rejected.
+    """
+    if threshold < 0.0:
+        raise ValueError("pixel threshold must be non-negative")
+    if estimate.shape != (grid.patch_count,):
+        raise ValueError(f"estimate {estimate.shape} does not match grid {grid.rows}x{grid.cols}")
+    bar = PATCH_PIXELS * threshold
+    upper = max(bar * (1.0 + ESTIMATE_MARGIN), _NORMAL_SUM)
+    # The least positive double as a floor clears every zero estimate.
+    lower = max(bar * (1.0 - ESTIMATE_MARGIN), 5e-324)
+    mask = estimate > upper
+    unsure = np.flatnonzero((estimate >= lower) ^ mask)
+    if not unsure.size:
+        return mask
+    strip = PatchGrid(1, grid.cols)
+    for r in np.unique(unsure // grid.cols):
+        pixels = slice(r * PATCH_SIDE, (r + 1) * PATCH_SIDE)
+        exact = threshold_diffs(patch_diffs(gray_t[pixels], gray_prev[pixels], strip), threshold)
+        patches = unsure[unsure // grid.cols == r]
+        mask[patches] = exact[patches % grid.cols]
+    return mask
 
 
 def relevance_scores(slice_: AttentionSlice, mode: str) -> np.ndarray:

@@ -351,9 +351,10 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[str]]:
     ``is_keyframe`` for the echo's ``keyframe_interval``, a ``mask_counts``
     field other than the mask gives (naming the mask file, or the report
     for a keyframe), and detector counts that cannot OR into
-    ``fusion_updates`` raise ``InvariantError``, so the report's aggregates
-    are the replay's.  Each step's dump and mask are read as the check
-    reaches the step.
+    ``fusion_updates``, and a nonzero ``query_error``, ``key_error`` or
+    ``value_error`` where the replay's check finds exactly 0 raise
+    ``InvariantError``, so the report's aggregates are the replay's.  Each
+    step's dump and mask are read as the check reaches the step.
     """
     report_path = os.path.join(run_dir, REPORT_NAME)
     report = load_report(report_path)
@@ -435,7 +436,15 @@ def replay_run_dir(run_dir: str | os.PathLike) -> tuple[dict, list[str]]:
                     "expected 0 (reused) or 255 (recomputed)"
                 )
             mask = pixels == 255
-        _, step_failures = checker.check(tokens, mask)
+        errors, step_failures = checker.check(tokens, mask)
+        # A nonzero replayed error is reported by its failure line: the float32
+        # dumps cannot reproduce a faulty run's own values.
+        for field, error in errors.items():
+            if error == 0.0 and record[field] != 0.0:
+                raise InvariantError(
+                    f"{report_path}: step {t} has {field} = {record[field]!r}, "
+                    "but the replay finds exactly 0"
+                )
         reused = n - int(mask.sum())
         for field, value in mask_counts(reused, n, config.token_dim).items():
             if record[field] != value:

@@ -154,15 +154,17 @@ def step(
     ``encoder`` provides ``features``, ``tokens`` and ``attention`` as
     :class:`SharedObservation` calls them (``toy_encoder.ToyEncoder`` is
     one).  The step settles its fusion mask first, from the grayscale, the
-    pixel diffs and the previous step's relevance scores, and then has the
-    encoder encode only the token rows that mask recomputes: every row on a
-    keyframe, the flagged rows otherwise (or the whole frame when they are
-    most of it; see :meth:`SharedObservation.tokens`).  ``shared``, when
+    pixel mask that ``detection.threshold_estimate`` takes at the config's
+    threshold from the frame's per-patch sum estimate, and the previous
+    step's relevance scores, and then has the encoder encode only the token
+    rows that mask recomputes: every row on a keyframe, the flagged rows
+    otherwise (or the whole frame when they are most of it; see
+    :meth:`SharedObservation.tokens`).  ``shared``, when
     given, is this frame's :class:`SharedObservation` (built from ``frame``
     and ``encoder``), so steps of several configs on one frame compute its
-    grayscale, features, scores of each mode, token rows and pixel diffs
-    once; without it the step builds its own.  The returned state carries
-    the fused tokens, this frame's grayscale, and the relevance scores of
+    grayscale, features, scores of each mode, token rows and pixel sum
+    estimate once; without it the step builds its own.  The returned state
+    carries the fused tokens, this frame's grayscale, and the relevance scores of
     the config's mode that :meth:`SharedObservation.scores` checked this
     step, for the next step to select from.  The scores are None, and never
     computed, when no step reads them: with attention detection off, or
@@ -197,8 +199,10 @@ def step(
         if config.enable_pixel:
             if state.prev_gray is None:
                 raise ValueError("non-keyframe step needs the previous frame's grayscale")
-            diffs = shared.diffs(state.prev_gray, grid)
-            pixel_mask = detection.threshold_diffs(diffs, config.pixel_threshold)
+            estimate = shared.estimate(state.prev_gray, grid)
+            pixel_mask = detection.threshold_estimate(
+                estimate, shared.gray, state.prev_gray, grid, config.pixel_threshold
+            )
         else:
             pixel_mask = np.zeros(n, dtype=bool)
         attention_mask = _attention_mask(state.prev_scores, n, config)
@@ -235,14 +239,15 @@ def lockstep(frames, encoder, configs) -> Iterator[list[StepResult]]:
     takes its ``step`` on frame t before any takes frame t + 1.  All steps on
     a frame share one :class:`SharedObservation`, so the frame's grayscale
     and features are computed once, its scores once per attention mode,
-    each token row at most once and its pixel diffs at most once, inside
-    whichever step first needs them.  Frames are consumed as they arrive
-    and need not be a list; between frames only each config's
+    each token row at most once and its pixel sum estimate at most once,
+    inside whichever step first needs them.  Frames are consumed as they
+    arrive and need not be a list; between frames only each config's
     :class:`FusionState` is kept, so memory stays flat however long the
-    episode is.  The grayscale planes and the pixel-diff band are the
-    loop's own, allocated at the first frame and written over at each
-    later one, so a step in steady state allocates no frame-sized array
-    but each config's fused tokens and the frame's token rows.
+    episode is.  The grayscale planes and the estimate's scratch (its diff
+    band, row sums and column map) are the loop's own, allocated at the
+    first frame and written over at each later one, so a step in steady
+    state allocates no frame-sized array but each config's fused tokens
+    and the frame's token rows.
 
     Frame t must have timestep t: a frame off its position raises
     ``ValueError`` ("timestep gap") when the loop reaches it, and a stream
@@ -257,7 +262,7 @@ def lockstep(frames, encoder, configs) -> Iterator[list[StepResult]]:
     states = [FusionState() for _ in configs]
     # Frame t's grayscale goes into plane t % 2, so the other plane keeps
     # the previous frame's, which the steps of frame t diff against.
-    planes = band = None
+    planes = scratch = None
     index = -1
     for index, frame in enumerate(frames):
         if frame.timestep != index:
@@ -266,8 +271,8 @@ def lockstep(frames, encoder, configs) -> Iterator[list[StepResult]]:
             )
         if planes is None:
             planes = np.empty((2, frame.height, frame.width))
-            band = detection.diff_band(PatchGrid.for_frame(frame))
-        shared = SharedObservation(frame, encoder, planes[index % 2], band)
+            scratch = detection.estimate_scratch(PatchGrid.for_frame(frame))
+        shared = SharedObservation(frame, encoder, planes[index % 2], scratch)
         results = []
         for i, config in enumerate(configs):
             result, states[i] = step(states[i], frame, encoder, config, shared=shared)
@@ -284,14 +289,16 @@ class SharedObservation:
     """What the fusion loop derives from one frame, each part computed on
     first request: the grayscale, the encoder's features, the relevance
     scores of each attention mode asked for, its token rows, and the
-    per-patch pixel diffs against the previous frame's grayscale.
+    per-patch sum estimate of its pixel differences from the previous
+    frame's grayscale.
 
     None of these reads a ``FusionConfig`` field, so every config's step on
-    the frame can use the same results.  The scores and the diffs are
+    the frame can use the same results.  The scores and the estimate are
     read-only because every config's step on the frame reads the same array.
     ``gray``, when given, is the float64 (height, width) array that the
-    grayscale is written into, and ``band`` the ``detection.diff_band``
-    the diffs are taken in; without them each is allocated here.
+    grayscale is written into, and ``scratch`` the
+    ``detection.estimate_scratch`` the estimate is taken in; without them
+    each is allocated here.
 
     The encoder provides three methods.  ``features(frame, gray)`` returns
     whatever the other two need of the frame; it is called once.
@@ -308,17 +315,17 @@ class SharedObservation:
         frame: FrameObservation,
         encoder,
         gray: np.ndarray | None = None,
-        band: np.ndarray | None = None,
+        scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
         self.frame = frame
         self._encoder = encoder
         self._gray_out = gray
-        self._band = band
+        self._scratch = scratch
         self._scores: dict[str, np.ndarray | None] = {}
         self._tokens: np.ndarray | None = None
         self._unset: np.ndarray | None = None
-        self._diffs: np.ndarray | None = None
-        self._diffs_base: np.ndarray | None = None
+        self._estimate: np.ndarray | None = None
+        self._estimate_base: np.ndarray | None = None
 
     @cached_property
     def gray(self) -> np.ndarray:
@@ -386,11 +393,12 @@ class SharedObservation:
             raise ValueError(f"encoder produced non-finite tokens at timestep {t}")
         return new
 
-    def diffs(self, prev_gray: np.ndarray, grid: PatchGrid) -> np.ndarray:
-        """``detection.patch_diffs`` of this frame against ``prev_gray``,
-        computed again only when asked against another grayscale."""
-        if self._diffs_base is not prev_gray:
-            diffs = detection.patch_diffs(self.gray, prev_gray, grid, self._band)
-            diffs.flags.writeable = False
-            self._diffs, self._diffs_base = diffs, prev_gray
-        return self._diffs
+    def estimate(self, prev_gray: np.ndarray, grid: PatchGrid) -> np.ndarray:
+        """``detection.patch_sum_estimate`` of this frame against
+        ``prev_gray``, computed again only when asked against another
+        grayscale."""
+        if self._estimate_base is not prev_gray:
+            estimate = detection.patch_sum_estimate(self.gray, prev_gray, grid, self._scratch)
+            estimate.flags.writeable = False
+            self._estimate, self._estimate_base = estimate, prev_gray
+        return self._estimate

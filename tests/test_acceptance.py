@@ -246,9 +246,9 @@ def test_c10_throughput_and_d_independent_detection(monkeypatch):
         SynthSpec(frame_count=300, walker=True, noise_amplitude=0.05, seed=111)
     )
 
-    # Pixel detection is the loop's patch_diffs and threshold_diffs calls;
-    # time each call where the loop looks them up.
-    names = ("patch_diffs", "threshold_diffs")
+    # Pixel detection is the loop's patch_sum_estimate and
+    # threshold_estimate calls; time each call where the loop looks them up.
+    names = ("patch_sum_estimate", "threshold_estimate")
     samples = {}
 
     def timed(name, fn):

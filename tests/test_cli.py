@@ -671,6 +671,29 @@ class TestVerifyQReuse:
         err = capsys.readouterr().err
         assert "reuse error" in err and f"row {reused_row}" in err
 
+    @pytest.mark.parametrize("field", ["query_error", "key_error", "value_error"])
+    def test_recorded_error_the_replay_finds_0_exits_4_naming_it(self, tmp_path, capsys, field):
+        out = self.run_with_artifacts(tmp_path)
+        path = self.rewrite_report(out, lambda steps: steps[4].update({field: 0.25}))
+        assert main(["verify-qreuse", "--run", str(out)]) == 4
+        expected = f"{path}: step 4 has {field} = 0.25, but the replay finds exactly 0"
+        assert f"invariant violation: {expected}\n" in capsys.readouterr().err
+
+    def test_nonzero_replayed_error_keeps_its_failure_line(self, tmp_path, capsys):
+        # The dumps are float32, so a faulty run's recorded error need not
+        # be the replay's; only the failure lines report it.
+        out = self.run_with_artifacts(tmp_path)
+        token_path = out / "tokens" / "fused_000004.ttft"
+        values = read_tensor(token_path)
+        row = int(np.flatnonzero(read_pgm(out / "masks" / "mask_000004.pgm").ravel() == 0)[0])
+        values[row] += 1.0
+        write_tensor(token_path, values)
+        self.rewrite_report(out, lambda steps: steps[4].update(query_error=0.25))
+        assert main(["verify-qreuse", "--run", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"step 4: query row {row} reuse error" in err
+        assert "but the replay finds" not in err
+
     def test_dumps_are_read_as_the_check_reaches_them(self, tmp_path, capsys, monkeypatch):
         import ttfusion.experiment
 

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
+import ttfusion.detection
 from ttfusion.detection import (
     ACTION_TO_VISION,
+    ESTIMATE_MARGIN,
     TEXT_TO_VISION,
     AttentionSlice,
     diff_band,
+    estimate_scratch,
     patch_diffs,
+    patch_sum_estimate,
     rate_target_mask,
     relevance_scores,
     threshold_diffs,
+    threshold_estimate,
     top_k_mask,
 )
-from ttfusion.frames import PatchGrid
+from ttfusion.frames import FrameObservation, PatchGrid, to_grayscale
 
 
 def gray(values):
@@ -131,6 +136,95 @@ class TestPixelDiff:
         diffs = patch_diffs(gray(np.zeros((14, 14))), gray(np.zeros((14, 14))), grid)
         with pytest.raises(ValueError):
             threshold_diffs(diffs, -0.1)
+
+
+def frame_pair(kind, grid, seed):
+    """Grayscale planes of two frames of ``grid``: random RGB frames, random
+    frames whose three channels are one plane (as synthetic frames are),
+    or one random frame twice."""
+    rng = np.random.default_rng(seed)
+    shape = (grid.rows * 14, grid.cols * 14)
+    planes = []
+    for _ in range(2):
+        if kind == "rgb":
+            pixels = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
+        else:
+            plane = rng.integers(0, 256, size=shape, dtype=np.uint8)
+            pixels = np.broadcast_to(plane[..., None], shape + (3,))
+        planes.append(to_grayscale(FrameObservation(pixels=pixels, timestep=0)))
+    if kind == "identical":
+        planes[1] = planes[0].copy()
+    return planes
+
+
+class TestThresholdEstimate:
+    """The loop's pixel mask, decided from the BLAS-summed estimate, is the
+    thresholded patch means bit for bit, on thresholds right at a mean too,
+    where only the exact mean can decide."""
+
+    @pytest.mark.parametrize("kind", ["rgb", "one_plane", "identical"])
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (3, 17), (32, 32)])
+    def test_equals_the_thresholded_means(self, monkeypatch, kind, rows, cols):
+        grid = PatchGrid(rows, cols)
+        a, b = frame_pair(kind, grid, seed=rows * 100 + cols)
+        diffs = patch_diffs(a, b, grid)
+        estimate = patch_sum_estimate(a, b, grid)
+        thresholds = {0.0, np.nextafter(0.0, 1.0), 0.03, 1.5}
+        for value in np.unique(diffs):
+            thresholds |= {value, np.nextafter(value, 0.0), np.nextafter(value, np.inf)}
+        refined = []
+        original = ttfusion.detection.patch_diffs
+
+        def counting(gray_t, gray_prev, strip, band=None):
+            refined.append(strip)
+            return original(gray_t, gray_prev, strip, band)
+
+        monkeypatch.setattr(ttfusion.detection, "patch_diffs", counting)
+        for threshold in sorted(thresholds):
+            mask = threshold_estimate(estimate, a, b, grid, float(threshold))
+            assert mask.dtype == np.bool_
+            assert np.array_equal(mask, threshold_diffs(diffs, threshold)), threshold
+        # A threshold on a mean leaves its estimate inside the margin, so the
+        # strip is refined; a zero estimate never is.
+        assert bool(refined) == (kind != "identical")
+        assert all(strip == PatchGrid(1, cols) for strip in refined)
+
+    def test_estimate_is_the_patch_sum_within_the_bound(self):
+        grid = PatchGrid(3, 17)
+        a, b = frame_pair("rgb", grid, seed=5)
+        sums = patch_diffs(a, b, grid) * 196
+        estimate = patch_sum_estimate(a, b, grid, estimate_scratch(grid))
+        bound = 2 * (grid.cols * 14 + 196) * 2.0**-53
+        assert np.abs(estimate - sums).max() <= bound * sums.max()
+        assert bound < ESTIMATE_MARGIN
+
+    def test_subnormal_mean_is_refined(self):
+        # A sum of 197 of the smallest doubles is 197/196 of one as a mean,
+        # which rounds to that one: at that threshold the mean does not lie
+        # above it, though the sum lies above 196 times it.
+        grid = PatchGrid(1, 1)
+        a, b = np.zeros((14, 14)), np.zeros((14, 14))
+        b[0, 0] = 197 * 5e-324
+        threshold = 5e-324
+        estimate = patch_sum_estimate(a, b, grid)
+        assert estimate[0] > 196 * threshold
+        assert not threshold_diffs(patch_diffs(a, b, grid), threshold)[0]
+        assert not threshold_estimate(estimate, a, b, grid, threshold)[0]
+
+    def test_scratch_of_another_grid_rejected(self):
+        grid = PatchGrid(2, 2)
+        planes = np.zeros((28, 28)), np.zeros((28, 28))
+        for other in (PatchGrid(1, 2), PatchGrid(2, 3)):
+            with pytest.raises(ValueError, match="no estimate_scratch"):
+                patch_sum_estimate(*planes, grid, estimate_scratch(other))
+
+    def test_estimate_of_another_grid_or_negative_threshold_rejected(self):
+        grid = PatchGrid(2, 2)
+        planes = np.zeros((28, 28)), np.zeros((28, 28))
+        with pytest.raises(ValueError, match="does not match grid"):
+            threshold_estimate(np.zeros(3), *planes, grid, 0.03)
+        with pytest.raises(ValueError, match="non-negative"):
+            threshold_estimate(np.zeros(4), *planes, grid, -0.1)
 
 
 class TestAttentionScores:

@@ -204,18 +204,18 @@ class TestStep:
             small_config(keyframe_interval=100, top_k=1)
         ))
         diff_calls = []
-        original_diffs = ttfusion.detection.patch_diffs
+        original_estimate = ttfusion.detection.patch_sum_estimate
 
-        def counting_diffs(*args):
+        def counting_estimate(*args):
             diff_calls.append(1)
-            return original_diffs(*args)
+            return original_estimate(*args)
 
-        monkeypatch.setattr(ttfusion.detection, "patch_diffs", counting_diffs)
+        monkeypatch.setattr(ttfusion.detection, "patch_sum_estimate", counting_estimate)
         for result in self.non_keyframe_steps(config):
             assert not result.pixel_mask.any()
             assert result.attention_mask.sum() == 1
             assert np.array_equal(result.fusion_mask, result.attention_mask)
-        # With the pixel dimension off no pixel diff is ever computed.
+        # With the pixel dimension off no pixel difference is ever summed.
         assert diff_calls == []
 
     def test_missing_prev_attention_recomputes_everything(self):
@@ -322,23 +322,25 @@ class TestStep:
             step(FusionState(), small_frames(1)[0], encoder, small_config(keyframe_interval=100))
 
     def test_diffs_recorded_on_non_keyframes(self):
-        # The step thresholds the diffs its shared observation records.
+        # The step decides from the estimate its shared observation records,
+        # as thresholding the patch means would.
         frames = small_frames(2, walker=True)
         config = small_config(keyframe_interval=100)
         encoder = small_encoder()
         _, state = step(FusionState(), frames[0], encoder, config)
         shared = SharedObservation(frames[1], encoder)
         result, _ = step(state, frames[1], encoder, config, shared=shared)
-        diffs = shared.diffs(state.prev_gray, config.grid)
-        assert diffs.shape == (4,)
-        assert diffs.max() > 0.0
+        estimate = shared.estimate(state.prev_gray, config.grid)
+        assert estimate.shape == (4,)
+        assert estimate.max() > 0.0
+        diffs = ttfusion.detection.patch_diffs(shared.gray, state.prev_gray, config.grid)
         assert np.array_equal(
             result.pixel_mask, ttfusion.detection.threshold_diffs(diffs, config.pixel_threshold)
         )
 
     def test_shared_observation_diffs_follow_each_previous_grayscale(self):
         # Two histories reach frame 1 with different previous grayscales;
-        # one shared observation must give each the diffs of its own.
+        # one shared observation must give each the estimate of its own.
         frames = small_frames(2, walker=True)
         other = small_frames(1, walker=True, noise_amplitude=0.3, seed=5)[0]
         config = small_config(keyframe_interval=100)
@@ -348,10 +350,10 @@ class TestStep:
             _, state = step(FusionState(), first, encoder, config)
             alone, _ = step(state, frames[1], encoder, config)
             together, _ = step(state, frames[1], encoder, config, shared=shared)
-            expected = ttfusion.detection.patch_diffs(
+            expected = ttfusion.detection.patch_sum_estimate(
                 to_grayscale(frames[1]), state.prev_gray, config.grid
             )
-            assert np.array_equal(shared.diffs(state.prev_gray, config.grid), expected)
+            assert np.array_equal(shared.estimate(state.prev_gray, config.grid), expected)
             assert np.array_equal(together.pixel_mask, alone.pixel_mask)
         with pytest.raises(ValueError, match="another frame"):
             step(state, small_frames(2, seed=7)[1], encoder, config, shared=shared)
@@ -373,7 +375,7 @@ class TestHardFusion:
         text = np.array([[[0.4, 0.1, 0.3, 0.2]]] * 2)
         encoder.inner.slice_ = AttentionSlice(text_rows=text, action_row=None, source_timestep=0)
         monkeypatch.setattr(
-            ttfusion.detection, "threshold_diffs", lambda *args: np.array(pixel, dtype=bool)
+            ttfusion.detection, "threshold_estimate", lambda *args: np.array(pixel, dtype=bool)
         )
         monkeypatch.setattr(
             ttfusion.detection, "top_k_mask", lambda *args: np.array(attention, dtype=bool)
@@ -586,19 +588,19 @@ class TestLockstep:
     def test_one_grayscale_per_step(self, monkeypatch):
         calls, diff_calls = [], []
         original = ttfusion.fusion.to_grayscale
-        original_diffs = ttfusion.detection.patch_diffs
+        original_estimate = ttfusion.detection.patch_sum_estimate
 
         def counting(frame, out=None):
             calls.append(frame.timestep)
             return original(frame, out)
 
-        def counting_diffs(gray_t, gray_prev, grid, band=None):
+        def counting_estimate(gray_t, gray_prev, grid, scratch=None):
             diff_calls.append(calls[-1])
-            return original_diffs(gray_t, gray_prev, grid, band)
+            return original_estimate(gray_t, gray_prev, grid, scratch)
 
         monkeypatch.setattr(ttfusion.fusion, "to_grayscale", counting)
         monkeypatch.setattr(ttfusion.toy_encoder, "to_grayscale", counting)
-        monkeypatch.setattr(ttfusion.detection, "patch_diffs", counting_diffs)
+        monkeypatch.setattr(ttfusion.detection, "patch_sum_estimate", counting_estimate)
         frames = self.walker_frames()
         run_steps(frames, small_encoder(), self.configs()[0])
         assert calls == list(range(len(frames)))
@@ -606,8 +608,8 @@ class TestLockstep:
         calls.clear()
         for _ in lockstep(frames, small_encoder(), self.configs()):
             pass
-        # One grayscale per frame for all three points, and one pixel-diff
-        # computation per frame that is a non-keyframe for some point: with
+        # One grayscale per frame for all three points, and one pixel sum
+        # estimate per frame that is a non-keyframe for some point: with
         # K = 1, 3, 6 those are the frames off multiples of 6.
         assert calls == list(range(len(frames)))
         assert diff_calls == [t for t in range(len(frames)) if t % 6]
@@ -669,13 +671,38 @@ class TestLockstep:
 class TestFlatStepMemory:
     """In steady state a frame allocates no frame-sized array but each
     config's fused tokens and the frame's token rows: the grayscale planes,
-    the pixel-diff band, the feature matrix and the row gather are kept
-    from frame to frame.  Checked with tracemalloc, so it holds whatever
-    the allocator does with freed memory."""
+    the pixel estimate's scratch (diff band, row sums and column map), the
+    feature matrix and the row gather are kept from frame to frame.
+    Checked with tracemalloc, so it holds whatever the allocator does with
+    freed memory."""
 
     @pytest.mark.parametrize("source", ["synthetic", "ppm"])
     @pytest.mark.parametrize("size,intervals", [(448, (1, 3, 6)), (224, (3,))])
-    def test_frames_after_the_third_allocate_only_tokens(self, size, intervals, source, tmp_path):
+    def test_frames_after_the_third_allocate_only_tokens(
+        self, size, intervals, source, tmp_path, monkeypatch
+    ):
+        # Each pixel-detection call's own peak is measured too, since its
+        # scratch is too small for the frame bound to see.  The frame's peak
+        # before a call is carried over the call's reset.
+        detection_peaks, frame_peak = [], 0
+
+        def measured(fn):
+            def wrapper(*args):
+                nonlocal frame_peak
+                before, peak = tracemalloc.get_traced_memory()
+                frame_peak = max(frame_peak, peak)
+                tracemalloc.reset_peak()
+                try:
+                    return fn(*args)
+                finally:
+                    detection_peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+            return wrapper
+
+        for name in ("patch_sum_estimate", "threshold_estimate"):
+            monkeypatch.setattr(
+                ttfusion.detection, name, measured(getattr(ttfusion.detection, name))
+            )
         d = 64
         spec = SynthSpec(frame_count=30, width=size, height=size, change_fraction=0.05,
                          walker=True, noise_amplitude=0.02, seed=1)
@@ -695,8 +722,10 @@ class TestFlatStepMemory:
             loop = lockstep(frames, ToyEncoder(EncoderSpec(token_dim=d)), configs)
             for t, results in enumerate(loop):
                 size_now, peak = tracemalloc.get_traced_memory()
+                peak, frame_peak = max(peak, frame_peak), 0
                 if t == 2:
                     base = size_now
+                    detection_peaks.clear()
                 elif t > 2:
                     growth.append(peak - base)
                 tracemalloc.reset_peak()
@@ -704,6 +733,12 @@ class TestFlatStepMemory:
             tracemalloc.stop()
         assert len(growth) == 27
         assert max(growth) <= bound
+        # A call may allocate the (N,) estimate and a few (N,) masks, which
+        # stays below the (rows, W) row-sum scratch alone.
+        detection_bound = 4 * n * 8 + 8192
+        assert detection_bound < (size // 14) * size * 8
+        assert detection_peaks
+        assert max(detection_peaks) <= detection_bound
 
 
 class TestEncodesOnlyWhatTheStepReads:
