@@ -23,16 +23,14 @@ ACTION_TO_VISION = "action_to_vision"
 ATTENTION_MODES = (TEXT_TO_VISION, ACTION_TO_VISION)
 
 _ROW_SUM_TOLERANCE = 1e-6
-# Pixels per band of patch rows in patch_diffs, and in patch_sum_estimate,
-# whose lighter per-band work gains from fewer, larger bands.
-DIFF_BAND_PIXELS = 16384
-ESTIMATE_BAND_PIXELS = 32768
-# patch_sum_estimate and patch_diffs add the same nonnegative doubles
-# |g_t - g_{t-1}| of a patch in different orders, so on frames W pixels wide
-# each sum lies within (W + 196) * 2**-53 of their real sum, relative.  A
+# Pixels per band of patch rows in patch_diffs and patch_sum_estimate.
+DIFF_BAND_PIXELS = 32768
+# patch_sum_estimate and patch_diffs add the same 196 nonnegative doubles
+# |g_t - g_{t-1}| of a patch in different orders, so each sum lies within
+# 196 * 2**-53 of their real sum, relative, whatever the frame size.  A
 # margin of 1e-9 around 196 * threshold covers both gaps, and the few
-# roundings of that bar and of patch_diffs' division by 196, for any frame
-# narrower than ~4 M px: outside it the estimate decides as the mean does.
+# roundings of that bar and of patch_diffs' division by 196: outside it the
+# estimate decides as the mean does.
 ESTIMATE_MARGIN = 1e-9
 # Below this a patch's mean (sum / 196) may be subnormal, where rounding is
 # absolute, not relative, so a sum estimated there is never flagged unrefined.
@@ -84,12 +82,12 @@ def _check_rows(rows: np.ndarray) -> None:
         raise ValueError("attention rows must sum to at most 1")
 
 
-def diff_band(grid: PatchGrid, pixels: int = DIFF_BAND_PIXELS) -> np.ndarray:
+def diff_band(grid: PatchGrid) -> np.ndarray:
     """A float64 scratch band for :func:`patch_diffs` on frames of ``grid``:
-    as many whole patch rows as fit in about ``pixels`` pixels, at least
-    one and at most the grid's."""
+    as many whole patch rows as fit in about ``DIFF_BAND_PIXELS`` pixels, at
+    least one and at most the grid's."""
     width = grid.cols * PATCH_SIDE
-    band = max(1, pixels // (PATCH_SIDE * width))
+    band = max(1, DIFF_BAND_PIXELS // (PATCH_SIDE * width))
     return np.empty((min(band, grid.rows) * PATCH_SIDE, width))
 
 
@@ -145,22 +143,18 @@ def threshold_diffs(diffs: np.ndarray, threshold: float) -> np.ndarray:
     return diffs > threshold
 
 
-def estimate_scratch(grid: PatchGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def estimate_scratch(grid: PatchGrid) -> tuple[np.ndarray, np.ndarray]:
     """Scratch for :func:`patch_sum_estimate` on frames of ``grid``, which
-    the caller may keep from frame to frame: a :func:`diff_band` of
-    ``ESTIMATE_BAND_PIXELS``, a (rows, W) array for each patch row's sums
-    of its 14 pixel rows, and the (W, cols) 0/1 map of pixel column v to
-    patch column v // 14."""
-    width = grid.cols * PATCH_SIDE
-    col_map = np.repeat(np.eye(grid.cols), PATCH_SIDE, axis=0)
-    return diff_band(grid, ESTIMATE_BAND_PIXELS), np.empty((grid.rows, width)), col_map
+    the caller may keep from frame to frame: a :func:`diff_band` and a
+    (rows, W) array for each patch row's sums of its 14 pixel rows."""
+    return diff_band(grid), np.empty((grid.rows, grid.cols * PATCH_SIDE))
 
 
 def patch_sum_estimate(
     gray_t: np.ndarray,
     gray_prev: np.ndarray,
     grid: PatchGrid,
-    scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Each patch's sum of absolute luminance differences between two
     grayscale planes: 196 times its :func:`patch_diffs`, up to rounding
@@ -169,17 +163,17 @@ def patch_sum_estimate(
     Uses no threshold, so one result serves every threshold that
     :func:`threshold_estimate` applies to it.  The differences are taken a
     band at a time as in :func:`patch_diffs`, each patch row's 14 pixel rows
-    are summed into the row-sum scratch, and one (rows x W)(W x cols) BLAS
-    product with the column map sums each patch's 14 columns.  ``scratch``
-    is :func:`estimate_scratch` of ``grid`` (a new one when None).
+    are summed into the row-sum scratch, and then each patch's 14 columns of
+    it.  ``scratch`` is :func:`estimate_scratch` of ``grid`` (a new one when
+    None).
     """
-    band, row_sums, col_map = estimate_scratch(grid) if scratch is None else scratch
+    band, row_sums = estimate_scratch(grid) if scratch is None else scratch
     width = grid.cols * PATCH_SIDE
-    if row_sums.shape != (grid.rows, width) or col_map.shape != (width, grid.cols):
+    if row_sums.shape != (grid.rows, width):
         raise ValueError(f"scratch is no estimate_scratch of grid {grid.rows}x{grid.cols}")
     for r0, r1, d in _abs_diff_bands(gray_t, gray_prev, grid, band):
         d.reshape(r1 - r0, PATCH_SIDE, width).sum(axis=1, out=row_sums[r0:r1])
-    return (row_sums @ col_map).ravel()
+    return np.add.reduceat(row_sums, np.arange(0, width, PATCH_SIDE), axis=1).ravel()
 
 
 def threshold_estimate(
@@ -188,6 +182,7 @@ def threshold_estimate(
     gray_prev: np.ndarray,
     grid: PatchGrid,
     threshold: float,
+    band: np.ndarray | None = None,
 ) -> np.ndarray:
     """``threshold_diffs(patch_diffs(gray_t, gray_prev, grid), threshold)``,
     bit for bit, from the :func:`patch_sum_estimate` of the same planes.
@@ -196,8 +191,9 @@ def threshold_estimate(
     (1 + ``ESTIMATE_MARGIN``), and cleared when it lies below 196 *
     threshold * (1 - ``ESTIMATE_MARGIN``) or is exactly 0 (only a sum of
     zeros is 0).  Only a patch in between has its mean taken, by
-    :func:`patch_diffs` on its strip of 14 pixel rows; a negative threshold
-    is rejected.
+    :func:`patch_diffs` on its strip of 14 pixel rows in ``band``, a
+    :func:`diff_band` of ``grid`` that the caller may keep (a new one when
+    None); a negative threshold is rejected.
     """
     if threshold < 0.0:
         raise ValueError("pixel threshold must be non-negative")
@@ -214,9 +210,9 @@ def threshold_estimate(
     strip = PatchGrid(1, grid.cols)
     for r in np.unique(unsure // grid.cols):
         pixels = slice(r * PATCH_SIDE, (r + 1) * PATCH_SIDE)
-        exact = threshold_diffs(patch_diffs(gray_t[pixels], gray_prev[pixels], strip), threshold)
+        diffs = patch_diffs(gray_t[pixels], gray_prev[pixels], strip, band)
         patches = unsure[unsure // grid.cols == r]
-        mask[patches] = exact[patches % grid.cols]
+        mask[patches] = threshold_diffs(diffs, threshold)[patches % grid.cols]
     return mask
 
 

@@ -201,7 +201,8 @@ def step(
                 raise ValueError("non-keyframe step needs the previous frame's grayscale")
             estimate = shared.estimate(state.prev_gray, grid)
             pixel_mask = detection.threshold_estimate(
-                estimate, shared.gray, state.prev_gray, grid, config.pixel_threshold
+                estimate, shared.gray, state.prev_gray, grid, config.pixel_threshold,
+                shared.scratch[0],
             )
         else:
             pixel_mask = np.zeros(n, dtype=bool)
@@ -244,10 +245,10 @@ def lockstep(frames, encoder, configs) -> Iterator[list[StepResult]]:
     arrive and need not be a list; between frames only each config's
     :class:`FusionState` is kept, so memory stays flat however long the
     episode is.  The grayscale planes and the estimate's scratch (its diff
-    band, row sums and column map) are the loop's own, allocated at the
-    first frame and written over at each later one, so a step in steady
-    state allocates no frame-sized array but each config's fused tokens
-    and the frame's token rows.
+    band, which refining steps reuse, and row sums) are the loop's own,
+    allocated at the first frame and written over at each later one, so a
+    step in steady state allocates no frame-sized array but each config's
+    fused tokens and the frame's token rows.
 
     Frame t must have timestep t: a frame off its position raises
     ``ValueError`` ("timestep gap") when the loop reaches it, and a stream
@@ -297,7 +298,8 @@ class SharedObservation:
     read-only because every config's step on the frame reads the same array.
     ``gray``, when given, is the float64 (height, width) array that the
     grayscale is written into, and ``scratch`` the
-    ``detection.estimate_scratch`` the estimate is taken in; without them
+    ``detection.estimate_scratch`` the estimate is taken in, whose diff band
+    the steps' ``detection.threshold_estimate`` calls reuse; without them
     each is allocated here.
 
     The encoder provides three methods.  ``features(frame, gray)`` returns
@@ -315,7 +317,7 @@ class SharedObservation:
         frame: FrameObservation,
         encoder,
         gray: np.ndarray | None = None,
-        scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        scratch: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         self.frame = frame
         self._encoder = encoder
@@ -330,6 +332,12 @@ class SharedObservation:
     @cached_property
     def gray(self) -> np.ndarray:
         return to_grayscale(self.frame, self._gray_out)
+
+    @cached_property
+    def scratch(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._scratch is not None:
+            return self._scratch
+        return detection.estimate_scratch(PatchGrid.for_frame(self.frame))
 
     @cached_property
     def features(self):
@@ -398,7 +406,7 @@ class SharedObservation:
         ``prev_gray``, computed again only when asked against another
         grayscale."""
         if self._estimate_base is not prev_gray:
-            estimate = detection.patch_sum_estimate(self.gray, prev_gray, grid, self._scratch)
+            estimate = detection.patch_sum_estimate(self.gray, prev_gray, grid, self.scratch)
             estimate.flags.writeable = False
             self._estimate, self._estimate_base = estimate, prev_gray
         return self._estimate

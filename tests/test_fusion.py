@@ -671,20 +671,26 @@ class TestLockstep:
 class TestFlatStepMemory:
     """In steady state a frame allocates no frame-sized array but each
     config's fused tokens and the frame's token rows: the grayscale planes,
-    the pixel estimate's scratch (diff band, row sums and column map), the
-    feature matrix and the row gather are kept from frame to frame.
-    Checked with tracemalloc, so it holds whatever the allocator does with
-    freed memory."""
+    the pixel estimate's scratch (diff band and row sums), the feature
+    matrix and the row gather are kept from frame to frame.  Checked with
+    tracemalloc, so it holds whatever the allocator does with freed
+    memory."""
 
-    @pytest.mark.parametrize("source", ["synthetic", "ppm"])
-    @pytest.mark.parametrize("size,intervals", [(448, (1, 3, 6)), (224, (3,))])
-    def test_frames_after_the_third_allocate_only_tokens(
-        self, size, intervals, source, tmp_path, monkeypatch
-    ):
+    D = 64
+
+    @staticmethod
+    def spec(size):
+        return SynthSpec(frame_count=30, width=size, height=size, change_fraction=0.05,
+                         walker=True, noise_amplitude=0.02, seed=1)
+
+    def measure(self, frames, configs, size, monkeypatch):
+        """Run the loop under tracemalloc and check each frame after the
+        third, and each pixel-detection call of those frames, against its
+        bound; return the frames at which a step refined a strip."""
         # Each pixel-detection call's own peak is measured too, since its
         # scratch is too small for the frame bound to see.  The frame's peak
         # before a call is carried over the call's reset.
-        detection_peaks, frame_peak = [], 0
+        detection_peaks, refined, frame_peak, current = [], [], 0, 0
 
         def measured(fn):
             def wrapper(*args):
@@ -703,23 +709,21 @@ class TestFlatStepMemory:
             monkeypatch.setattr(
                 ttfusion.detection, name, measured(getattr(ttfusion.detection, name))
             )
-        d = 64
-        spec = SynthSpec(frame_count=30, width=size, height=size, change_fraction=0.05,
-                         walker=True, noise_amplitude=0.02, seed=1)
-        frames = iter_frames(spec)
-        if source == "ppm":
-            # PPM frames are RGB arrays, which take to_grayscale's banded path.
-            write_sequence(spec, tmp_path)
-            frames = load_frames_dir(tmp_path)
-        configs = [FusionConfig(keyframe_interval=k, width=size, height=size) for k in intervals]
+        original_diffs = ttfusion.detection.patch_diffs
+
+        def counting_diffs(*args):
+            refined.append(current)
+            return original_diffs(*args)
+
+        monkeypatch.setattr(ttfusion.detection, "patch_diffs", counting_diffs)
         n = (size // 14) ** 2
         # Each config's new fused tokens and the frame's token rows, while the
         # previous frame's results are still held, plus small temporaries.
-        bound = (len(configs) + 1) * n * d * 8 + 128 * 1024
+        bound = (len(configs) + 1) * n * self.D * 8 + 128 * 1024
         growth = []
         tracemalloc.start()
         try:
-            loop = lockstep(frames, ToyEncoder(EncoderSpec(token_dim=d)), configs)
+            loop = lockstep(frames, ToyEncoder(EncoderSpec(token_dim=self.D)), configs)
             for t, results in enumerate(loop):
                 size_now, peak = tracemalloc.get_traced_memory()
                 peak, frame_peak = max(peak, frame_peak), 0
@@ -729,16 +733,48 @@ class TestFlatStepMemory:
                 elif t > 2:
                     growth.append(peak - base)
                 tracemalloc.reset_peak()
+                current = t + 1
         finally:
             tracemalloc.stop()
         assert len(growth) == 27
         assert max(growth) <= bound
         # A call may allocate the (N,) estimate and a few (N,) masks, which
-        # stays below the (rows, W) row-sum scratch alone.
+        # stays below the (rows, W) row-sum scratch alone; a refining call
+        # also takes a strip's (cols,) means.
         detection_bound = 4 * n * 8 + 8192
         assert detection_bound < (size // 14) * size * 8
         assert detection_peaks
         assert max(detection_peaks) <= detection_bound
+        return refined
+
+    @pytest.mark.parametrize("source", ["synthetic", "ppm"])
+    @pytest.mark.parametrize("size,intervals", [(448, (1, 3, 6)), (224, (3,))])
+    def test_frames_after_the_third_allocate_only_tokens(
+        self, size, intervals, source, tmp_path, monkeypatch
+    ):
+        spec = self.spec(size)
+        frames = iter_frames(spec)
+        if source == "ppm":
+            # PPM frames are RGB arrays, which take to_grayscale's banded path.
+            write_sequence(spec, tmp_path)
+            frames = load_frames_dir(tmp_path)
+        configs = [FusionConfig(keyframe_interval=k, width=size, height=size) for k in intervals]
+        self.measure(frames, configs, size, monkeypatch)
+
+    def test_refining_steps_allocate_no_frame_sized_scratch(self, monkeypatch):
+        # Each config's threshold is a patch mean of one frame pair, so its
+        # step on that frame refines the patch's strip in the kept band.
+        size = 448
+        grid = FusionConfig(width=size, height=size).grid
+        frames = list(iter_frames(self.spec(size)))
+        configs = []
+        for t in (5, 17):
+            a, b = to_grayscale(frames[t]), to_grayscale(frames[t - 1])
+            threshold = float(ttfusion.detection.patch_diffs(a, b, grid).max())
+            configs.append(FusionConfig(keyframe_interval=30, pixel_threshold=threshold,
+                                        width=size, height=size))
+        refined = self.measure(iter(frames), configs, size, monkeypatch)
+        assert {5, 17} <= set(refined)
 
 
 class TestEncodesOnlyWhatTheStepReads:
