@@ -5,8 +5,9 @@ thresholds the mean absolute luminance change of each patch; the attention
 detector aggregates transformer attention rows into per-patch scores and
 keeps the top-k (or a reuse-rate-derived budget).  Both emit bool masks
 where True means "recompute this patch".  The fusion loop takes the pixel
-mask from a cheap per-patch sum estimate, exact by a rounding bound
-(:func:`threshold_estimate`), rather than from the means themselves.
+mask from each patch's exact integer sum of luma changes, exact by a
+rounding bound (:func:`threshold_luma_sums`), rather than from the means
+themselves.
 """
 
 from __future__ import annotations
@@ -16,25 +17,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import PATCH_PIXELS, PATCH_SIDE, PatchGrid
+from .frames import PATCH_PIXELS, PATCH_SIDE, Luma, PatchGrid
 
 TEXT_TO_VISION = "text_to_vision"
 ACTION_TO_VISION = "action_to_vision"
 ATTENTION_MODES = (TEXT_TO_VISION, ACTION_TO_VISION)
 
 _ROW_SUM_TOLERANCE = 1e-6
-# Pixels per band of patch rows in patch_diffs and patch_sum_estimate.
+# Pixels per band of patch rows in patch_diffs.
 DIFF_BAND_PIXELS = 32768
-# patch_sum_estimate and patch_diffs add the same 196 nonnegative doubles
-# |g_t - g_{t-1}| of a patch in different orders, so each sum lies within
-# 196 * 2**-53 of their real sum, relative, whatever the frame size.  A
-# margin of 1e-9 around 196 * threshold covers both gaps, and the few
-# roundings of that bar and of patch_diffs' division by 196: outside it the
-# estimate decides as the mean does.
+# Let S be a patch's exact integer sum of |L_t - L_{t-1}| over its 196
+# pixels, both lumas at one scale s (frames.PLANE_SCALE or RGB_SCALE).
+# patch_diffs takes the same sum from the rounded grayscales L / s.  A
+# pixel whose lumas are equal adds exactly 0 there, and one whose lumas
+# differ by d >= 1 adds d / s within 2 * 2**-53 absolute, which is within
+# 2 * 2**-53 * s relative (below 5.7e-11 at s = 255000), and within 2**-53
+# more by its subtraction; adding the 196 terms costs at most 195 * 2**-53
+# relative.  So for any S >= 1, patch_diffs' sum lies within 6e-11 of
+# S / s, relative, and its mean, at least 1 / (196 s), is a normal double.
+# A margin of 1e-9 around 196 * s * threshold covers that, the few
+# roundings of that bar and patch_diffs' division by 196: outside it S
+# decides as the mean does.  S is 0 only where the two lumas are equal.
 ESTIMATE_MARGIN = 1e-9
-# Below this a patch's mean (sum / 196) may be subnormal, where rounding is
-# absolute, not relative, so a sum estimated there is never flagged unrefined.
-_NORMAL_SUM = 2.0**-1000
 
 
 @dataclass
@@ -91,28 +95,6 @@ def diff_band(grid: PatchGrid) -> np.ndarray:
     return np.empty((min(band, grid.rows) * PATCH_SIDE, width))
 
 
-def _abs_diff_bands(gray_t, gray_prev, grid: PatchGrid, band: np.ndarray | None):
-    """Yield ``(r0, r1, d)`` for each band of patch rows r0..r1 - 1 in turn,
-    ``d`` holding |gray_t - gray_prev| over their pixel rows in ``band``."""
-    a, b = np.asarray(gray_t), np.asarray(gray_prev)
-    if a.shape != b.shape:
-        raise ValueError(f"grayscale shapes differ: {a.shape} vs {b.shape}")
-    if a.shape != (grid.rows * PATCH_SIDE, grid.cols * PATCH_SIDE):
-        raise ValueError(f"grayscale shape {a.shape} does not match grid {grid.rows}x{grid.cols}")
-    if band is None:
-        band = diff_band(grid)
-    step = len(band) // PATCH_SIDE
-    if band.dtype != np.float64 or band.shape[1:] != a.shape[1:] or not step:
-        raise ValueError(f"band {band.shape} is no diff_band of {a.shape[1]} px wide frames")
-    for r0 in range(0, grid.rows, step):
-        r1 = min(r0 + step, grid.rows)
-        pixels = slice(r0 * PATCH_SIDE, r1 * PATCH_SIDE)
-        d = band[: (r1 - r0) * PATCH_SIDE]
-        np.subtract(a[pixels], b[pixels], out=d)
-        np.abs(d, out=d)
-        yield r0, r1, d
-
-
 def patch_diffs(
     gray_t: np.ndarray, gray_prev: np.ndarray, grid: PatchGrid, band: np.ndarray | None = None
 ) -> np.ndarray:
@@ -126,8 +108,23 @@ def patch_diffs(
     one when None).  Each patch sums its pixels in the same order as over
     the whole frame, so the result does not depend on the band size.
     """
+    a, b = np.asarray(gray_t), np.asarray(gray_prev)
+    if a.shape != b.shape:
+        raise ValueError(f"grayscale shapes differ: {a.shape} vs {b.shape}")
+    if a.shape != (grid.rows * PATCH_SIDE, grid.cols * PATCH_SIDE):
+        raise ValueError(f"grayscale shape {a.shape} does not match grid {grid.rows}x{grid.cols}")
+    if band is None:
+        band = diff_band(grid)
+    step = len(band) // PATCH_SIDE
+    if band.dtype != np.float64 or band.shape[1:] != a.shape[1:] or not step:
+        raise ValueError(f"band {band.shape} is no diff_band of {a.shape[1]} px wide frames")
     sums = np.empty((grid.rows, grid.cols))
-    for r0, r1, d in _abs_diff_bands(gray_t, gray_prev, grid, band):
+    for r0 in range(0, grid.rows, step):
+        r1 = min(r0 + step, grid.rows)
+        pixels = slice(r0 * PATCH_SIDE, r1 * PATCH_SIDE)
+        d = band[: (r1 - r0) * PATCH_SIDE]
+        np.subtract(a[pixels], b[pixels], out=d)
+        np.abs(d, out=d)
         d.reshape(r1 - r0, PATCH_SIDE, grid.cols, PATCH_SIDE).sum(axis=(1, 3), out=sums[r0:r1])
     sums = sums.ravel()
     sums /= PATCH_PIXELS
@@ -143,75 +140,135 @@ def threshold_diffs(diffs: np.ndarray, threshold: float) -> np.ndarray:
     return diffs > threshold
 
 
-def estimate_scratch(grid: PatchGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch for :func:`patch_sum_estimate` on frames of ``grid``, which
-    the caller may keep from frame to frame: a :func:`diff_band` and a
-    (rows, W) array for each patch row's sums of its 14 pixel rows."""
-    return diff_band(grid), np.empty((grid.rows, grid.cols * PATCH_SIDE))
+class PixelScratch:
+    """Scratch of the loop's pixel detector on frames of ``grid``, which the
+    caller may keep from frame to frame.
 
-
-def patch_sum_estimate(
-    gray_t: np.ndarray,
-    gray_prev: np.ndarray,
-    grid: PatchGrid,
-    scratch: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Each patch's sum of absolute luminance differences between two
-    grayscale planes: 196 times its :func:`patch_diffs`, up to rounding
-    (see ``ESTIMATE_MARGIN``).
-
-    Uses no threshold, so one result serves every threshold that
-    :func:`threshold_estimate` applies to it.  The differences are taken a
-    band at a time as in :func:`patch_diffs`, each patch row's 14 pixel rows
-    are summed into the row-sum scratch, and then each patch's 14 columns of
-    it.  ``scratch`` is :func:`estimate_scratch` of ``grid`` (a new one when
-    None).
+    For each luma dtype :func:`patch_luma_sums` meets, two (H, W) arrays of
+    it for each pixel's larger and smaller luma, and (rows, W) sums of each
+    patch row's 14 pixel rows (uint16 for uint8 luma, whose patch sums stay
+    below 196 * 255, else uint32), each set allocated when first used; and
+    the three float64 (14, W) strips that :func:`threshold_luma_sums`
+    refines a patch row in, allocated here.
     """
-    band, row_sums = estimate_scratch(grid) if scratch is None else scratch
-    width = grid.cols * PATCH_SIDE
-    if row_sums.shape != (grid.rows, width):
-        raise ValueError(f"scratch is no estimate_scratch of grid {grid.rows}x{grid.cols}")
-    for r0, r1, d in _abs_diff_bands(gray_t, gray_prev, grid, band):
-        d.reshape(r1 - r0, PATCH_SIDE, width).sum(axis=1, out=row_sums[r0:r1])
-    return np.add.reduceat(row_sums, np.arange(0, width, PATCH_SIDE), axis=1).ravel()
+
+    def __init__(self, grid: PatchGrid):
+        self.grid = grid
+        self.shape = (grid.rows * PATCH_SIDE, grid.cols * PATCH_SIDE)
+        self.strips = np.empty((3, PATCH_SIDE, self.shape[1]))
+        # The first pixel column of each patch column.
+        self.starts = np.arange(0, self.shape[1], PATCH_SIDE)
+        self._sums: dict[np.dtype, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def sums(self, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The larger-luma, smaller-luma and row-sum arrays of ``dtype``."""
+        dtype = np.dtype(dtype)
+        arrays = self._sums.get(dtype)
+        if arrays is None:
+            rows = np.uint16 if dtype == np.uint8 else np.uint32
+            arrays = self._sums[dtype] = (
+                np.empty(self.shape, dtype), np.empty(self.shape, dtype),
+                np.empty((self.grid.rows, self.shape[1]), rows),
+            )
+        return arrays
 
 
-def threshold_estimate(
-    estimate: np.ndarray,
-    gray_t: np.ndarray,
-    gray_prev: np.ndarray,
+def _at_scale(luma: Luma, scale: int) -> np.ndarray:
+    """The luma's values in units of 1 / ``scale``, a multiple of its own
+    scale: a uint8 plane's times 1000 for an RGB frame's, exactly."""
+    if luma.scale == scale:
+        return luma.values
+    return np.multiply(luma.values, scale // luma.scale, dtype=np.uint32)
+
+
+def patch_luma_sums(
+    luma_t: Luma, luma_prev: Luma, grid: PatchGrid, scratch: PixelScratch | None = None
+) -> tuple[np.ndarray, int]:
+    """Each patch's exact sum of |L_t - L_{t-1}| over its pixels, as an (N,)
+    integer array, and the scale it is in: 196 * scale times the patch's
+    :func:`patch_diffs` of the two grayscales, up to rounding (see
+    ``ESTIMATE_MARGIN``).
+
+    Two lumas of different scales are summed at the larger, the other one
+    multiplied up for the call.  Uses no threshold, so one result serves
+    every threshold that :func:`threshold_luma_sums` applies to it.  Each
+    |a - b| is taken as max - min, so no unsigned value wraps, each patch
+    row's 14 pixel rows are summed into the row sums of ``scratch`` (a new
+    :class:`PixelScratch` when None), and then each patch's 14 columns.
+    """
+    if scratch is None:
+        scratch = PixelScratch(grid)
+    elif scratch.grid != grid:
+        raise ValueError(f"scratch is no PixelScratch of grid {grid.rows}x{grid.cols}")
+    scale = max(luma_t.scale, luma_prev.scale)
+    a, b = _at_scale(luma_t, scale), _at_scale(luma_prev, scale)
+    if a.shape != scratch.shape or b.shape != scratch.shape:
+        raise ValueError(f"luma shapes {a.shape}, {b.shape} do not match grid {grid.rows}x{grid.cols}")
+    high, low, row_sums = scratch.sums(a.dtype)
+    np.maximum(a, b, out=high)
+    np.minimum(a, b, out=low)
+    np.subtract(high, low, out=high)
+    high.reshape(grid.rows, PATCH_SIDE, -1).sum(axis=1, dtype=row_sums.dtype, out=row_sums)
+    # Given an out array, reduceat allocates no (rows, W) temporary.
+    sums = np.empty(grid.patch_count, row_sums.dtype)
+    np.add.reduceat(row_sums, scratch.starts, axis=1, out=sums.reshape(grid.rows, grid.cols))
+    return sums, scale
+
+
+def threshold_luma_sums(
+    sums: np.ndarray,
+    scale: int,
+    luma_t: Luma,
+    luma_prev: Luma,
     grid: PatchGrid,
     threshold: float,
-    band: np.ndarray | None = None,
+    scratch: PixelScratch | None = None,
 ) -> np.ndarray:
     """``threshold_diffs(patch_diffs(gray_t, gray_prev, grid), threshold)``,
-    bit for bit, from the :func:`patch_sum_estimate` of the same planes.
+    bit for bit, where each gray is its luma's ``gray()``, from the
+    :func:`patch_luma_sums` ``sums`` of the same lumas, in units of
+    1 / ``scale``.
 
-    A patch is flagged when its estimate lies above 196 * threshold *
-    (1 + ``ESTIMATE_MARGIN``), and cleared when it lies below 196 *
-    threshold * (1 - ``ESTIMATE_MARGIN``) or is exactly 0 (only a sum of
-    zeros is 0).  Only a patch in between has its mean taken, by
-    :func:`patch_diffs` on its strip of 14 pixel rows in ``band``, a
-    :func:`diff_band` of ``grid`` that the caller may keep (a new one when
-    None); a negative threshold is rejected.
+    A patch is flagged when its sum lies above 196 * scale * threshold *
+    (1 + ``ESTIMATE_MARGIN``), and cleared when it lies below 196 * scale *
+    threshold * (1 - ``ESTIMATE_MARGIN``) or is 0; as sums are integers,
+    both bounds are compared as integers.  Only a patch in between has its
+    mean taken, by :func:`patch_diffs` on the grays of its strip of 14 pixel
+    rows, made in the strips of ``scratch`` (a new :class:`PixelScratch`
+    when None); a negative threshold is rejected.
     """
     if threshold < 0.0:
         raise ValueError("pixel threshold must be non-negative")
-    if estimate.shape != (grid.patch_count,):
-        raise ValueError(f"estimate {estimate.shape} does not match grid {grid.rows}x{grid.cols}")
-    bar = PATCH_PIXELS * threshold
-    upper = max(bar * (1.0 + ESTIMATE_MARGIN), _NORMAL_SUM)
-    # The least positive double as a floor clears every zero estimate.
-    lower = max(bar * (1.0 - ESTIMATE_MARGIN), 5e-324)
-    mask = estimate > upper
-    unsure = np.flatnonzero((estimate >= lower) ^ mask)
+    if sums.shape != (grid.patch_count,):
+        raise ValueError(f"sums {sums.shape} do not match grid {grid.rows}x{grid.cols}")
+    # No sum exceeds 196 * scale, as no luma changes by more than the scale,
+    # so a larger bar (or a NaN threshold) clears every patch, as it clears
+    # every mean.
+    cap = PATCH_PIXELS * scale
+    bar = cap * threshold
+    if not bar <= cap:
+        return np.zeros(grid.patch_count, dtype=bool)
+    upper = min(math.floor(bar * (1.0 + ESTIMATE_MARGIN)), cap)
+    mask = sums > upper
+    # Within the margin lies at most one integer, and rarely any: a floor of
+    # 1 leaves every zero sum cleared.
+    lower = max(math.ceil(bar * (1.0 - ESTIMATE_MARGIN)), 1)
+    if lower > upper:
+        return mask
+    unsure = np.flatnonzero((sums >= lower) & ~mask)
     if not unsure.size:
         return mask
+    if scratch is None:
+        scratch = PixelScratch(grid)
+    gray_t, gray_prev, band = scratch.strips
     strip = PatchGrid(1, grid.cols)
-    for r in np.unique(unsure // grid.cols):
+    patch_rows = unsure // grid.cols
+    for r in np.flatnonzero(np.bincount(patch_rows)):
         pixels = slice(r * PATCH_SIDE, (r + 1) * PATCH_SIDE)
-        diffs = patch_diffs(gray_t[pixels], gray_prev[pixels], strip, band)
-        patches = unsure[unsure // grid.cols == r]
+        Luma(luma_t.values[pixels], luma_t.scale).gray(gray_t)
+        Luma(luma_prev.values[pixels], luma_prev.scale).gray(gray_prev)
+        diffs = patch_diffs(gray_t, gray_prev, strip, band)
+        patches = unsure[patch_rows == r]
         mask[patches] = threshold_diffs(diffs, threshold)[patches % grid.cols]
     return mask
 

@@ -26,7 +26,7 @@ from .frames import (
     write_pgm,
 )
 from .fusion import FusionConfig, StepResult, lockstep
-from .projection import ProjectionSet, ReuseChecker
+from .projection import ProjectionSet, ReuseChecker, check_scratch
 from .report import (
     InvariantError,
     build_report,
@@ -71,27 +71,46 @@ class ExperimentResult:
 @dataclass(frozen=True)
 class FrameDirectory:
     """Frames 0..count - 1 of a directory of frame_%06d.ppm files, each
-    loaded only when iteration reaches it."""
+    loaded only when iteration reaches it.  With ``size`` (width, height)
+    given, a frame of another size raises ``FrameError`` ("bad-dimensions")
+    naming the file and both sizes as it is loaded."""
 
     path: str
     count: int
+    size: tuple[int, int] | None = None
 
     def __len__(self) -> int:
         return self.count
 
     def __iter__(self):
+        # Yielding the call's result keeps no reference to the frame here,
+        # so the caller's dropping it frees it before the next one loads.
         for t in range(self.count):
-            # A file removed since the directory was listed fails here, and
-            # the OSError names it.
-            yield load_frame(os.path.join(self.path, FRAME_NAME.format(t)), t)
+            yield self._load(t)
+
+    def _load(self, t: int) -> FrameObservation:
+        # A file removed since the directory was listed fails here, and the
+        # OSError names it.
+        path = os.path.join(self.path, FRAME_NAME.format(t))
+        frame = load_frame(path, t)
+        if self.size is not None and (frame.width, frame.height) != self.size:
+            raise FrameError(
+                "bad-dimensions",
+                f"{path}: frame is {frame.width}x{frame.height}, "
+                f"expected {self.size[0]}x{self.size[1]}",
+            )
+        return frame
 
 
-def load_frames_dir(path: str | os.PathLike) -> FrameDirectory:
+def load_frames_dir(
+    path: str | os.PathLike, size: tuple[int, int] | None = None
+) -> FrameDirectory:
     """List the frame_%06d.ppm files starting at index 0, once.
 
     The indices must be contiguous: a missing index below the highest one
     present raises ``FileNotFoundError`` naming the first missing index.
-    No frame is read here; iterating the result loads each in turn.
+    No frame is read here; iterating the result loads each in turn, checked
+    against ``size`` (width, height) when given.
     """
     if not os.path.isdir(path):
         raise FileNotFoundError(f"frames directory not found: {path}")
@@ -107,7 +126,7 @@ def load_frames_dir(path: str | os.PathLike) -> FrameDirectory:
             f"frame gap in {path}: {FRAME_NAME.format(count)} (index {count}) is missing, "
             f"but frames up to index {max(frames)} exist"
         )
-    return FrameDirectory(os.fspath(path), count)
+    return FrameDirectory(os.fspath(path), count, size)
 
 
 @dataclass(kw_only=True)
@@ -187,24 +206,29 @@ def build_encoder(config: RunConfig, frame_count: int):
 def open_frames(config: RunConfig) -> tuple[Iterable[FrameObservation], int]:
     """The run's frames and their count.  Frames come from ``frames_dir``
     or the ``synth_*`` keys, each read or generated when the loop reaches
-    it."""
+    it; a file frame that is not the config's width x height raises
+    ``FrameError`` when it is read."""
     if config.frames_dir is not None:
-        frames = load_frames_dir(config.frames_dir)
+        frames = load_frames_dir(config.frames_dir, (config.fusion.width, config.fusion.height))
         return frames, len(frames)
     return iter_frames(config.synth), config.synth_frames
 
 
 class _Point:
     """One config's share of the streaming pass: its Q/K/V reuse check with
-    the run's shared weights, its report records and failure lines, and its
-    mask and token dumps if asked."""
+    the run's shared weights and check scratch, its report records and
+    failure lines, and its mask and token dumps if asked."""
 
     def __init__(
-        self, config: RunConfig, projections: ProjectionSet, out_dir: str | os.PathLike | None
+        self,
+        config: RunConfig,
+        projections: ProjectionSet,
+        scratch: tuple[np.ndarray, np.ndarray],
+        out_dir: str | os.PathLike | None,
     ):
         self.config = config
         self.out_dir = out_dir
-        self.checker = ReuseChecker(projections, config.fusion.grid.patch_count)
+        self.checker = ReuseChecker(projections, config.fusion.grid.patch_count, scratch)
         self.records: list[dict] = []
         self.failures: list[str] = []
         if out_dir is not None:
@@ -266,7 +290,9 @@ def run_points(
     point advances through the frames in lockstep (``fusion.lockstep``).
     Right after its step, each point's Q/K/V reuse check runs and the step
     is reduced to its report record; its fused tokens live on only as the
-    next step's history, so memory does not grow with the episode.  With
+    next step's history, so memory does not grow with the episode.  The
+    points check one after another, so they share one
+    ``projection.check_scratch`` and each keeps only its own Q/K/V chains.  With
     ``out_dirs``, one directory per point, each point's mask and token dumps
     are written as its steps complete and its report.json after the last
     step.
@@ -276,10 +302,16 @@ def run_points(
     frames, count = open_frames(config)
     encoder = build_encoder(config, count)
     projections = ProjectionSet.generate(config.token_dim, config.seed)
+    # One scratch per patch count: a point whose grid is not the frames'
+    # fails in its first step, as it would alone.
+    scratch = {
+        n: check_scratch(n, config.token_dim) for n in {f.grid.patch_count for f in fusions}
+    }
     if out_dirs is None:
         out_dirs = [None] * len(fusions)
     points = [
-        _Point(replace(config, fusion=fusion), projections, out_dir)
+        _Point(replace(config, fusion=fusion), projections, scratch[fusion.grid.patch_count],
+               out_dir)
         for fusion, out_dir in zip(fusions, out_dirs, strict=True)
     ]
     for steps in lockstep(frames, encoder, fusions):

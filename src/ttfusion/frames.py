@@ -9,18 +9,23 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 PATCH_SIDE = 14
 PATCH_PIXELS = PATCH_SIDE * PATCH_SIDE
 
-# Integer luminance weights; dividing the exact integer-valued sum once keeps
-# every value correctly rounded and inside [0, 1].
-_LUMA_WEIGHTS = np.array([299.0, 587.0, 114.0])
-_LUMA_SCALE = 255000.0
-# Pixels per band of rows when an RGB frame is converted to grayscale.
-GRAY_BAND_PIXELS = 4096
+# A frame's luma is its luminance in integer units of 1 / scale.  A frame
+# whose three channels are one plane p in memory keeps p, uint8 at scale
+# 255; any other frame takes 299 R + 587 G + 114 B, uint32 at scale 255000
+# (at most 255000, so no product or sum wraps).  Both are exact, and one
+# correctly rounded division, luma / scale, gives the grayscale: 1000 p /
+# 255000 and p / 255 are the same real number, so both rules agree where a
+# frame could take either.
+PLANE_SCALE = 255
+RGB_SCALE = 255000
+_LUMA_WEIGHTS = (299, 587, 114)
 
 
 class FrameError(ValueError):
@@ -110,34 +115,71 @@ class PatchGrid:
         return u0, v0, u0 + PATCH_SIDE - 1, v0 + PATCH_SIDE - 1
 
 
-def to_grayscale(frame: FrameObservation, out: np.ndarray | None = None) -> np.ndarray:
-    """The frame's (height, width) float64 luminance plane,
-    (0.299 R + 0.587 G + 0.114 B) / 255, every value in [0, 1]; written
-    into ``out`` (a C-contiguous float64 array of that shape) if given.
+class Luma(NamedTuple):
+    """A frame's luma (see ``PLANE_SCALE``): integer ``values`` in units of
+    1 / ``scale``."""
 
-    An RGB frame is converted a band of about ``GRAY_BAND_PIXELS`` pixels
-    at a time, so no float64 copy of the whole frame is made.  Each weighted
-    sum is an exact integer, so the result does not depend on the band.
+    values: np.ndarray
+    scale: int
+
+    def gray(self, out: np.ndarray | None = None) -> np.ndarray:
+        """values / scale, the float64 grayscale, written into ``out`` (a
+        C-contiguous float64 array of the values' shape) if given."""
+        out = _out_array(out, self.values.shape, np.float64)
+        # Every luma is exact in float64.  Casting in a copy of its own takes
+        # no buffer, which a casting division would allocate.
+        np.copyto(out, self.values)
+        return np.divide(out, float(self.scale), out=out)
+
+
+def _out_array(out: np.ndarray | None, shape: tuple, dtype) -> np.ndarray:
+    if out is None:
+        return np.empty(shape, dtype)
+    if out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {np.dtype(dtype).name} {shape} array")
+    return out
+
+
+def luma_dtype(frame: FrameObservation) -> type:
+    """The dtype of the frame's luma: uint8 for a frame whose three channels
+    are one plane in memory (stride 0, as synthetic frames are), else uint32."""
+    return np.uint8 if frame.pixels.strides[2] == 0 else np.uint32
+
+
+def to_luma(
+    frame: FrameObservation, out: np.ndarray | None = None, temp: np.ndarray | None = None
+) -> Luma:
+    """The frame's (height, width) luma, written into ``out`` (a C-contiguous
+    array of that shape and of ``luma_dtype(frame)``) if given.
+
+    A one-plane frame's plane is copied, so the luma does not keep the
+    frame alive.  An RGB frame's weighted sum is taken over the whole frame
+    in a few calls, its second and third terms in ``temp`` (a C-contiguous
+    uint32 array of that shape, a new one when None).
     """
     pixels = frame.pixels
     shape = pixels.shape[:2]
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 {shape} array")
-    if pixels.strides[2] == 0:
-        # One plane in memory is all three channels (R = G = B), so the
-        # weighted sum is exactly 1000 p, and 1000 p / 255000 is the same
-        # real number as p / 255: one division rounds to the same value.
-        return np.divide(pixels[..., 0], 255.0, out=out, dtype=np.float64)
-    band = max(1, GRAY_BAND_PIXELS // shape[1])
-    values = np.empty((min(band, shape[0]), shape[1], 3))
-    for r0 in range(0, shape[0], band):
-        rows = values[: min(band, shape[0] - r0)]
-        np.copyto(rows, pixels[r0 : r0 + band])
-        np.matmul(rows, _LUMA_WEIGHTS, out=out[r0 : r0 + band])
-    out /= _LUMA_SCALE
-    return out
+    dtype = luma_dtype(frame)
+    out = _out_array(out, shape, dtype)
+    if dtype is np.uint8:
+        np.copyto(out, pixels[..., 0])
+        return Luma(out, PLANE_SCALE)
+    temp = _out_array(temp, shape, np.uint32)
+    # dtype= keeps every product in uint32 under NumPy 1.x's value-based
+    # casting as well, where a uint8 operand would otherwise wrap.
+    np.multiply(pixels[..., 0], _LUMA_WEIGHTS[0], out=out, dtype=np.uint32)
+    for channel in (1, 2):
+        np.multiply(pixels[..., channel], _LUMA_WEIGHTS[channel], out=temp, dtype=np.uint32)
+        np.add(out, temp, out=out, dtype=np.uint32)
+    return Luma(out, RGB_SCALE)
+
+
+def to_grayscale(frame: FrameObservation, out: np.ndarray | None = None) -> np.ndarray:
+    """The frame's (height, width) float64 luminance plane,
+    (0.299 R + 0.587 G + 0.114 B) / 255, every value in [0, 1]: its
+    :func:`to_luma` divided by the scale, written into ``out`` (a
+    C-contiguous float64 array of that shape) if given."""
+    return to_luma(frame).gray(out)
 
 
 def _parse_netpbm_header(data: bytes, magic: bytes, path: str) -> tuple[int, int, int]:

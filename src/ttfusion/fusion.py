@@ -18,7 +18,7 @@ import numpy as np
 
 from . import detection
 from .detection import ATTENTION_MODES
-from .frames import FrameObservation, PatchGrid, to_grayscale
+from .frames import PATCH_SIDE, FrameObservation, Luma, PatchGrid, luma_dtype, to_luma
 
 SELECTION_TOP_K = "top_k"
 SELECTION_RATE_TARGET = "rate_target"
@@ -91,13 +91,14 @@ def check_field_types(config) -> None:
 
 @dataclass
 class FusionState:
-    """Rolling memory between steps: previous grayscale, fused tokens, scores.
+    """Rolling memory between steps: previous luma, fused tokens, scores.
 
     At timestep 0 every ``prev_*`` field is absent; afterwards
-    ``prev_tokens`` always holds the fused tokens just emitted.
+    ``prev_luma`` holds the previous frame's ``frames.Luma`` (its integer
+    luma and scale) and ``prev_tokens`` the fused tokens just emitted.
     """
 
-    prev_gray: np.ndarray | None = None
+    prev_luma: Luma | None = None
     prev_tokens: np.ndarray | None = None
     prev_scores: np.ndarray | None = None
     timestep: int = 0
@@ -153,18 +154,18 @@ def step(
 
     ``encoder`` provides ``features``, ``tokens`` and ``attention`` as
     :class:`SharedObservation` calls them (``toy_encoder.ToyEncoder`` is
-    one).  The step settles its fusion mask first, from the grayscale, the
-    pixel mask that ``detection.threshold_estimate`` takes at the config's
-    threshold from the frame's per-patch sum estimate, and the previous
-    step's relevance scores, and then has the encoder encode only the token
+    one).  The step settles its fusion mask first, from the pixel mask that
+    ``detection.threshold_luma_sums`` takes at the config's threshold from
+    the frame's per-patch luma sums, and the previous step's relevance
+    scores, and then has the encoder encode only the token
     rows that mask recomputes: every row on a keyframe, the flagged rows
     otherwise (or the whole frame when they are most of it; see
     :meth:`SharedObservation.tokens`).  ``shared``, when
     given, is this frame's :class:`SharedObservation` (built from ``frame``
     and ``encoder``), so steps of several configs on one frame compute its
-    grayscale, features, scores of each mode, token rows and pixel sum
-    estimate once; without it the step builds its own.  The returned state
-    carries the fused tokens, this frame's grayscale, and the relevance scores of
+    luma, grayscale, features, scores of each mode, token rows and pixel
+    luma sums once; without it the step builds its own.  The returned state
+    carries the fused tokens, this frame's luma, and the relevance scores of
     the config's mode that :meth:`SharedObservation.scores` checked this
     step, for the next step to select from.  The scores are None, and never
     computed, when no step reads them: with attention detection off, or
@@ -197,12 +198,12 @@ def step(
         fused, fusion_rate = shared.tokens(None), 0.0
     else:
         if config.enable_pixel:
-            if state.prev_gray is None:
-                raise ValueError("non-keyframe step needs the previous frame's grayscale")
-            estimate = shared.estimate(state.prev_gray, grid)
-            pixel_mask = detection.threshold_estimate(
-                estimate, shared.gray, state.prev_gray, grid, config.pixel_threshold,
-                shared.scratch[0],
+            if state.prev_luma is None:
+                raise ValueError("non-keyframe step needs the previous frame's luma")
+            sums, scale = shared.luma_sums(state.prev_luma, grid)
+            pixel_mask = detection.threshold_luma_sums(
+                sums, scale, shared.luma, state.prev_luma, grid, config.pixel_threshold,
+                shared.buffers.pixel,
             )
         else:
             pixel_mask = np.zeros(n, dtype=bool)
@@ -224,7 +225,7 @@ def step(
         fusion_rate=fusion_rate,
     )
     new_state = FusionState(
-        prev_gray=shared.gray,
+        prev_luma=shared.luma,
         prev_tokens=fused,
         prev_scores=scores,
         timestep=t + 1,
@@ -238,17 +239,17 @@ def lockstep(frames, encoder, configs) -> Iterator[list[StepResult]]:
 
     Frames are the outer loop and configs the inner one, so every config
     takes its ``step`` on frame t before any takes frame t + 1.  All steps on
-    a frame share one :class:`SharedObservation`, so the frame's grayscale
-    and features are computed once, its scores once per attention mode,
-    each token row at most once and its pixel sum estimate at most once,
+    a frame share one :class:`SharedObservation`, so the frame's luma,
+    grayscale and features are computed once, its scores once per attention
+    mode, each token row at most once and its pixel luma sums at most once,
     inside whichever step first needs them.  Frames are consumed as they
     arrive and need not be a list; between frames only each config's
     :class:`FusionState` is kept, so memory stays flat however long the
-    episode is.  The grayscale planes and the estimate's scratch (its diff
-    band, which refining steps reuse, and row sums) are the loop's own,
-    allocated at the first frame and written over at each later one, so a
-    step in steady state allocates no frame-sized array but each config's
-    fused tokens and the frame's token rows.
+    episode is.  The loop's one :class:`FrameBuffers`, made at the first
+    frame, holds the two-slot luma ring, the grayscale plane and the pixel
+    detector's scratch, and each later frame writes over them, so a step in
+    steady state allocates no frame-sized array but each config's fused
+    tokens and the frame's token rows.
 
     Frame t must have timestep t: a frame off its position raises
     ``ValueError`` ("timestep gap") when the loop reaches it, and a stream
@@ -261,19 +262,16 @@ def lockstep(frames, encoder, configs) -> Iterator[list[StepResult]]:
     if not configs:
         raise ValueError("no fusion configs to run")
     states = [FusionState() for _ in configs]
-    # Frame t's grayscale goes into plane t % 2, so the other plane keeps
-    # the previous frame's, which the steps of frame t diff against.
-    planes = scratch = None
+    buffers = None
     index = -1
     for index, frame in enumerate(frames):
         if frame.timestep != index:
             raise ValueError(
                 f"timestep gap: frame at position {index} has timestep {frame.timestep}"
             )
-        if planes is None:
-            planes = np.empty((2, frame.height, frame.width))
-            scratch = detection.estimate_scratch(PatchGrid.for_frame(frame))
-        shared = SharedObservation(frame, encoder, planes[index % 2], scratch)
+        if buffers is None:
+            buffers = FrameBuffers(PatchGrid.for_frame(frame))
+        shared = SharedObservation(frame, encoder, buffers, index % 2)
         results = []
         for i, config in enumerate(configs):
             result, states[i] = step(states[i], frame, encoder, config, shared=shared)
@@ -286,21 +284,45 @@ def lockstep(frames, encoder, configs) -> Iterator[list[StepResult]]:
         raise ValueError("sequence is empty: first frame missing")
 
 
+class FrameBuffers:
+    """What the fusion loop keeps from frame to frame for frames of ``grid``.
+
+    Frame t's luma goes into slot t % 2 of a two-slot ring of its dtype, so
+    the other slot keeps the previous frame's luma, which the steps of frame
+    t compare against; a ring of each luma dtype is allocated when a frame
+    of that kind first comes.  ``gray`` is the one float64 (H, W) plane the
+    frame's grayscale is written into, and ``pixel`` the
+    ``detection.PixelScratch`` whose uint32 smaller-luma array is also the
+    RGB luma's sum scratch, as the two are never in use at once.
+    """
+
+    def __init__(self, grid: PatchGrid):
+        self.gray = np.empty((grid.rows * PATCH_SIDE, grid.cols * PATCH_SIDE))
+        self.pixel = detection.PixelScratch(grid)
+        self._rings: dict[type, np.ndarray] = {}
+
+    def luma(self, frame: FrameObservation, slot: int) -> Luma:
+        """The frame's ``to_luma``, written into ``slot`` of its ring."""
+        dtype = luma_dtype(frame)
+        if dtype not in self._rings:
+            self._rings[dtype] = np.empty((2,) + self.gray.shape, dtype)
+        temp = self.pixel.sums(np.uint32)[1] if dtype is np.uint32 else None
+        return to_luma(frame, self._rings[dtype][slot], temp)
+
+
 class SharedObservation:
     """What the fusion loop derives from one frame, each part computed on
-    first request: the grayscale, the encoder's features, the relevance
-    scores of each attention mode asked for, its token rows, and the
-    per-patch sum estimate of its pixel differences from the previous
-    frame's grayscale.
+    first request: the luma, the grayscale, the encoder's features, the
+    relevance scores of each attention mode asked for, its token rows, and
+    the per-patch sums of its luma changes from the previous frame's luma.
 
     None of these reads a ``FusionConfig`` field, so every config's step on
-    the frame can use the same results.  The scores and the estimate are
+    the frame can use the same results.  The scores and the luma sums are
     read-only because every config's step on the frame reads the same array.
-    ``gray``, when given, is the float64 (height, width) array that the
-    grayscale is written into, and ``scratch`` the
-    ``detection.estimate_scratch`` the estimate is taken in, whose diff band
-    the steps' ``detection.threshold_estimate`` calls reuse; without them
-    each is allocated here.
+    ``buffers``, when given, is the :class:`FrameBuffers` the luma (into
+    ring slot ``slot``), the grayscale and the luma sums are written into,
+    and whose pixel scratch the steps' ``detection.threshold_luma_sums``
+    calls refine in; without it the observation makes its own.
 
     The encoder provides three methods.  ``features(frame, gray)`` returns
     whatever the other two need of the frame; it is called once.
@@ -316,28 +338,28 @@ class SharedObservation:
         self,
         frame: FrameObservation,
         encoder,
-        gray: np.ndarray | None = None,
-        scratch: tuple[np.ndarray, np.ndarray] | None = None,
+        buffers: FrameBuffers | None = None,
+        slot: int = 0,
     ):
         self.frame = frame
         self._encoder = encoder
-        self._gray_out = gray
-        self._scratch = scratch
+        if buffers is None:
+            buffers = FrameBuffers(PatchGrid.for_frame(frame))
+        self.buffers = buffers
+        self._slot = slot
         self._scores: dict[str, np.ndarray | None] = {}
         self._tokens: np.ndarray | None = None
         self._unset: np.ndarray | None = None
-        self._estimate: np.ndarray | None = None
-        self._estimate_base: np.ndarray | None = None
+        self._sums: tuple[np.ndarray, int] | None = None
+        self._sums_base: Luma | None = None
+
+    @cached_property
+    def luma(self) -> Luma:
+        return self.buffers.luma(self.frame, self._slot)
 
     @cached_property
     def gray(self) -> np.ndarray:
-        return to_grayscale(self.frame, self._gray_out)
-
-    @cached_property
-    def scratch(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._scratch is not None:
-            return self._scratch
-        return detection.estimate_scratch(PatchGrid.for_frame(self.frame))
+        return self.luma.gray(self.buffers.gray)
 
     @cached_property
     def features(self):
@@ -401,12 +423,12 @@ class SharedObservation:
             raise ValueError(f"encoder produced non-finite tokens at timestep {t}")
         return new
 
-    def estimate(self, prev_gray: np.ndarray, grid: PatchGrid) -> np.ndarray:
-        """``detection.patch_sum_estimate`` of this frame against
-        ``prev_gray``, computed again only when asked against another
-        grayscale."""
-        if self._estimate_base is not prev_gray:
-            estimate = detection.patch_sum_estimate(self.gray, prev_gray, grid, self.scratch)
-            estimate.flags.writeable = False
-            self._estimate, self._estimate_base = estimate, prev_gray
-        return self._estimate
+    def luma_sums(self, prev_luma: Luma, grid: PatchGrid) -> tuple[np.ndarray, int]:
+        """``detection.patch_luma_sums`` of this frame's luma against
+        ``prev_luma``, computed again only when asked against another
+        luma."""
+        if self._sums_base is not prev_luma:
+            sums, scale = detection.patch_luma_sums(self.luma, prev_luma, grid, self.buffers.pixel)
+            sums.flags.writeable = False
+            self._sums, self._sums_base = (sums, scale), prev_luma
+        return self._sums

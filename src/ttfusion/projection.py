@@ -122,6 +122,15 @@ def gather_rows(values: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.nda
     return np.take(values, rows, axis=0, out=out[: len(rows)], mode="clip")
 
 
+def check_scratch(rows: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scratch a :class:`ReuseChecker` of ``rows`` x ``dim`` tokens
+    checks in: a buffer for the full products and one for the gathered
+    recomputed rows.  No check reads what an earlier one left there, so
+    checkers whose checks never overlap, like the points of one run, may
+    share one."""
+    return np.empty((rows, dim)), np.empty((rows, dim))
+
+
 class ReuseChecker:
     """The Q/K/V reuse check of one run, fed one step at a time.
 
@@ -130,21 +139,29 @@ class ReuseChecker:
     product; only that previous projection is kept between steps, so a
     stream of steps can be checked as it is produced.
 
-    The chained projections, one buffer for the full products and one for
-    the recomputed rows are allocated here for tokens of ``rows`` x d, the
-    one shape every check takes, so a check allocates no array of that
-    size.  The recomputed rows' projection is written into the head of the
-    full products' buffer, which the full product overwrites only after
-    those rows are copied out.
+    The chained projections are allocated here for tokens of ``rows`` x d,
+    the one shape every check takes, and ``scratch`` is the
+    :func:`check_scratch` of that shape the checks run in (a new one when
+    None), so a check allocates no array of that size.  The recomputed
+    rows' projection is written into the head of the full products' buffer,
+    which the full product overwrites only after those rows are copied out.
     """
 
-    def __init__(self, projections: ProjectionSet, rows: int):
+    def __init__(
+        self,
+        projections: ProjectionSet,
+        rows: int,
+        scratch: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
         self.projections = projections
         self.timestep = 0
         self.shape = (rows, projections.dim)
         self._selective = {name: np.empty(self.shape) for name in ("query", "key", "value")}
-        self._reference = np.empty(self.shape)
-        self._rows = np.empty(self.shape)
+        if scratch is None:
+            scratch = check_scratch(*self.shape)
+        if any(a.shape != self.shape or a.dtype != np.float64 for a in scratch):
+            raise ValueError(f"scratch is no check_scratch of {self.shape} tokens")
+        self._reference, self._rows = scratch
 
     def check(self, tokens, mask) -> tuple[dict[str, float], list[str]]:
         """Check the next step: its fused token rows (n x d) and fusion mask

@@ -81,6 +81,34 @@ class TestRun:
         assert f"{frame}: header declares 2352 pixel bytes, found 9408" in err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_frame_of_another_size_exits_3_naming_it_before_its_step(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import ttfusion.fusion
+
+        synth = write_config(tmp_path, SMALL + f"output_dir = {tmp_path / 'frames'}\n",
+                             name="synth.cfg")
+        assert main(["synth", "--config", synth]) == 0
+        # A valid 42 x 42 frame in a 28 x 28 run.
+        frame = tmp_path / "frames" / "frame_000003.ppm"
+        frame.write_bytes(b"P6\n42 42\n255\n" + bytes(42 * 42 * 3))
+        stepped = []
+        original = ttfusion.fusion.step
+
+        def recording(state, frame, *args, **kwargs):
+            stepped.append(frame.timestep)
+            return original(state, frame, *args, **kwargs)
+
+        monkeypatch.setattr(ttfusion.fusion, "step", recording)
+        config = write_config(
+            tmp_path, f"frames_dir = {tmp_path / 'frames'}\nwidth = 28\nheight = 28\n"
+        )
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"{frame}: frame is 42x42, expected 28x28" in err
+        assert stepped == [0, 1, 2]
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, "synth_frames = 6\nbogus = 1\n")
         assert main(["run", "--config", config]) == 2

@@ -7,17 +7,17 @@ from ttfusion.detection import (
     ESTIMATE_MARGIN,
     TEXT_TO_VISION,
     AttentionSlice,
+    PixelScratch,
     diff_band,
-    estimate_scratch,
     patch_diffs,
-    patch_sum_estimate,
+    patch_luma_sums,
     rate_target_mask,
     relevance_scores,
     threshold_diffs,
-    threshold_estimate,
+    threshold_luma_sums,
     top_k_mask,
 )
-from ttfusion.frames import FrameObservation, PatchGrid, to_grayscale
+from ttfusion.frames import RGB_SCALE, FrameObservation, Luma, PatchGrid, to_grayscale, to_luma
 
 
 def gray(values):
@@ -138,93 +138,140 @@ class TestPixelDiff:
             threshold_diffs(diffs, -0.1)
 
 
-def frame_pair(kind, grid, seed):
-    """Grayscale planes of two frames of ``grid``: random RGB frames, random
-    frames whose three channels are one plane (as synthetic frames are),
-    or one random frame twice."""
-    rng = np.random.default_rng(seed)
+def random_frame(kind, grid, rng):
+    """A random frame of ``grid``: RGB, or one whose three channels are one
+    plane in memory, as synthetic frames are."""
     shape = (grid.rows * 14, grid.cols * 14)
-    planes = []
-    for _ in range(2):
-        if kind == "rgb":
-            pixels = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
-        else:
-            plane = rng.integers(0, 256, size=shape, dtype=np.uint8)
-            pixels = np.broadcast_to(plane[..., None], shape + (3,))
-        planes.append(to_grayscale(FrameObservation(pixels=pixels, timestep=0)))
+    if kind == "rgb":
+        return FrameObservation(rng.integers(0, 256, size=shape + (3,), dtype=np.uint8), 0)
+    plane = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    return FrameObservation(np.broadcast_to(plane[..., None], shape + (3,)), 0)
+
+
+def frame_pair(kind, grid, seed):
+    """Two frames of ``grid``: both RGB, both one-plane, one of each kind in
+    either order, or one random frame twice."""
+    rng = np.random.default_rng(seed)
+    kinds = {"rgb": ("rgb", "rgb"), "one_plane": ("plane", "plane"),
+             "mixed": ("plane", "rgb"), "mixed_reversed": ("rgb", "plane"),
+             "identical": ("rgb", "rgb")}[kind]
+    frames = [random_frame(k, grid, rng) for k in kinds]
     if kind == "identical":
-        planes[1] = planes[0].copy()
-    return planes
+        frames[1] = FrameObservation(frames[0].pixels.copy(), 0)
+    return frames
 
 
-class TestThresholdEstimate:
-    """The loop's pixel mask, decided from the patch sum estimate, is the
-    thresholded patch means bit for bit, on thresholds right at a mean too,
-    where only the exact mean can decide."""
+def refine_counter(monkeypatch):
+    """The strips that threshold_luma_sums refines, recorded as it calls
+    patch_diffs."""
+    refined = []
+    original = ttfusion.detection.patch_diffs
 
-    @pytest.mark.parametrize("kind", ["rgb", "one_plane", "identical"])
+    def counting(gray_t, gray_prev, strip, band=None):
+        refined.append(strip)
+        return original(gray_t, gray_prev, strip, band)
+
+    monkeypatch.setattr(ttfusion.detection, "patch_diffs", counting)
+    return refined
+
+
+class TestLumaSums:
+    """The loop's pixel mask, decided from each patch's exact integer luma
+    sum, is the thresholded patch means of the grayscales bit for bit, on
+    thresholds right at a mean too, where only the exact mean can decide."""
+
+    @pytest.mark.parametrize("kind", ["rgb", "one_plane", "mixed", "mixed_reversed", "identical"])
     @pytest.mark.parametrize("rows,cols", [(1, 1), (3, 17), (32, 32)])
     def test_equals_the_thresholded_means(self, monkeypatch, kind, rows, cols):
         grid = PatchGrid(rows, cols)
         a, b = frame_pair(kind, grid, seed=rows * 100 + cols)
-        diffs = patch_diffs(a, b, grid)
-        estimate = patch_sum_estimate(a, b, grid)
-        thresholds = {0.0, np.nextafter(0.0, 1.0), 0.03, 1.5}
+        diffs = patch_diffs(to_grayscale(a), to_grayscale(b), grid)
+        luma_a, luma_b = to_luma(a), to_luma(b)
+        scratch = PixelScratch(grid)
+        sums, scale = patch_luma_sums(luma_a, luma_b, grid, scratch)
+        assert scale == max(luma_a.scale, luma_b.scale)
+        thresholds = {0.0, 5e-324, 0.03, 1.5}
         for value in np.unique(diffs):
             thresholds |= {value, np.nextafter(value, 0.0), np.nextafter(value, np.inf)}
-        refined = []
-        original = ttfusion.detection.patch_diffs
-
-        def counting(gray_t, gray_prev, strip, band=None):
-            refined.append(strip)
-            return original(gray_t, gray_prev, strip, band)
-
-        monkeypatch.setattr(ttfusion.detection, "patch_diffs", counting)
+        refined = refine_counter(monkeypatch)
         for threshold in sorted(thresholds):
-            mask = threshold_estimate(estimate, a, b, grid, float(threshold))
+            mask = threshold_luma_sums(
+                sums, scale, luma_a, luma_b, grid, float(threshold), scratch
+            )
             assert mask.dtype == np.bool_
             assert np.array_equal(mask, threshold_diffs(diffs, threshold)), threshold
-        # A threshold on a mean leaves its estimate inside the margin, so the
-        # strip is refined; a zero estimate never is.
+        # A threshold on a mean leaves its sum inside the margin, so the
+        # strip is refined; a zero sum never is.
         assert bool(refined) == (kind != "identical")
         assert all(strip == PatchGrid(1, cols) for strip in refined)
 
-    def test_estimate_is_the_patch_sum_within_the_bound(self):
+    @pytest.mark.parametrize("kind", ["rgb", "one_plane", "mixed"])
+    def test_sums_are_the_exact_integer_sums(self, kind):
         grid = PatchGrid(3, 17)
-        a, b = frame_pair("rgb", grid, seed=5)
-        sums = patch_diffs(a, b, grid) * 196
-        estimate = patch_sum_estimate(a, b, grid, estimate_scratch(grid))
-        bound = 2 * 196 * 2.0**-53
-        assert np.abs(estimate - sums).max() <= bound * sums.max()
-        assert bound < ESTIMATE_MARGIN
+        a, b = frame_pair(kind, grid, seed=5)
+        luma_a, luma_b = to_luma(a), to_luma(b)
+        sums, scale = patch_luma_sums(luma_a, luma_b, grid)
+        wide = [luma.values.astype(np.int64) * (scale // luma.scale) for luma in (luma_a, luma_b)]
+        exact = np.abs(wide[0] - wide[1]).reshape(3, 14, 17, 14).sum(axis=(1, 3)).ravel()
+        assert np.array_equal(sums, exact)
+        # patch_diffs' sums lie within the bound that ESTIMATE_MARGIN covers.
+        means = patch_diffs(to_grayscale(a), to_grayscale(b), grid)
+        assert np.abs(means * 196 - sums / scale).max() <= 6e-11 * (sums / scale).max()
+        assert 6e-11 < ESTIMATE_MARGIN
 
-    def test_subnormal_mean_is_refined(self):
-        # A sum of 197 of the smallest doubles is 197/196 of one as a mean,
-        # which rounds to that one: at that threshold the mean does not lie
-        # above it, though the sum lies above 196 times it.
-        grid = PatchGrid(1, 1)
-        a, b = np.zeros((14, 14)), np.zeros((14, 14))
-        b[0, 0] = 197 * 5e-324
-        threshold = 5e-324
-        estimate = patch_sum_estimate(a, b, grid)
-        assert estimate[0] > 196 * threshold
-        assert not threshold_diffs(patch_diffs(a, b, grid), threshold)[0]
-        assert not threshold_estimate(estimate, a, b, grid, threshold)[0]
+    def test_white_against_black_rgb_sums_without_wrapping(self, monkeypatch):
+        # Every luma is 255000 or 0: the largest products and sums there are.
+        grid = PatchGrid(2, 3)
+        white = FrameObservation(np.full((28, 42, 3), 255, dtype=np.uint8), 0)
+        black = FrameObservation(np.zeros((28, 42, 3), dtype=np.uint8), 0)
+        white_luma, black_luma = to_luma(white), to_luma(black)
+        assert (white_luma.values == RGB_SCALE).all()
+        for luma_t, luma_prev in ((white_luma, black_luma), (black_luma, white_luma)):
+            sums, scale = patch_luma_sums(luma_t, luma_prev, grid)
+            assert scale == RGB_SCALE and (sums == 196 * RGB_SCALE).all()
+            refined = refine_counter(monkeypatch)
+            for threshold, flagged in ((np.nextafter(1.0, 0.0), True), (1.0, False)):
+                mask = threshold_luma_sums(sums, scale, luma_t, luma_prev, grid, threshold)
+                assert mask.all() == flagged and mask.any() == flagged
+            assert refined
+
+    def test_smallest_threshold_flags_every_changed_patch(self):
+        grid = PatchGrid(1, 2)
+        a = Luma(np.zeros((14, 28), dtype=np.uint8), 255)
+        b = Luma(a.values.copy(), 255)
+        b.values[3, 20] = 1
+        sums, scale = patch_luma_sums(a, b, grid)
+        assert list(sums) == [0, 1]
+        assert list(threshold_luma_sums(sums, scale, a, b, grid, 5e-324)) == [False, True]
+        assert list(threshold_luma_sums(sums, scale, a, b, grid, 0.0)) == [False, True]
+
+    def test_scratch_keeps_one_set_per_dtype(self):
+        scratch = PixelScratch(PatchGrid(1, 2))
+        for dtype, rows in ((np.uint8, np.uint16), (np.uint32, np.uint32)):
+            arrays = scratch.sums(dtype)
+            assert scratch.sums(np.dtype(dtype)) is arrays
+            assert [a.dtype for a in arrays] == [dtype, dtype, rows]
+            assert [a.shape for a in arrays] == [(14, 28), (14, 28), (1, 28)]
 
     def test_scratch_of_another_grid_rejected(self):
         grid = PatchGrid(2, 2)
-        planes = np.zeros((28, 28)), np.zeros((28, 28))
+        lumas = [Luma(np.zeros((28, 28), dtype=np.uint8), 255)] * 2
         for other in (PatchGrid(1, 2), PatchGrid(2, 3)):
-            with pytest.raises(ValueError, match="no estimate_scratch"):
-                patch_sum_estimate(*planes, grid, estimate_scratch(other))
+            with pytest.raises(ValueError, match="no PixelScratch"):
+                patch_luma_sums(*lumas, grid, PixelScratch(other))
 
-    def test_estimate_of_another_grid_or_negative_threshold_rejected(self):
+    def test_lumas_of_another_grid_rejected(self):
+        lumas = [Luma(np.zeros((28, 28), dtype=np.uint8), 255)] * 2
+        with pytest.raises(ValueError, match="do not match grid"):
+            patch_luma_sums(*lumas, PatchGrid(1, 2))
+
+    def test_sums_of_another_grid_or_negative_threshold_rejected(self):
         grid = PatchGrid(2, 2)
-        planes = np.zeros((28, 28)), np.zeros((28, 28))
-        with pytest.raises(ValueError, match="does not match grid"):
-            threshold_estimate(np.zeros(3), *planes, grid, 0.03)
+        lumas = [Luma(np.zeros((28, 28), dtype=np.uint8), 255)] * 2
+        with pytest.raises(ValueError, match="do not match grid"):
+            threshold_luma_sums(np.zeros(3), 255, *lumas, grid, 0.03)
         with pytest.raises(ValueError, match="non-negative"):
-            threshold_estimate(np.zeros(4), *planes, grid, -0.1)
+            threshold_luma_sums(np.zeros(4), 255, *lumas, grid, -0.1)
 
 
 class TestAttentionScores:

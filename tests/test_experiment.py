@@ -468,6 +468,25 @@ class TestStreaming:
         short, long = self.traced_peak(20), self.traced_peak(200)
         assert long - short < 1_000_000, (short, long)
 
+    def test_each_point_adds_only_its_chains_and_fused_tokens(self):
+        # The points of a run check one after another, so they share one
+        # check scratch (full products and gathered rows): a 448 px point
+        # adds its three Q/K/V chains and its fused tokens, of this step and
+        # of the last, which the caller may still hold.
+        config, _ = self.sweep(4, size=448)
+        run_points(config, [config.fusion])
+        peaks = []
+        for count in (1, 2, 3):
+            tracemalloc.start()
+            try:
+                run_points(config, [apply_parameter(config, "K", k) for k in (3, 6, 4)[:count]])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        tokens = config.fusion.grid.patch_count * config.token_dim * 8
+        for fewer, more in zip(peaks, peaks[1:]):
+            assert more - fewer <= (3 + 2) * tokens + 64 * 1024, peaks
+
     def test_streaming_matches_one_point_at_a_time(self):
         # Each record holds its mask's counts and its check's three errors,
         # and a check has failure lines exactly when an error is nonzero, so

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-import ttfusion.frames
 from ttfusion.frames import (
+    PLANE_SCALE,
+    RGB_SCALE,
     FrameError,
     FrameObservation,
+    Luma,
     PatchGrid,
     load_frame,
     numbered_files,
     read_pgm,
     save_frame,
     to_grayscale,
+    to_luma,
     write_pgm,
     write_ppm,
 )
@@ -162,13 +165,8 @@ class TestGrayscaleLayouts:
         got = to_grayscale(FrameObservation(pixels=pixels, timestep=0))
         assert np.array_equal(got, float64_grayscale(pixels))
 
-    @pytest.mark.parametrize("band_pixels", [1, 100, ttfusion.frames.GRAY_BAND_PIXELS, 10**6])
     @pytest.mark.parametrize("width,height", [(28, 14), (448, 42), (42, 70)])
-    def test_rgb_bands_of_any_size_give_the_whole_frame_formula(
-        self, monkeypatch, band_pixels, width, height
-    ):
-        # One row per band, a partial last band, and the whole frame in one.
-        monkeypatch.setattr(ttfusion.frames, "GRAY_BAND_PIXELS", band_pixels)
+    def test_rgb_frames_give_the_whole_frame_formula(self, width, height):
         rng = np.random.default_rng(width + height)
         pixels = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
         got = to_grayscale(FrameObservation(pixels=pixels, timestep=0))
@@ -192,6 +190,72 @@ class TestGrayscaleLayouts:
         frame = solid_frame(42, 28, (1, 2, 3))
         with pytest.raises(ValueError, match="out must be"):
             to_grayscale(frame, out)
+
+
+class TestLuma:
+    def test_one_plane_frame_keeps_a_copy_of_its_plane(self):
+        plane = (np.arange(14 * 28) % 256).astype(np.uint8).reshape(14, 28)
+        frame = FrameObservation(pixels=np.broadcast_to(plane[..., None], (14, 28, 3)), timestep=0)
+        luma = to_luma(frame)
+        assert luma.scale == PLANE_SCALE
+        assert luma.values.dtype == np.uint8 and luma.values.flags.c_contiguous
+        assert np.array_equal(luma.values, plane)
+        assert not np.shares_memory(luma.values, plane)
+
+    def test_rgb_frame_takes_the_exact_weighted_sum(self):
+        rng = np.random.default_rng(6)
+        pixels = rng.integers(0, 256, size=(28, 42, 3), dtype=np.uint8)
+        luma = to_luma(FrameObservation(pixels=pixels, timestep=0))
+        wide = pixels.astype(np.int64)
+        assert luma.scale == RGB_SCALE and luma.values.dtype == np.uint32
+        assert np.array_equal(luma.values, wide @ np.array([299, 587, 114]))
+
+    def test_white_rgb_luma_is_the_scale_without_wrapping(self):
+        luma = to_luma(solid_frame(14, 28, (255, 255, 255)))
+        assert (luma.values == RGB_SCALE).all()
+        assert (luma.gray() == 1.0).all()
+
+    @pytest.mark.parametrize("plane", [False, True])
+    def test_gray_is_the_grayscale(self, plane):
+        rng = np.random.default_rng(7)
+        pixels = rng.integers(0, 256, size=(28, 42, 3), dtype=np.uint8)
+        if plane:
+            pixels = np.broadcast_to(pixels[..., :1], pixels.shape)
+        frame = FrameObservation(pixels=pixels, timestep=0)
+        gray = to_luma(frame).gray()
+        assert gray.tobytes() == float64_grayscale(np.ascontiguousarray(pixels)).tobytes()
+        assert gray.tobytes() == to_grayscale(frame).tobytes()
+
+    @pytest.mark.parametrize("plane", [False, True])
+    def test_out_and_temp_receive_the_sum(self, plane):
+        rng = np.random.default_rng(8)
+        pixels = rng.integers(0, 256, size=(28, 42, 3), dtype=np.uint8)
+        if plane:
+            pixels = np.broadcast_to(pixels[..., :1], pixels.shape)
+        frame = FrameObservation(pixels=pixels, timestep=0)
+        expected = to_luma(frame)
+        out = np.zeros((28, 42), dtype=expected.values.dtype)
+        luma = to_luma(frame, out, np.empty((28, 42), dtype=np.uint32))
+        assert luma.values is out and luma.scale == expected.scale
+        assert np.array_equal(out, expected.values)
+
+    @pytest.mark.parametrize(
+        "out,temp",
+        [
+            (np.empty((28, 28), dtype=np.uint32), None),
+            (np.empty((28, 42), dtype=np.uint8), None),
+            (np.empty((28, 42), dtype=np.uint32), np.empty((28, 42), dtype=np.int64)),
+            (np.empty((42, 28), dtype=np.uint32).T, None),
+        ],
+    )
+    def test_out_or_temp_of_wrong_shape_dtype_or_layout_rejected(self, out, temp):
+        frame = solid_frame(42, 28, (1, 2, 3))
+        with pytest.raises(ValueError, match="out must be"):
+            to_luma(frame, out, temp)
+
+    def test_gray_out_of_wrong_dtype_rejected(self):
+        with pytest.raises(ValueError, match="out must be"):
+            Luma(np.zeros((2, 2), dtype=np.uint8), PLANE_SCALE).gray(np.empty((2, 2), np.float32))
 
 
 class TestPatchGrid:

@@ -9,7 +9,7 @@ import ttfusion.detection
 import ttfusion.fusion
 import ttfusion.toy_encoder
 from ttfusion.detection import AttentionSlice
-from ttfusion.frames import FrameObservation, to_grayscale
+from ttfusion.frames import FrameObservation, to_grayscale, to_luma
 from ttfusion.fusion import (
     WHOLE_FRAME_SHARE,
     FusionConfig,
@@ -204,13 +204,13 @@ class TestStep:
             small_config(keyframe_interval=100, top_k=1)
         ))
         diff_calls = []
-        original_estimate = ttfusion.detection.patch_sum_estimate
+        original_sums = ttfusion.detection.patch_luma_sums
 
-        def counting_estimate(*args):
+        def counting_sums(*args):
             diff_calls.append(1)
-            return original_estimate(*args)
+            return original_sums(*args)
 
-        monkeypatch.setattr(ttfusion.detection, "patch_sum_estimate", counting_estimate)
+        monkeypatch.setattr(ttfusion.detection, "patch_luma_sums", counting_sums)
         for result in self.non_keyframe_steps(config):
             assert not result.pixel_mask.any()
             assert result.attention_mask.sum() == 1
@@ -322,25 +322,25 @@ class TestStep:
             step(FusionState(), small_frames(1)[0], encoder, small_config(keyframe_interval=100))
 
     def test_diffs_recorded_on_non_keyframes(self):
-        # The step decides from the estimate its shared observation records,
-        # as thresholding the patch means would.
+        # The step decides from the luma sums its shared observation
+        # records, as thresholding the patch means would.
         frames = small_frames(2, walker=True)
         config = small_config(keyframe_interval=100)
         encoder = small_encoder()
         _, state = step(FusionState(), frames[0], encoder, config)
         shared = SharedObservation(frames[1], encoder)
         result, _ = step(state, frames[1], encoder, config, shared=shared)
-        estimate = shared.estimate(state.prev_gray, config.grid)
-        assert estimate.shape == (4,)
-        assert estimate.max() > 0.0
-        diffs = ttfusion.detection.patch_diffs(shared.gray, state.prev_gray, config.grid)
+        sums, scale = shared.luma_sums(state.prev_luma, config.grid)
+        assert sums.shape == (4,) and scale == 255
+        assert sums.max() > 0
+        diffs = ttfusion.detection.patch_diffs(shared.gray, to_grayscale(frames[0]), config.grid)
         assert np.array_equal(
             result.pixel_mask, ttfusion.detection.threshold_diffs(diffs, config.pixel_threshold)
         )
 
-    def test_shared_observation_diffs_follow_each_previous_grayscale(self):
-        # Two histories reach frame 1 with different previous grayscales;
-        # one shared observation must give each the estimate of its own.
+    def test_shared_observation_diffs_follow_each_previous_luma(self):
+        # Two histories reach frame 1 with different previous lumas; one
+        # shared observation must give each the luma sums of its own.
         frames = small_frames(2, walker=True)
         other = small_frames(1, walker=True, noise_amplitude=0.3, seed=5)[0]
         config = small_config(keyframe_interval=100)
@@ -350,10 +350,11 @@ class TestStep:
             _, state = step(FusionState(), first, encoder, config)
             alone, _ = step(state, frames[1], encoder, config)
             together, _ = step(state, frames[1], encoder, config, shared=shared)
-            expected = ttfusion.detection.patch_sum_estimate(
-                to_grayscale(frames[1]), state.prev_gray, config.grid
+            expected, scale = ttfusion.detection.patch_luma_sums(
+                to_luma(frames[1]), to_luma(first), config.grid
             )
-            assert np.array_equal(shared.estimate(state.prev_gray, config.grid), expected)
+            got = shared.luma_sums(state.prev_luma, config.grid)
+            assert np.array_equal(got[0], expected) and got[1] == scale
             assert np.array_equal(together.pixel_mask, alone.pixel_mask)
         with pytest.raises(ValueError, match="another frame"):
             step(state, small_frames(2, seed=7)[1], encoder, config, shared=shared)
@@ -375,7 +376,7 @@ class TestHardFusion:
         text = np.array([[[0.4, 0.1, 0.3, 0.2]]] * 2)
         encoder.inner.slice_ = AttentionSlice(text_rows=text, action_row=None, source_timestep=0)
         monkeypatch.setattr(
-            ttfusion.detection, "threshold_estimate", lambda *args: np.array(pixel, dtype=bool)
+            ttfusion.detection, "threshold_luma_sums", lambda *args: np.array(pixel, dtype=bool)
         )
         monkeypatch.setattr(
             ttfusion.detection, "top_k_mask", lambda *args: np.array(attention, dtype=bool)
@@ -585,22 +586,25 @@ class TestLockstep:
             if not a.is_keyframe
         )
 
-    def test_one_grayscale_per_step(self, monkeypatch):
+    def test_one_luma_per_step(self, monkeypatch):
         calls, diff_calls = [], []
-        original = ttfusion.fusion.to_grayscale
-        original_estimate = ttfusion.detection.patch_sum_estimate
+        original = ttfusion.fusion.to_luma
+        original_sums = ttfusion.detection.patch_luma_sums
 
-        def counting(frame, out=None):
+        def counting(frame, out=None, temp=None):
             calls.append(frame.timestep)
-            return original(frame, out)
+            return original(frame, out, temp)
 
-        def counting_estimate(gray_t, gray_prev, grid, scratch=None):
+        def counting_sums(luma_t, luma_prev, grid, scratch=None):
             diff_calls.append(calls[-1])
-            return original_estimate(gray_t, gray_prev, grid, scratch)
+            return original_sums(luma_t, luma_prev, grid, scratch)
 
-        monkeypatch.setattr(ttfusion.fusion, "to_grayscale", counting)
-        monkeypatch.setattr(ttfusion.toy_encoder, "to_grayscale", counting)
-        monkeypatch.setattr(ttfusion.detection, "patch_sum_estimate", counting_estimate)
+        def no_grayscale(frame, out=None):
+            raise AssertionError("the loop takes its grayscale from the luma")
+
+        monkeypatch.setattr(ttfusion.fusion, "to_luma", counting)
+        monkeypatch.setattr(ttfusion.toy_encoder, "to_grayscale", no_grayscale)
+        monkeypatch.setattr(ttfusion.detection, "patch_luma_sums", counting_sums)
         frames = self.walker_frames()
         run_steps(frames, small_encoder(), self.configs()[0])
         assert calls == list(range(len(frames)))
@@ -608,13 +612,13 @@ class TestLockstep:
         calls.clear()
         for _ in lockstep(frames, small_encoder(), self.configs()):
             pass
-        # One grayscale per frame for all three points, and one pixel sum
-        # estimate per frame that is a non-keyframe for some point: with
+        # One luma per frame for all three points, and one set of pixel luma
+        # sums per frame that is a non-keyframe for some point: with
         # K = 1, 3, 6 those are the frames off multiples of 6.
         assert calls == list(range(len(frames)))
         assert diff_calls == [t for t in range(len(frames)) if t % 6]
 
-    def test_results_and_states_hold_c_contiguous_float64_arrays(self, monkeypatch):
+    def test_results_and_states_hold_c_contiguous_arrays(self, monkeypatch):
         states = []
         original = ttfusion.fusion.step
 
@@ -634,10 +638,13 @@ class TestLockstep:
                 assert type(mask) is np.ndarray
                 assert mask.shape == (4,)
                 assert mask.dtype == np.bool_
-            for array, shape in ((result.fused_tokens, (4, 8)), (state.prev_gray, (28, 28))):
+            # Synthetic frames are one plane, so their luma is that uint8 plane.
+            assert state.prev_luma.scale == 255
+            for array, shape, dtype in ((result.fused_tokens, (4, 8), np.float64),
+                                        (state.prev_luma.values, (28, 28), np.uint8)):
                 assert type(array) is np.ndarray
                 assert array.shape == shape
-                assert array.dtype == np.float64
+                assert array.dtype == dtype
                 assert array.flags.c_contiguous
 
     def test_scores_reduced_once_per_frame_and_mode(self, monkeypatch):
@@ -670,11 +677,11 @@ class TestLockstep:
 
 class TestFlatStepMemory:
     """In steady state a frame allocates no frame-sized array but each
-    config's fused tokens and the frame's token rows: the grayscale planes,
-    the pixel estimate's scratch (diff band and row sums), the feature
-    matrix and the row gather are kept from frame to frame.  Checked with
-    tracemalloc, so it holds whatever the allocator does with freed
-    memory."""
+    config's fused tokens and the frame's token rows: the luma ring, the
+    grayscale plane, the pixel detector's scratch (luma sums and refine
+    strips), the feature matrix and the row gather are kept from frame to
+    frame.  Checked with tracemalloc, so it holds whatever the allocator
+    does with freed memory."""
 
     D = 64
 
@@ -705,7 +712,7 @@ class TestFlatStepMemory:
 
             return wrapper
 
-        for name in ("patch_sum_estimate", "threshold_estimate"):
+        for name in ("patch_luma_sums", "threshold_luma_sums"):
             monkeypatch.setattr(
                 ttfusion.detection, name, measured(getattr(ttfusion.detection, name))
             )
@@ -738,9 +745,9 @@ class TestFlatStepMemory:
             tracemalloc.stop()
         assert len(growth) == 27
         assert max(growth) <= bound
-        # A call may allocate the (N,) estimate and a few (N,) masks, which
-        # stays below the (rows, W) row-sum scratch alone; a refining call
-        # also takes a strip's (cols,) means.
+        # A call may allocate the (N,) sums and a few (N,) masks, which stays
+        # below one (rows, W) float64 array; a refining call also takes a
+        # strip's (cols,) means.
         detection_bound = 4 * n * 8 + 8192
         assert detection_bound < (size // 14) * size * 8
         assert detection_peaks
@@ -755,18 +762,22 @@ class TestFlatStepMemory:
         spec = self.spec(size)
         frames = iter_frames(spec)
         if source == "ppm":
-            # PPM frames are RGB arrays, which take to_grayscale's banded path.
+            # PPM frames are RGB arrays, whose luma is a uint32 weighted sum.
             write_sequence(spec, tmp_path)
             frames = load_frames_dir(tmp_path)
         configs = [FusionConfig(keyframe_interval=k, width=size, height=size) for k in intervals]
         self.measure(frames, configs, size, monkeypatch)
 
-    def test_refining_steps_allocate_no_frame_sized_scratch(self, monkeypatch):
+    @pytest.mark.parametrize("source", ["synthetic", "ppm"])
+    def test_refining_steps_allocate_no_frame_sized_scratch(self, source, tmp_path, monkeypatch):
         # Each config's threshold is a patch mean of one frame pair, so its
-        # step on that frame refines the patch's strip in the kept band.
+        # step on that frame refines the patch's strip in the kept strips.
         size = 448
         grid = FusionConfig(width=size, height=size).grid
         frames = list(iter_frames(self.spec(size)))
+        if source == "ppm":
+            write_sequence(self.spec(size), tmp_path)
+            frames = list(load_frames_dir(tmp_path))
         configs = []
         for t in (5, 17):
             a, b = to_grayscale(frames[t]), to_grayscale(frames[t - 1])

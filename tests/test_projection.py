@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from ttfusion.fusion import FusionConfig, lockstep
-from ttfusion.projection import ProjectionSet, ReuseChecker, gather_rows, project_full
+from ttfusion.projection import (
+    ProjectionSet,
+    ReuseChecker,
+    check_scratch,
+    gather_rows,
+    project_full,
+)
 from ttfusion.report import mask_counts, step_record
 from ttfusion.synthetic import SynthSpec, generate_frames
 from ttfusion.toy_encoder import EncoderSpec, ToyEncoder
@@ -271,6 +277,29 @@ class TestReuseCheckerOverRuns:
         pairs = [(tokens, np.ones(4, dtype=np.uint8)), (tokens, np.ones(5, dtype=np.uint8))]
         with pytest.raises(ValueError, match="step 1: mask length"):
             check_pairs(pairs, ProjectionSet.generate(4, 0))
+
+    def test_checkers_sharing_one_scratch_check_as_they_do_alone(self):
+        # Checks of two interleaved runs overwrite the one scratch in turn.
+        projections = ProjectionSet.generate(4, 2)
+        rng = np.random.default_rng(2)
+        runs = [[(rng.standard_normal((3, 4)), mask) for mask in
+                 (np.ones(3), np.array([1, 0, 1]), np.array([0, 1, 0]))] for _ in range(2)]
+        for run in runs:
+            run[2] = (run[1][0].copy(), run[2][1])
+            run[2][0][1] += 1.0
+        scratch = check_scratch(3, 4)
+        shared = [ReuseChecker(projections, 3, scratch) for _ in runs]
+        for t in range(3):
+            for checker, run in zip(shared, runs):
+                assert checker.check(*run[t]) == check_pairs(run[: t + 1], projections)[-1]
+
+    @pytest.mark.parametrize(
+        "scratch",
+        [check_scratch(3, 5), check_scratch(2, 4), (np.empty((3, 4)), np.empty((3, 4), np.float32))],
+    )
+    def test_scratch_of_another_shape_rejected(self, scratch):
+        with pytest.raises(ValueError, match="no check_scratch of"):
+            ReuseChecker(ProjectionSet.generate(4, 0), 3, scratch)
 
     @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (12,), (3, 4, 1)])
     def test_tokens_of_another_shape_rejected(self, shape):

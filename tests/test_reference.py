@@ -17,9 +17,10 @@ import random
 import numpy as np
 import pytest
 
+import ttfusion.experiment
 from ttfusion.detection import ACTION_TO_VISION, TEXT_TO_VISION
 from ttfusion.experiment import build_encoder, open_frames, run_points
-from ttfusion.frames import PATCH_PIXELS, PATCH_SIDE, to_grayscale
+from ttfusion.frames import PATCH_PIXELS, PATCH_SIDE, FrameObservation, to_grayscale
 from ttfusion.fusion import lockstep
 from ttfusion.projection import ProjectionSet, project_full
 from ttfusion.runconfig import build_run_config
@@ -42,8 +43,9 @@ def reference_scores(config, frame, encoder, features):
     return weights.mean(axis=(0, 1)) if mode == TEXT_TO_VISION else weights.mean(axis=0)
 
 
-def reference_run(config):
-    """The masks, fused tokens and report records of ``config``'s run."""
+def reference_run(config, frames=None):
+    """The masks, fused tokens and report records of ``config``'s run, on
+    ``frames`` when given, else on the config's synthetic frames."""
     fusion = config.fusion
     grid = fusion.grid
     n, d = grid.patch_count, config.token_dim
@@ -51,7 +53,7 @@ def reference_run(config):
     weights = ProjectionSet.generate(d, config.seed)
     steps, records = [], []
     prev_gray = prev_fused = prev_scores = prev_projected = None
-    for t, frame in enumerate(iter_frames(config.synth)):
+    for t, frame in enumerate(iter_frames(config.synth) if frames is None else frames):
         gray = to_grayscale(frame)
         features = encoder.features(frame, gray)
         fresh = encoder.tokens(features, None)
@@ -95,15 +97,19 @@ def reference_run(config):
     return steps, records
 
 
-def assert_loop_matches_reference(configs):
+def assert_loop_matches_reference(configs, make_frames=None):
     """``lockstep`` and ``run_points`` on ``configs``, sharing frames, match
-    each config's reference bit for bit, checked after the whole run."""
+    each config's reference bit for bit, checked after the whole run.  The
+    frames are ``make_frames()`` when given (``run_points`` must then be
+    handed them too), else those of the first config."""
     frames, count = open_frames(configs[0])
+    if make_frames is not None:
+        frames = make_frames()
     encoder = build_encoder(configs[0], count)
     loop = list(lockstep(frames, encoder, [config.fusion for config in configs]))
     results = run_points(configs[0], [config.fusion for config in configs])
     for i, (config, result) in enumerate(zip(configs, results)):
-        steps, records = reference_run(config)
+        steps, records = reference_run(config, None if make_frames is None else make_frames())
         assert len(loop) == len(steps)
         for t, (step, expected) in enumerate(zip((row[i] for row in loop), steps)):
             actual = (step.pixel_mask, step.attention_mask, step.fusion_mask, step.fused_tokens)
@@ -185,3 +191,37 @@ def test_tensor_file_attention_matches_the_reference(tmp_path, mode):
         for k, top_k in ((3, 20), (7, 9))
     ]
     assert_loop_matches_reference(configs)
+
+
+def test_alternating_one_plane_and_rgb_frames_match_the_reference(monkeypatch):
+    # Odd frames are RGB arrays whose channels differ by a pixel level or so
+    # from the one-plane frame they come from, so every non-keyframe step
+    # compares lumas of two kinds, one of them taken to the other's scale.
+    # The reference takes each frame's float grayscale, whatever its kind.
+    base = {"synth_frames": 12, "width": 112, "height": 56, "seed": 8, "token_dim": 8,
+            "synth_walker": True, "synth_noise": 0.02, "synth_change_fraction": 0.1,
+            "top_k": 6}
+    # Most patch means of these frames lie between 0.0057 and 0.0075, so the
+    # first two thresholds split them, and a luma off by a few units flips
+    # some decisions.
+    configs = [build_run_config({**base, **knob}) for knob in (
+        {"keyframe_interval": 5, "pixel_threshold": 0.007},
+        {"keyframe_interval": 7, "pixel_threshold": 0.0065, "enable_attention": False},
+        {"keyframe_interval": 4},
+    )]
+
+    def make_frames():
+        for frame in iter_frames(configs[0].synth):
+            if frame.timestep % 2:
+                plane = frame.pixels[..., 0].astype(np.int16)
+                shift = np.random.default_rng(frame.timestep).integers(-1, 2, size=plane.shape)
+                pixels = np.stack([plane + shift, plane, plane - shift], axis=-1)
+                frame = FrameObservation(np.clip(pixels, 0, 255).astype(np.uint8), frame.timestep)
+            yield frame
+
+    kinds = [frame.pixels.strides[2] == 0 for frame in make_frames()]
+    assert kinds == [t % 2 == 0 for t in range(12)]
+    monkeypatch.setattr(
+        ttfusion.experiment, "open_frames", lambda config: (make_frames(), config.synth_frames)
+    )
+    assert_loop_matches_reference(configs, make_frames)

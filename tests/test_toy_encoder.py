@@ -232,7 +232,7 @@ class TestMatchesReferencePath:
         module = ttfusion.toy_encoder
         monkeypatch.setattr(module, "_patch_features", counted("features", module._patch_features))
         monkeypatch.setattr(module, "to_grayscale", counted("grayscale", module.to_grayscale))
-        monkeypatch.setattr(ttfusion.fusion, "to_grayscale", counted("grayscale", to_grayscale))
+        monkeypatch.setattr(ttfusion.fusion, "to_luma", counted("grayscale", ttfusion.fusion.to_luma))
         frame = frame_from_gray_levels([10, 80, 160, 250])
         ToyEncoder(SPEC).features(frame)
         assert calls == {"features": 1, "grayscale": 1}
